@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cdc import ConflictGraph, IndexSetFamily, conflict_graph
+from .cdc import ConflictGraph, IndexSetFamily, conflict_graph, ground_set
 from .errors import InputError, InvariantError, NoJunctionTreeError
-from .jtree import CandidateTree, admits_junction_tree, is_junction_tree
+from .jtree import CandidateTree, _cut_recursion, _index_union, maximum_spanning_tree_of
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,20 @@ class BicliqueCover:
 
     @classmethod
     def from_json(cls, text: str) -> "BicliqueCover":
-        data = json.loads(text)
-        return cls(
-            Biclique(frozenset(item["a"]), frozenset(item["b"]))
-            for item in data["bicliques"]
-        )
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid JSON: {exc}") from exc
+        items = data.get("bicliques") if isinstance(data, dict) else None
+        if not isinstance(items, list):
+            raise InputError('expected an object with a "bicliques" list')
+        out = []
+        for item in items:
+            sides = [item.get(key) if isinstance(item, dict) else None for key in ("a", "b")]
+            if not all(isinstance(s, list) and all(isinstance(v, int) for v in s) for s in sides):
+                raise InputError('each biclique needs "a" and "b" lists of integers')
+            out.append(Biclique(frozenset(sides[0]), frozenset(sides[1])))
+        return cls(out)
 
 
 def is_biclique(g: ConflictGraph, side_a: Iterable[int], side_b: Iterable[int]) -> bool:
@@ -88,60 +97,34 @@ def is_biclique(g: ConflictGraph, side_a: Iterable[int], side_b: Iterable[int]) 
     return all(g.has_edge(u, v) for u in a for v in b)
 
 
-def _choose_cut(vertices: list[int], edges: list[tuple[int, int]]) -> tuple[int, int]:
-    """Edge whose removal balances the two components best; ties by ordinal pair."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    best = None
-    for e in sorted(edges):
-        side = {e[0]}
-        stack = [e[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if (v, w) != e and (w, v) != e and w not in side:
-                    side.add(w)
-                    stack.append(w)
-        diff = abs(len(side) - (len(vertices) - len(side)))
-        if best is None or diff < best[0]:
-            best = (diff, e)
-    assert best is not None
-    return best[1]
-
-
 def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     """Recursive tree-cut bicliques, in the top-down pop-first ordering.
 
-    The caller is responsible for passing a junction tree; only the tree
-    shape is re-validated here.  Candidates that lose a whole side to the
-    middle set are dropped since they would carry no conflict edges.
+    Raises :class:`NoJunctionTreeError` when the tree is not a junction tree:
+    some cut then finds an index on both of its sides outside its middle set.
+    The test is exact.  If no cut finds one, an index held by both ends of a
+    tree path lies in the middle set of the first path edge cut, hence in
+    both endpoints of that edge, and by induction in every set on the path.
+    Candidates that lose a whole side to the middle set are dropped since
+    they would carry no conflict edges.
     """
     if tree.size != len(family):
         raise InputError("tree does not span the family's member sets")
-    assert is_junction_tree(family, tree), "separation needs a junction tree"
 
-    def recurse(vertices: list[int], edges: list[tuple[int, int]]) -> list[Biclique]:
-        if len(vertices) <= 1:
+    def walk(node) -> list[Biclique]:
+        if node is None:
             return []
-        cut = _choose_cut(vertices, edges)
+        cut, left, right, left_sub, right_sub = node
         mid = tree.mids[cut]
-        left, right = tree.split(cut)
-        left &= set(vertices)
-        right &= set(vertices)
-        union_left: frozenset[int] = frozenset()
-        for v in left:
-            union_left |= family.sets[v]
-        union_right: frozenset[int] = frozenset()
-        for v in right:
-            union_right |= family.sets[v]
-        side_a = union_left - mid
-        side_b = union_right - mid
-        sub_left = [e for e in edges if e != cut and e[0] in left and e[1] in left]
-        sub_right = [e for e in edges if e != cut and e[0] in right and e[1] in right]
-        first = recurse(sorted(left), sub_left)
-        second = recurse(sorted(right), sub_right)
+        side_a = _index_union(family, left) - mid
+        side_b = _index_union(family, right) - mid
+        shared = side_a & side_b
+        if shared:
+            raise NoJunctionTreeError(
+                f"tree edge {cut} has index {min(shared)} on both sides but not in its middle set"
+            )
+        first = walk(left_sub)
+        second = walk(right_sub)
         out: list[Biclique] = []
         if side_a and side_b:
             out.append(Biclique(side_a, side_b))
@@ -153,7 +136,7 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
         out.extend(second)
         return out
 
-    return recurse(list(range(tree.size)), list(tree.edges))
+    return walk(_cut_recursion(tree))
 
 
 def merge_cover(
@@ -199,19 +182,23 @@ def verify_cover(g: ConflictGraph, cover: BicliqueCover) -> bool:
 
 
 def heuristic_cover(family: IndexSetFamily, fixpoint: bool = False) -> BicliqueCover:
-    """Junction-tree admission, separation, then greedy merging.
+    """Separation along a maximum spanning tree, then greedy merging.
 
     Raises :class:`NoJunctionTreeError` when the family does not admit a
-    junction tree.  The result always verifies against the conflict graph
-    and never exceeds one biclique per tree edge.
+    junction tree: a maximum spanning tree is one exactly when the family
+    admits one, and separation rejects it otherwise.  The result always
+    verifies against the conflict graph and never exceeds one biclique per
+    tree edge.
     """
-    tree = admits_junction_tree(family)
-    if tree is None:
+    try:
+        bicliques = separation(family, maximum_spanning_tree_of(family))
+    except NoJunctionTreeError as exc:
         raise NoJunctionTreeError(
-            "family admits no junction tree; rewrite it with the transform module"
-        )
+            f"family admits no junction tree: in its maximum spanning tree, {exc}; "
+            "rewrite it with the transform module"
+        ) from exc
     g = conflict_graph(family)
-    cover = merge_cover(separation(family, tree), g, fixpoint=fixpoint)
+    cover = merge_cover(bicliques, g, fixpoint=fixpoint)
     if not verify_cover(g, cover):
         raise InvariantError("heuristic produced a non-covering result")
     if len(cover) > max(len(family) - 1, 0):
@@ -226,30 +213,21 @@ def disjoint_level_cover(family: IndexSetFamily, tree: CandidateTree) -> Bicliqu
     graph is then complete multipartite, so bicliques produced at the same
     recursion depth can always be combined side-wise.
     """
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if family.sets[i] & family.sets[j]:
-                raise InputError("level merging needs pairwise disjoint member sets")
-    levels: dict[int, tuple[set[int], set[int]]] = {}
-
-    def recurse(vertices: list[int], edges: list[tuple[int, int]], depth: int):
-        if len(vertices) <= 1:
-            return
-        cut = _choose_cut(vertices, edges)
-        left, right = tree.split(cut)
-        left &= set(vertices)
-        right &= set(vertices)
-        acc = levels.setdefault(depth, (set(), set()))
-        for v in left:
-            acc[0].update(family.sets[v])
-        for v in right:
-            acc[1].update(family.sets[v])
-        recurse(sorted(left), [e for e in edges if e != cut and e[0] in left and e[1] in left], depth + 1)
-        recurse(sorted(right), [e for e in edges if e != cut and e[0] in right and e[1] in right], depth + 1)
-
-    recurse(list(range(tree.size)), list(tree.edges), 0)
-    return BicliqueCover(
-        Biclique(frozenset(a), frozenset(b))
-        for _, (a, b) in sorted(levels.items())
-        if a and b
-    )
+    if sum(len(s) for s in family.sets) != len(ground_set(family)):
+        raise InputError("level merging needs pairwise disjoint member sets")
+    levels = []
+    level = [_cut_recursion(tree)]
+    while level:
+        side_a: set[int] = set()
+        side_b: set[int] = set()
+        deeper = []
+        for node in level:
+            if node is not None:
+                _, left, right, left_sub, right_sub = node
+                side_a |= _index_union(family, left)
+                side_b |= _index_union(family, right)
+                deeper += [left_sub, right_sub]
+        if side_a and side_b:
+            levels.append(Biclique(frozenset(side_a), frozenset(side_b)))
+        level = deeper
+    return BicliqueCover(levels)

@@ -60,6 +60,10 @@ class LinearFormulation:
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    _names: set[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._names = {v.name for v in self.variables}
 
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
@@ -75,18 +79,18 @@ class LinearFormulation:
         return {int(k): v for k, v in raw.items()}
 
     def add_variable(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
-        if any(v.name == name for v in self.variables):
+        if name in self._names:
             raise InputError(f"duplicate variable name {name!r}")
         self.variables.append(Variable(name, kind, lower, upper))
+        self._names.add(name)
         return name
 
     def add_constraint(self, name, terms, sense, rhs) -> None:
-        declared = {v.name for v in self.variables}
         fixed = tuple(
             (var, Fraction(coef)) for var, coef in terms if Fraction(coef) != 0
         )
         for var, _ in fixed:
-            if var not in declared:
+            if var not in self._names:
                 raise InputError(f"constraint {name!r} references unknown variable {var!r}")
         self.constraints.append(Constraint(name, fixed, sense, Fraction(rhs)))
 
@@ -474,10 +478,12 @@ def write_lp(f: LinearFormulation) -> str:
     """
     f.validate()
     renamed = {}
+    used = set()
     for v in f.variables:
         clean = _sanitize(v.name)
-        if clean in renamed.values():
+        if clean in used:
             raise InputError(f"sanitized name collision on {clean!r}")
+        used.add(clean)
         renamed[v.name] = clean
 
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]

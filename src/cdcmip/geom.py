@@ -19,7 +19,7 @@ from .cdc import IndexSetFamily
 from .errors import DisconnectedPartitionError, InputError, InvariantError
 from .sosk import exact_coordinate
 from .transform import variable_accounting
-from .jtree import admits_junction_tree, maximum_spanning_tree_of
+from .jtree import _spanning_forest, admits_junction_tree, maximum_spanning_tree_of
 
 Point = tuple[Fraction, Fraction]
 
@@ -163,20 +163,7 @@ def dual_graph(p: PlanarPartition) -> frozenset[tuple[int, int]]:
 
 
 def is_connected_partition(p: PlanarPartition) -> bool:
-    d = len(p)
-    adj: dict[int, list[int]] = {v: [] for v in range(d)}
-    for i, j in dual_graph(p):
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == d
+    return len(_spanning_forest(len(p), dual_graph(p))) == len(p) - 1
 
 
 @dataclass(frozen=True)

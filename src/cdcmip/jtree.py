@@ -7,6 +7,9 @@ only share indices that the edge's own intersection already contains.  The
 family admits a junction tree if and only if one (equivalently every)
 maximum spanning tree passes that test, so admission is a single greedy
 tree construction plus one sweep of cut checks.
+
+The tree machinery the other modules share lives here too: one union-find,
+one rooted walk and one balanced-cut recursion.
 """
 
 from __future__ import annotations
@@ -40,6 +43,96 @@ class IntersectionGraph:
         return sorted(self.mids)
 
 
+def _spanning_forest(size: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The edges, in input order, that join two different components so far.
+
+    Union-find with path halving over the ordinals ``0..size-1``; the scan
+    stops once the kept edges span all of them.
+    """
+    root = list(range(size))
+    kept = []
+    for i, j in edges:
+        ri, rj = i, j
+        while root[ri] != ri:
+            root[ri] = root[root[ri]]
+            ri = root[ri]
+        while root[rj] != rj:
+            root[rj] = root[root[rj]]
+            rj = root[rj]
+        if ri != rj:
+            root[ri] = rj
+            # A new tuple: keeping the caller's (such as the keys of an
+            # intersection graph about to be freed) pins its memory.
+            kept.append((i, j))
+            if len(kept) == size - 1:
+                break
+    return kept
+
+
+def _rooted_walk(edges: Iterable[tuple[int, int]], root: int) -> list[tuple[int, int]]:
+    """(parent, child) pairs of the tree containing ``root``, breadth first.
+
+    Every parent comes before its children, and each vertex's children come
+    in ordinal order.
+    """
+    adj: dict[int, list[int]] = {}
+    for i, j in edges:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    seen = {root}
+    queue = [root]
+    pairs = []
+    for parent in queue:
+        for child in sorted(adj.get(parent, ())):
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+                pairs.append((parent, child))
+    return pairs
+
+
+def _index_union(family: IndexSetFamily, vertices: Iterable[int]) -> frozenset[int]:
+    """Every index held by one of the given member sets."""
+    return frozenset().union(*(family.sets[v] for v in vertices))
+
+
+def _cut_recursion(tree: CandidateTree):
+    """Balanced-cut recursion over the tree, as nested tuples.
+
+    Each node is ``(cut, left, right, left_sub, right_sub)``: the edge whose
+    removal splits the current subtree most evenly (ties by ordinal pair),
+    the vertex sets on the side of its smaller and larger endpoint, and the
+    nodes of the two sides; ``None`` stands for a single vertex.
+    """
+
+    def recurse(vertices: list[int], edges: list[tuple[int, int]]):
+        if len(vertices) <= 1:
+            return None
+        walk = _rooted_walk(edges, vertices[0])
+        size = dict.fromkeys(vertices, 1)
+        for parent, child in reversed(walk):
+            size[parent] += size[child]
+        _, cut, child = min(
+            (abs(len(vertices) - 2 * size[c]), (min(p, c), max(p, c)), c) for p, c in walk
+        )
+        below = {child}
+        for parent, c in walk:
+            if parent in below:
+                below.add(c)
+        above = set(vertices) - below
+        left, right = (below, above) if child == cut[0] else (above, below)
+        rest = [e for e in edges if e != cut]
+        return (
+            cut,
+            left,
+            right,
+            recurse(sorted(left), [e for e in rest if e[0] in left]),
+            recurse(sorted(right), [e for e in rest if e[0] in right]),
+        )
+
+    return recurse(list(range(tree.size)), list(tree.edges))
+
+
 class CandidateTree:
     """A spanning tree over the member-set ordinals of a family.
 
@@ -57,19 +150,8 @@ class CandidateTree:
                 raise InputError(f"edge ({i}, {j}) is not a valid ordinal pair")
         if len(set(normalized)) != len(normalized) or len(normalized) != d - 1:
             raise InputError(f"a spanning tree over {d} sets needs {d - 1} distinct edges")
-        parent = list(range(d))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in normalized:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise InputError("edges contain a cycle")
-            parent[ri] = rj
+        if len(_spanning_forest(d, normalized)) != len(normalized):
+            raise InputError("edges contain a cycle")
         self.size = d
         self.edges = normalized
         self.mids = {
@@ -85,32 +167,11 @@ class CandidateTree:
     def weight(self) -> int:
         return sum(len(m) for m in self.mids.values())
 
-    def distance(self, other: "CandidateTree") -> int:
-        """Number of edges of this tree absent from the other."""
-        if self.size != other.size:
-            raise InputError("trees span different vertex counts")
-        return len(set(self.edges) - set(other.edges))
-
-    def neighbors(self, v: int) -> list[int]:
-        out = [j for i, j in self.edges if i == v] + [i for i, j in self.edges if j == v]
-        return sorted(out)
-
     def split(self, edge: tuple[int, int]) -> tuple[set[int], set[int]]:
         """Vertex sets of the two components of the tree minus ``edge``."""
         i, j = min(edge), max(edge)
-        adj: dict[int, list[int]] = {v: [] for v in range(self.size)}
-        for a, b in self.edges:
-            if (a, b) != (i, j):
-                adj[a].append(b)
-                adj[b].append(a)
-        side = {i}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in side:
-                    side.add(w)
-                    stack.append(w)
+        rest = [e for e in self.edges if e != (i, j)]
+        side = {i} | {child for _, child in _rooted_walk(rest, i)}
         return side, set(range(self.size)) - side
 
     def to_json(self) -> str:
@@ -152,23 +213,7 @@ def maximum_spanning_tree(g: IntersectionGraph) -> tuple[tuple[int, int], ...]:
     so repeated runs always pick the same tree.
     """
     order = sorted(g.mids, key=lambda e: (-len(g.mids[e]), e))
-    parent = list(range(g.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for i, j in order:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
-            if len(chosen) == g.size - 1:
-                break
-    return tuple(sorted(chosen))
+    return tuple(sorted(_spanning_forest(g.size, order)))
 
 
 def maximum_spanning_tree_of(family: IndexSetFamily) -> CandidateTree:
@@ -182,13 +227,7 @@ def is_junction_tree(family: IndexSetFamily, tree: CandidateTree) -> bool:
         raise InputError("tree does not span the family's member sets")
     for edge in tree.edges:
         left, right = tree.split(edge)
-        union_left: frozenset[int] = frozenset()
-        for v in left:
-            union_left |= family.sets[v]
-        union_right: frozenset[int] = frozenset()
-        for v in right:
-            union_right |= family.sets[v]
-        if not union_left & union_right <= tree.mids[edge]:
+        if not _index_union(family, left) & _index_union(family, right) <= tree.mids[edge]:
             return False
     return True
 

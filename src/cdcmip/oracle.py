@@ -14,7 +14,7 @@ from typing import Optional
 from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
 from .errors import InputError, InvariantError, SizeGuardError
 from .formulate import BINARY, LinearFormulation
-from .jtree import CandidateTree, intersection_graph, is_junction_tree
+from .jtree import CandidateTree, _spanning_forest, intersection_graph, is_junction_tree
 from .cover import is_biclique
 
 Row = tuple[dict[str, Fraction], Fraction]  # sum coef*x <= rhs
@@ -389,27 +389,8 @@ def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
 
 
 def _all_spanning_trees(d: int):
-    if d == 1:
-        yield ()
-        return
-    all_edges = list(combinations(range(d), 2))
-    for combo in combinations(all_edges, d - 1):
-        parent = list(range(d))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for i, j in combo:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if ok:
+    for combo in combinations(combinations(range(d), 2), d - 1):
+        if len(_spanning_forest(d, combo)) == d - 1:
             yield combo
 
 

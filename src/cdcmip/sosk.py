@@ -77,33 +77,23 @@ def sosk_merged_cover(b: int, k: int) -> BicliqueCover:
     Within level i, positions congruent modulo the period are combined,
     alternating side orientation every period so that fused sides stay at
     distance >= k.  Exactly min(period, 2**i) bicliques survive per level.
+    Level i, block j is the base cover's biclique at position 2**i - 1 + j.
     """
-    if b < 1 or k < 2:
-        raise InputError("need b >= 1 and k >= 2")
-    base: dict[tuple[int, int], Biclique] = {}
-    for i in range(b):
-        for j in range(2**i):
-            half = 2 ** (b - i - 1)
-            base[(i, j)] = Biclique(
-                _interval(1 + j * 2 * half, (2 * j + 1) * half),
-                _interval((2 * j + 1) * half + k, (j + 1) * 2 * half + k - 1),
-            )
+    base = sosk_base_cover(b, k)
     out = []
     for i in range(b):
         alpha = sosk_merge_period(b, k, i)
         for p in range(min(alpha, 2**i)):
             left: set[int] = set()
             right: set[int] = set()
-            q = 0
-            while 2 * q * alpha + p <= 2**i - 1:
-                left |= base[(i, 2 * q * alpha + p)].side_a
-                right |= base[(i, 2 * q * alpha + p)].side_b
-                q += 1
-            q = 0
-            while (2 * q + 1) * alpha + p <= 2**i - 1:
-                left |= base[(i, (2 * q + 1) * alpha + p)].side_b
-                right |= base[(i, (2 * q + 1) * alpha + p)].side_a
-                q += 1
+            for j in range(p, 2**i, alpha):
+                bc = base[2**i - 1 + j]
+                if (j - p) // alpha % 2 == 0:
+                    left |= bc.side_a
+                    right |= bc.side_b
+                else:
+                    left |= bc.side_b
+                    right |= bc.side_a
             out.append(Biclique(frozenset(left), frozenset(right)))
     return BicliqueCover(out)
 

@@ -20,6 +20,7 @@ from .cdc import IndexSetFamily, ground_set
 from .errors import InputError, InvariantError, RedundantFamilyWarning
 from .jtree import (
     CandidateTree,
+    _rooted_walk,
     intersection_graph,
     is_junction_tree,
     maximum_spanning_tree,
@@ -89,25 +90,9 @@ def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> Transform
         )
 
     mst_edges = maximum_spanning_tree(intersection_graph(family))
-    adj: dict[int, list[int]] = {v: [] for v in range(d)}
-    for i, j in mst_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    visited = {0}
-    queue = [0]
-    while queue:
-        parent = queue.pop(0)
-        for child in sorted(adj[parent]):
-            if child in visited:
-                continue
-            visited.add(child)
-            queue.append(child)
-            by_orig = {alpha[x]: x for x in new_sets[parent]}
-            replaced = []
-            for y in sorted(new_sets[child]):
-                x = by_orig.get(alpha[y])
-                replaced.append(y if x is None else x)
-            new_sets[child] = replaced
+    for parent, child in _rooted_walk(mst_edges, 0):
+        by_orig = {alpha[x]: x for x in new_sets[parent]}
+        new_sets[child] = [by_orig.get(alpha[y], y) for y in sorted(new_sets[child])]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RedundantFamilyWarning)

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import cdcmip
 
 from cdcmip import (
     Biclique,
@@ -15,8 +20,9 @@ from cdcmip import (
     separation,
     verify_cover,
 )
-from cdcmip.jtree import CandidateTree, admits_junction_tree
-from helpers import random_junction_family
+from cdcmip.jtree import CandidateTree, admits_junction_tree, is_junction_tree
+from cdcmip.oracle import _all_spanning_trees, brute_admits_junction_tree
+from helpers import random_family, random_junction_family
 
 
 def bc(a, b):
@@ -46,6 +52,49 @@ def test_separation_sos2_5_matches_dyadic_base(sos2_5):
     tree = CandidateTree(sos2_5, [(0, 1), (1, 2), (2, 3)])
     got = separation(sos2_5, tree)
     assert got == list(sosk_base_cover(2, 2))
+
+
+def test_separation_raises_exactly_on_non_junction_trees():
+    rng = random.Random(41)
+    for _ in range(40):
+        fam = random_family(rng, max_sets=6, max_ground=8)
+        for edges in _all_spanning_trees(len(fam)):
+            tree = CandidateTree(fam, edges)
+            if is_junction_tree(fam, tree):
+                separation(fam, tree)
+            else:
+                with pytest.raises(NoJunctionTreeError):
+                    separation(fam, tree)
+        if brute_admits_junction_tree(fam) is None:
+            with pytest.raises(NoJunctionTreeError):
+                heuristic_cover(fam)
+        else:
+            heuristic_cover(fam)
+
+
+def test_separation_names_the_index_and_edge(triangle):
+    tree = CandidateTree(triangle, [(0, 1), (1, 2)])
+    with pytest.raises(NoJunctionTreeError, match=r"edge \(0, 1\) has index 1 "):
+        separation(triangle, tree)
+
+
+def test_separation_rejects_non_junction_trees_under_optimize():
+    script = (
+        "from cdcmip import CandidateTree, IndexSetFamily, NoJunctionTreeError, separation\n"
+        "fam = IndexSetFamily([[1, 2], [2, 3], [1, 3]])\n"
+        "try:\n"
+        "    separation(fam, CandidateTree(fam, [(0, 1), (1, 2)]))\n"
+        "except NoJunctionTreeError:\n"
+        "    print('rejected')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cdcmip.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "rejected\n"
 
 
 def test_is_biclique(sos2_5):
@@ -134,3 +183,22 @@ def test_scheme_roundtrip(sos2_5):
 def test_cover_json_roundtrip(sos2_5):
     cover = heuristic_cover(sos2_5)
     assert BicliqueCover.from_json(cover.to_json()) == cover
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nope",
+        "{}",
+        "[]",
+        '{"bicliques": 3}',
+        '{"bicliques": [{"b": [2]}]}',
+        '{"bicliques": [{"a": [1]}]}',
+        '{"bicliques": [{"a": 1, "b": [2]}]}',
+        '{"bicliques": [{"a": [1], "b": "2"}]}',
+        '{"bicliques": [[1, 2]]}',
+    ],
+)
+def test_cover_json_rejects_malformed_input(text):
+    with pytest.raises(InputError):
+        BicliqueCover.from_json(text)

@@ -240,6 +240,22 @@ def test_write_lp_rejects_sanitized_collisions():
         write_lp(f)
 
 
+def test_formulation_rejects_duplicate_and_unknown_names():
+    from cdcmip import LinearFormulation
+    from cdcmip.formulate import Variable
+
+    f = LinearFormulation(variables=[Variable("x")])
+    with pytest.raises(InputError):
+        f.add_variable("x")
+    f.add_variable("y")
+    with pytest.raises(InputError):
+        f.add_variable("y")
+    f.add_constraint("row", [("x", 1), ("y", 1)], "<=", 1)
+    with pytest.raises(InputError):
+        f.add_constraint("bad", [("x", 1), ("z", 1)], "<=", 1)
+    assert [c.name for c in f.constraints] == ["row"]
+
+
 def test_lambda_metadata(sos2_5):
     f = build_naive(sos2_5)
     assert f.lambda_names() == {v: f"lam_{v}" for v in range(1, 6)}
