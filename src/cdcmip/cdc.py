@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import InputError, RedundantFamilyWarning, SizeGuardError
@@ -87,21 +88,63 @@ class IndexSetFamily:
         return cls(sets)
 
 
-@dataclass(frozen=True)
 class ConflictGraph:
-    """Simple graph on the ground set whose edges are the infeasible pairs."""
+    """Simple graph on the ground set whose edges are the infeasible pairs.
 
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]  # each edge stored as (u, v) with u < v
+    Each vertex keeps one neighbour bitmask.  Bits are positional: a vertex
+    stands for ``1 << r``, r its rank in the sorted vertex list, never
+    ``1 << v``, so a mask is |J| bits wide whatever the index values.
+    ``edges`` is built on first access; the other reads use the masks.
+    """
+
+    __slots__ = ("vertices", "order", "bit", "adj", "_edges")
+
+    def __init__(self, order: Iterable[int], adj: Iterable[int]):
+        """``order`` is the sorted vertex list, ``adj[r]`` the mask of ``order[r]``."""
+        self.order: tuple[int, ...] = tuple(order)
+        self.vertices: frozenset[int] = frozenset(self.order)
+        self.bit: dict[int, int] = {v: 1 << r for r, v in enumerate(self.order)}
+        self.adj: dict[int, int] = dict(zip(self.order, adj))
+        self._edges: frozenset[tuple[int, int]] | None = None
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of the given vertices, which must all belong to the graph."""
+        return reduce(or_, map(self.bit.__getitem__, vertices), 0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
+        return v in self.bit and u in self.adj and self.adj[u] & self.bit[v] != 0
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self.adj.values()) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as ``(u, v)`` with ``u < v``."""
+        if self._edges is None:
+            order = self.order
+            out = []
+            for r, u in enumerate(order):
+                m = self.adj[u] >> (r + 1)
+                while m:
+                    low = m & -m
+                    out.append((u, order[r + low.bit_length()]))
+                    m ^= low
+            self._edges = frozenset(out)
+        return self._edges
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ConflictGraph)
+            and self.order == other.order
+            and self.adj == other.adj
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, tuple(self.adj.values())))
+
+    def __repr__(self) -> str:
+        return f"ConflictGraph(vertices={list(self.order)}, edge_count={self.edge_count})"
 
 
 def ground_set(family: IndexSetFamily) -> frozenset[int]:
@@ -129,27 +172,24 @@ def is_feasible_set(family: IndexSetFamily, subset: Iterable[int]) -> bool:
     return not t or any(t <= s for s in family.sets)
 
 
-def _membership_masks(family: IndexSetFamily) -> dict[int, int]:
-    """For each index, a bitmask of the member-set ordinals containing it."""
-    masks: dict[int, int] = {}
-    for i, s in enumerate(family.sets):
-        bit = 1 << i
-        for v in s:
-            masks[v] = masks.get(v, 0) | bit
-    return masks
-
-
 def conflict_graph(family: IndexSetFamily) -> ConflictGraph:
-    """Graph on the ground set with an edge wherever no member set holds both ends."""
-    masks = _membership_masks(family)
-    verts = sorted(masks)
-    edges = set()
-    for i, u in enumerate(verts):
-        mu = masks[u]
-        for v in verts[i + 1 :]:
-            if mu & masks[v] == 0:
-                edges.add((u, v))
-    return ConflictGraph(frozenset(verts), frozenset(edges))
+    """Graph on the ground set with an edge wherever no member set holds both ends.
+
+    The member sets holding a vertex OR together to the vertex and its
+    non-neighbours, so its neighbour mask is the complement of that union;
+    no pair of vertices is enumerated.
+    """
+    order = sorted(ground_set(family))
+    rank = {v: r for r, v in enumerate(order)}
+    held = [0] * len(order)
+    for s in family.sets:
+        m = 0
+        for v in s:
+            m |= 1 << rank[v]
+        for v in s:
+            held[rank[v]] |= m
+    everything = (1 << len(order)) - 1
+    return ConflictGraph(order, [everything ^ h for h in held])
 
 
 def minimal_infeasible_sets(

@@ -94,11 +94,13 @@ def is_biclique(g: ConflictGraph, side_a: Iterable[int], side_b: Iterable[int]) 
         return False
     if not (a <= g.vertices and b <= g.vertices):
         return False
-    return all(g.has_edge(u, v) for u in a for v in b)
+    mb = g.mask(b)
+    adj = g.adj
+    return all(adj[u] & mb == mb for u in a)
 
 
 def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
-    """Recursive tree-cut bicliques, in the top-down pop-first ordering.
+    """Tree-cut bicliques of the balanced-cut recursion, top down and pop first.
 
     Raises :class:`NoJunctionTreeError` when the tree is not a junction tree:
     some cut then finds an index on both of its sides outside its middle set.
@@ -111,9 +113,15 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     if tree.size != len(family):
         raise InputError("tree does not span the family's member sets")
 
-    def walk(node) -> list[Biclique]:
+    # Top-down pass from an explicit stack (a star tree is as deep as it has
+    # leaves), left subtree before right, so the first offending cut raises.
+    own: list[Biclique | None] = []
+    children: list[list[int]] = []
+    pending = [(_cut_recursion(tree), -1)]
+    while pending:
+        node, parent = pending.pop()
         if node is None:
-            return []
+            continue
         cut, left, right, left_sub, right_sub = node
         mid = tree.mids[cut]
         side_a = _index_union(family, left) - mid
@@ -123,20 +131,26 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
             raise NoJunctionTreeError(
                 f"tree edge {cut} has index {min(shared)} on both sides but not in its middle set"
             )
-        first = walk(left_sub)
-        second = walk(right_sub)
-        out: list[Biclique] = []
-        if side_a and side_b:
-            out.append(Biclique(side_a, side_b))
-        if first:
-            out.append(first.pop(0))
-        if second:
-            out.append(second.pop(0))
-        out.extend(first)
-        out.extend(second)
-        return out
-
-    return walk(_cut_recursion(tree))
+        key = len(own)
+        own.append(Biclique(side_a, side_b) if side_a and side_b else None)
+        children.append([])
+        if parent >= 0:
+            children[parent].append(key)
+        pending.append((right_sub, key))
+        pending.append((left_sub, key))
+    # Bottom-up: a node's own biclique, then the head of each side's list,
+    # then the rest of each side's list.
+    out: list[list[Biclique]] = [[] for _ in own]
+    for key in reversed(range(len(own))):
+        subs = [out[c] for c in children[key]]
+        merged = [own[key]] if own[key] is not None else []
+        merged += [sub[0] for sub in subs if sub]
+        for sub in subs:
+            merged += sub[1:]
+        out[key] = merged
+        for c in children[key]:
+            out[c] = []
+    return out[0] if out else []
 
 
 def merge_cover(
@@ -172,13 +186,22 @@ def merge_cover(
 
 
 def verify_cover(g: ConflictGraph, cover: BicliqueCover) -> bool:
-    """True iff every member is a biclique of ``g`` and together they hit every edge."""
-    covered: set[tuple[int, int]] = set()
+    """True iff every member is a biclique of ``g`` and together they hit every edge.
+
+    Each vertex collects the opposite sides of the bicliques it sits in as
+    one mask; the members being bicliques, that mask equals the vertex's
+    neighbour mask exactly when every edge at it is covered.
+    """
+    covered = dict.fromkeys(g.order, 0)
     for b in cover:
         if not is_biclique(g, b.side_a, b.side_b):
             return False
-        covered.update(b.cross_pairs())
-    return covered == set(g.edges)
+        ma, mb = g.mask(b.side_a), g.mask(b.side_b)
+        for u in b.side_a:
+            covered[u] |= mb
+        for v in b.side_b:
+            covered[v] |= ma
+    return covered == g.adj
 
 
 def heuristic_cover(family: IndexSetFamily, fixpoint: bool = False) -> BicliqueCover:

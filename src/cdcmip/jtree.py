@@ -102,12 +102,17 @@ def _cut_recursion(tree: CandidateTree):
     Each node is ``(cut, left, right, left_sub, right_sub)``: the edge whose
     removal splits the current subtree most evenly (ties by ordinal pair),
     the vertex sets on the side of its smaller and larger endpoint, and the
-    nodes of the two sides; ``None`` stands for a single vertex.
+    nodes of the two sides; ``None`` stands for a single vertex.  Subtrees
+    are split from an explicit stack, since a star is as deep as it has
+    leaves, and the tuples are then assembled from the deepest up.
     """
-
-    def recurse(vertices: list[int], edges: list[tuple[int, int]]):
+    splits = {}  # subtree number -> (cut, left, right, left number, right number)
+    pending = [(0, list(range(tree.size)), list(tree.edges))]
+    count = 1
+    while pending:
+        key, vertices, edges = pending.pop()
         if len(vertices) <= 1:
-            return None
+            continue
         walk = _rooted_walk(edges, vertices[0])
         size = dict.fromkeys(vertices, 1)
         for parent, child in reversed(walk):
@@ -122,15 +127,15 @@ def _cut_recursion(tree: CandidateTree):
         above = set(vertices) - below
         left, right = (below, above) if child == cut[0] else (above, below)
         rest = [e for e in edges if e != cut]
-        return (
-            cut,
-            left,
-            right,
-            recurse(sorted(left), [e for e in rest if e[0] in left]),
-            recurse(sorted(right), [e for e in rest if e[0] in right]),
-        )
-
-    return recurse(list(range(tree.size)), list(tree.edges))
+        splits[key] = (cut, left, right, count, count + 1)
+        pending.append((count + 1, sorted(right), [e for e in rest if e[0] in right]))
+        pending.append((count, sorted(left), [e for e in rest if e[0] in left]))
+        count += 2
+    nodes = {}
+    for key in sorted(splits, reverse=True):  # a subtree's number exceeds its parent's
+        cut, left, right, lkey, rkey = splits.pop(key)
+        nodes[key] = (cut, left, right, nodes.pop(lkey, None), nodes.pop(rkey, None))
+    return nodes.get(0)
 
 
 class CandidateTree:

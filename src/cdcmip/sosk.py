@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .cdc import IndexSetFamily
 from .cover import Biclique, BicliqueCover
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .jtree import CandidateTree
 
 
@@ -143,7 +143,7 @@ def sosk_size_identity(b: int, k: int) -> SizeIdentity:
     lhs = sum(min(2**i, sosk_merge_period(b, k, i)) for i in range(b))
     bound = b + k - 2
     if lhs > bound:
-        raise AssertionError(f"level total {lhs} exceeds bound {bound}")
+        raise InvariantError(f"level total {lhs} exceeds bound {bound}")
     return SizeIdentity(lhs, bound)
 
 
@@ -160,7 +160,7 @@ def compare_bounds(n: int, k: int) -> BoundComparison:
     ours = _ceil_log2(n - k + 1) + k - 2
     hv = _ceil_log2(_ceil_div(n, k) - 1) + 3 * k
     if not ours < hv:
-        raise AssertionError(f"expected {ours} < {hv} for n={n}, k={k}")
+        raise InvariantError(f"expected {ours} < {hv} for n={n}, k={k}")
     return BoundComparison(ours, hv, n)
 
 

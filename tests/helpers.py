@@ -53,6 +53,24 @@ def brute_conflict_edges(sets):
     }
 
 
+def brute_is_biclique(edges, vertices, side_a, side_b) -> bool:
+    """Nonempty disjoint sides inside ``vertices`` with every cross pair in ``edges``."""
+    a, b = set(side_a), set(side_b)
+    if not a or not b or a & b or not (a | b) <= set(vertices):
+        return False
+    return all((min(u, v), max(u, v)) in edges for u in a for v in b)
+
+
+def pairset_verify_cover(edges, vertices, cover) -> bool:
+    """Every member a biclique, and the union of their cross pairs is ``edges``."""
+    covered = set()
+    for bc in cover:
+        if not brute_is_biclique(edges, vertices, bc.side_a, bc.side_b):
+            return False
+        covered.update((min(u, v), max(u, v)) for u in bc.side_a for v in bc.side_b)
+    return covered == set(edges)
+
+
 def random_family(rng: random.Random, max_sets=6, max_ground=10) -> IndexSetFamily:
     d = rng.randint(1, max_sets)
     n = rng.randint(max(d, 2), max_ground)

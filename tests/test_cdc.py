@@ -106,6 +106,16 @@ def test_conflict_graph_matches_pair_feasibility():
             assert not is_feasible_set(fam, {u, v})
 
 
+def test_conflict_graph_bits_are_ranks_not_labels():
+    big = 10**12
+    g = conflict_graph(IndexSetFamily([[0, big], [big + 1, 5]]))
+    assert g.edges == {(0, 5), (0, big + 1), (5, big), (big, big + 1)}
+    assert g.edge_count == 4
+    assert g.has_edge(big + 1, big) and not g.has_edge(0, big)
+    assert not g.has_edge(big, big) and not g.has_edge(big, big + 2)
+    assert max(m.bit_length() for m in g.adj.values()) <= 4
+
+
 def test_family_json_roundtrip(sos2_5):
     assert IndexSetFamily.from_json(sos2_5.to_json()) == sos2_5
     with pytest.raises(InputError):

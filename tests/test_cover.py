@@ -169,6 +169,40 @@ def test_heuristic_bound_randomized():
         assert len(cover) <= max(len(fam) - 1, 0)
 
 
+def star(d):
+    return IndexSetFamily([[0, i] for i in range(1, d + 1)])
+
+
+def test_separation_on_a_deep_star():
+    # One tree level per leaf: far deeper than the interpreter's default
+    # recursion limit of 1000.
+    d = 1200
+    fam = star(d)
+    raw = separation(fam, CandidateTree(fam, [(0, i) for i in range(1, d)]))
+    assert len(raw) == d - 1
+    assert raw[0] == bc([1, *range(3, d + 1)], [2])  # cut (0, 1) peels {0, 2} off
+    assert verify_cover(conflict_graph(fam), BicliqueCover(raw))
+
+
+def test_heuristic_cover_stack_depth_does_not_grow_with_the_tree():
+    # The greedy merge is cubic on a star (every attempt fails), so a star
+    # of 300 sets under a stack budget of 100 frames stands in for a star
+    # deeper than the default limit.
+    d = 300
+    fam = star(d)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        cover = heuristic_cover(fam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert 1 <= len(cover) <= d - 1
+    assert verify_cover(conflict_graph(fam), cover)
+
+
 def test_scheme_roundtrip(sos2_5):
     # complement twice: sides -> alternative sets -> sides again
     from cdcmip import ground_set

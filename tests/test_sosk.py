@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from cdcmip import (
     InputError,
+    InvariantError,
     build_pwl,
     conflict_graph,
     sosk_base_cover,
@@ -15,6 +16,8 @@ from cdcmip import (
     verify_cover,
 )
 from cdcmip.cover import Biclique
+from cdcmip import sosk
+from cdcmip.cli import main
 from cdcmip.jtree import is_junction_tree
 from cdcmip.sosk import compare_bounds, sosk_merge_period
 
@@ -168,6 +171,18 @@ def test_compare_bounds():
     c = Fraction(20, 7)
     assert Fraction(27, 62) < (c + 1) / (3 * c)
     assert Fraction(ours, hv) < (c + 1) / (3 * c)
+
+
+def test_bound_violations_raise_invariant_error(monkeypatch, capsys):
+    monkeypatch.setattr(sosk, "sosk_merge_period", lambda b, k, i: 2**b)
+    with pytest.raises(InvariantError, match="exceeds bound 3"):
+        sosk_size_identity(3, 2)
+    # hv collapses to 3k = 6 while ours stays ceil(log2 99) = 7
+    monkeypatch.setattr(sosk, "_ceil_div", lambda a, b: 2)
+    with pytest.raises(InvariantError, match="expected 7 < 6"):
+        compare_bounds(100, 2)
+    assert main(["sosk", "--n", "100", "--k", "2", "--bounds"]) == 4
+    assert "internal error: expected 7 < 6" in capsys.readouterr().err
 
 
 def test_build_pwl_binary_counts():
