@@ -46,14 +46,12 @@ class IndexSetFamily:
         if len(set(members)) != len(members):
             raise InputError("duplicate member sets are not allowed")
         self.sets: tuple[frozenset[int], ...] = tuple(members)
-        for a, b in combinations(self.sets, 2):
-            if a <= b or b <= a:
-                warnings.warn(
-                    "family is redundant: one member set contains another",
-                    RedundantFamilyWarning,
-                    stacklevel=2,
-                )
-                break
+        if _has_containment(self.sets):
+            warnings.warn(
+                "family is redundant: one member set contains another",
+                RedundantFamilyWarning,
+                stacklevel=2,
+            )
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -155,9 +153,28 @@ def ground_set(family: IndexSetFamily) -> frozenset[int]:
     return out
 
 
+def _has_containment(sets: tuple[frozenset[int], ...]) -> bool:
+    """True iff one of the distinct sets lies inside another.
+
+    A set can only lie inside the sets that hold its rarest element, so it
+    is tested against those alone, through an index from each element to
+    its holders.
+    """
+    holders: dict[int, list[frozenset[int]]] = {}
+    for s in sets:
+        for v in s:
+            holders.setdefault(v, []).append(s)
+    count = {v: len(h) for v, h in holders.items()}
+    for s in sets:
+        for t in holders[min(s, key=count.__getitem__)]:
+            if s < t:
+                return True
+    return False
+
+
 def is_irredundant(family: IndexSetFamily) -> bool:
     """True iff no member set is contained in a distinct member set."""
-    return not any(a <= b or b <= a for a, b in combinations(family.sets, 2))
+    return not _has_containment(family.sets)
 
 
 def is_feasible_set(family: IndexSetFamily, subset: Iterable[int]) -> bool:

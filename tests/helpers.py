@@ -1,7 +1,7 @@
 """Independent oracles and generators shared by the test modules.
 
 Everything here recomputes results from definitions (powerset scans, direct
-formula evaluation, text parsing) so the production code is checked against
+formula evaluation, all-pairs scans, text parsing) so the production code is checked against
 a second, simpler route.
 """
 
@@ -12,7 +12,9 @@ import warnings
 from fractions import Fraction
 from itertools import chain, combinations
 
-from cdcmip import IndexSetFamily, RedundantFamilyWarning
+from cdcmip import IndexSetFamily, InputError, RedundantFamilyWarning
+from cdcmip import geom
+from cdcmip.geom import PlanarPartition
 
 
 def quiet_family(sets) -> IndexSetFamily:
@@ -69,6 +71,66 @@ def pairset_verify_cover(edges, vertices, cover) -> bool:
             return False
         covered.update((min(u, v), max(u, v)) for u in bc.side_a for v in bc.side_b)
     return covered == set(edges)
+
+
+def pairwise_has_containment(sets) -> bool:
+    """Some member set lies inside another distinct one, by testing every pair."""
+    return any(a <= b or b <= a for a, b in combinations(map(frozenset, sets), 2))
+
+
+def pairwise_partition_error(polygons):
+    """The ``InputError`` message of an all-pairs validation, or ``None``.
+
+    Each polygon's own checks run as a one-polygon partition, which has no
+    pair to test; every pair of the checked polygons then goes through the
+    separating-axis test.
+    """
+    fixed = []
+    for poly in polygons:
+        try:
+            fixed.append(PlanarPartition([poly]).polygons[0])
+        except InputError as exc:
+            return str(exc)
+    if not fixed:
+        return "a partition needs at least one polygon"
+    for p, q in combinations(fixed, 2):
+        if not geom._interiors_disjoint(p, q):
+            return "polygon interiors overlap"
+    return None
+
+
+def all_points_partition_to_cdc(p: PlanarPartition):
+    """Pooled vertices in first-seen order, each polygon tested against all of them."""
+    index_of = {}
+    for poly in p.polygons:
+        for pt in poly:
+            if pt not in index_of:
+                index_of[pt] = len(index_of) + 1
+    points = {i: pt for pt, i in index_of.items()}
+    sets = [sorted(i for i, pt in points.items() if geom._contains(poly, pt)) for poly in p.polygons]
+    return sets, points
+
+
+def _segments_overlap(a, b, c, d) -> bool:
+    """Collinear segments sharing more than a point."""
+    if geom._cross(a, b, c) != 0 or geom._cross(a, b, d) != 0:
+        return False
+    axis = 0 if a[0] != b[0] else 1
+    lo1, hi1 = sorted((a[axis], b[axis]))
+    lo2, hi2 = sorted((c[axis], d[axis]))
+    return max(lo1, lo2) < min(hi1, hi2)
+
+
+def pairwise_dual_graph(p: PlanarPartition) -> set[tuple[int, int]]:
+    """Every pair of polygons, every pair of their edges, tested for a shared segment."""
+    def edges(poly):
+        return [(poly[s], poly[(s + 1) % len(poly)]) for s in range(len(poly))]
+
+    return {
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(p.polygons), 2)
+        if any(_segments_overlap(*e, *f) for e in edges(a) for f in edges(b))
+    }
 
 
 def random_family(rng: random.Random, max_sets=6, max_ground=10) -> IndexSetFamily:

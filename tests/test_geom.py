@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cdcmip import (
     DisconnectedPartitionError,
     InputError,
+    geom,
     is_pairwise_ib_representable,
     minimal_infeasible_sets,
 )
@@ -135,3 +137,38 @@ def test_partition_json():
         PlanarPartition.from_json('{"polygons": "nope"}')
     with pytest.raises(InputError):
         PlanarPartition.from_json("[]")
+
+
+def mirrored(polys):
+    """Reflection across y = x; reversing the vertex order keeps it counterclockwise."""
+    return [[(y, x) for x, y in reversed(poly)] for poly in polys]
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["horizontal", "vertical"])
+def test_front_end_work_grows_linearly(monkeypatch, mirror):
+    # All-pairs scans make about d**2 / 2 overlap tests and 3 * d**2
+    # containment tests here.  The pairs the sweeps yield and the box tests
+    # of pooled points also stay linear only when the vertical strip is swept
+    # along y.
+    d = 2000
+    polys = [list(poly) for poly in triangle_strip(d).polygons]
+    if mirror:
+        polys = mirrored(polys)
+    calls = Counter()
+    for name in ("_interiors_disjoint", "_contains", "_in_box"):
+        def counted(*args, name=name, test=getattr(geom, name)):
+            calls[name] += 1
+            return test(*args)
+
+        monkeypatch.setattr(geom, name, counted)
+
+    def counted_overlaps(spans, sweep=geom._overlaps):
+        for pair in sweep(spans):
+            calls["_overlaps"] += 1
+            yield pair
+
+    monkeypatch.setattr(geom, "_overlaps", counted_overlaps)
+    part = PlanarPartition(polys)
+    partition_to_cdc(part)
+    assert dual_graph(part) == {(i, i + 1) for i in range(d - 1)}
+    assert all(calls[name] <= 4 * d for name in calls), calls

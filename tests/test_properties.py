@@ -1,10 +1,15 @@
-"""Bitset fast paths of the conflict graph against brute pair-by-pair routes.
+"""Fast paths against brute pair-by-pair routes.
 
-Families mix small labels with labels near 10**12, so a mask that used the
-label itself as its bit position would show up here as a size blow-up.
+The bitset conflict graph, the redundancy scan and the planar front end's
+index structures each answer the same question as an all-pairs scan in
+``helpers``.  Families mix small labels with labels near 10**12, so a mask
+that used the label itself as its bit position would show up here as a
+size blow-up.
 """
 
 import random
+import warnings
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +17,24 @@ from hypothesis import strategies as st
 from cdcmip import (
     Biclique,
     BicliqueCover,
+    IndexSetFamily,
+    InputError,
+    RedundantFamilyWarning,
     conflict_graph,
     heuristic_cover,
     is_biclique,
+    is_irredundant,
     verify_cover,
 )
+from cdcmip.geom import PlanarPartition, dual_graph, partition_to_cdc
 from helpers import (
+    all_points_partition_to_cdc,
     brute_conflict_edges,
     brute_is_biclique,
     pairset_verify_cover,
+    pairwise_dual_graph,
+    pairwise_has_containment,
+    pairwise_partition_error,
     quiet_family,
     random_junction_family,
 )
@@ -120,3 +134,156 @@ def test_verify_cover_matches_pair_set_on_heuristic_covers(seed, data):
     g = conflict_graph(fam)
     cover = BicliqueCover(mutated(data, list(heuristic_cover(fam)), sorted(ground)))
     assert verify_cover(g, cover) == pairset_verify_cover(edges, ground, cover)
+
+
+@PROPERTY
+@given(families)
+def test_redundancy_scan_matches_pair_scan(fam):
+    sets = [sorted(s) for s in fam.sets]
+    want = pairwise_has_containment(sets)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        IndexSetFamily(sets)
+    assert any(issubclass(w.category, RedundantFamilyWarning) for w in caught) == want
+    assert is_irredundant(fam) == (not want)
+
+
+# ---------------------------------------------------------------- planar
+#
+# Partitions are drawn with small integer coordinates, then sheared by an
+# integer map and optionally transposed, so that edges of every slope, vertical
+# strips and boxes that overlap along one axis only all occur.
+
+
+@st.composite
+def placements(draw):
+    """A point map: integer shear (determinant nonzero), rational shift, maybe a transpose.
+
+    Returns the map and whether it reverses orientation.
+    """
+    p, q, r, s = (draw(st.integers(-2, 2)) for _ in range(4))
+    if p * s - q * r == 0:
+        p, q, r, s = 1, 0, 0, 1
+    tx, ty = (Fraction(draw(st.integers(-12, 12)), 4) for _ in range(2))
+    transpose = draw(st.booleans())
+
+    def f(pt):
+        x, y = p * pt[0] + q * pt[1] + tx, r * pt[0] + s * pt[1] + ty
+        return (y, x) if transpose else (x, y)
+
+    return f, (p * s - q * r < 0) != transpose
+
+
+def placed(draw, polys):
+    f, flips = draw(placements())
+    return [[f(pt) for pt in (reversed(poly) if flips else poly)] for poly in polys]
+
+
+@st.composite
+def strips(draw):
+    """Triangles zigzagging between two lines at increasing integer stations."""
+    d = draw(st.integers(1, 12))
+    steps = st.lists(st.integers(1, 3), min_size=d + 2, max_size=d + 2)
+    bottom, top = ([sum(xs[: k + 1]) for k in range(len(xs))] for xs in (draw(steps), draw(steps)))
+    polys = []
+    for t in range(d):
+        i = t // 2
+        if t % 2 == 0:
+            polys.append([(bottom[i], 0), (bottom[i + 1], 0), (top[i], 1)])
+        else:
+            polys.append([(top[i], 1), (bottom[i + 1], 0), (top[i + 1], 1)])
+    return placed(draw, polys)
+
+
+@st.composite
+def grids(draw):
+    """Unit squares, each kept whole or cut along either diagonal."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    polys = []
+    for r in range(rows):
+        for c in range(cols):
+            a, b, cc, dd = (c, r), (c + 1, r), (c + 1, r + 1), (c, r + 1)
+            cut = draw(st.sampled_from(["none", "up", "down"]))
+            if cut == "none":
+                polys.append([a, b, cc, dd])
+            elif cut == "up":
+                polys += [[a, b, cc], [a, cc, dd]]
+            else:
+                polys += [[a, b, dd], [b, cc, dd]]
+    return placed(draw, polys)
+
+
+@st.composite
+def tilings(draw):
+    """Rows of rectangles cut at each row's own stations, some dropped.
+
+    Cuts that differ from row to row put corners inside other rectangles'
+    edges (T-junctions) and make horizontal edges overlap only in part;
+    dropped rectangles leave gaps, so the dual graph may be disconnected.
+    """
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(2, 8))
+    polys = []
+    for r in range(rows):
+        inner = draw(st.sets(st.integers(1, 2 * width - 1), max_size=4))
+        cuts = [Fraction(x, 2) for x in sorted(inner | {0, 2 * width})]
+        for x0, x1 in zip(cuts, cuts[1:]):
+            if draw(st.integers(0, 5)) > 0:
+                polys.append([(x0, r), (x1, r), (x1, r + 1), (x0, r + 1)])
+    if not polys:
+        polys.append([(0, 0), (1, 0), (1, 1), (0, 1)])
+    return placed(draw, polys)
+
+
+def counterclockwise(tri):
+    """The triangle turned counterclockwise; collinear corners stay as drawn."""
+    a, b, c = tri
+    if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
+        return [a, c, b]
+    return tri
+
+
+# Triangles on a small lattice: many overlap, many only touch, and a few
+# are collinear.
+coordinates = st.integers(0, 6)
+soups = st.lists(
+    st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=3, unique=True).map(
+        counterclockwise
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def check_front_end(polys):
+    """The same verdict as the all-pairs route, and on acceptance the same outputs."""
+    want_error = pairwise_partition_error(polys)
+    try:
+        part = PlanarPartition(polys)
+    except InputError as exc:
+        assert str(exc) == want_error
+        return
+    assert want_error is None
+    assert dual_graph(part) == pairwise_dual_graph(part)
+    fam, points = partition_to_cdc(part)
+    want_sets, want_points = all_points_partition_to_cdc(part)
+    assert [sorted(s) for s in fam.sets] == want_sets
+    assert list(points.items()) == list(want_points.items())
+
+
+@PROPERTY
+@given(st.one_of(strips(), grids()))
+def test_front_end_matches_all_pairs_on_sheared_strips_and_grids(polys):
+    check_front_end(polys)
+
+
+@PROPERTY
+@given(tilings())
+def test_front_end_matches_all_pairs_on_tilings(polys):
+    check_front_end(polys)
+
+
+@PROPERTY
+@given(soups)
+def test_front_end_matches_all_pairs_on_triangle_soups(polys):
+    check_front_end(polys)
