@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Optional
 
 from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
@@ -17,7 +18,7 @@ from .formulate import BINARY, LinearFormulation
 from .jtree import CandidateTree, _spanning_forest, intersection_graph, is_junction_tree
 from .cover import is_biclique
 
-Row = tuple[dict[str, Fraction], Fraction]  # sum coef*x <= rhs
+Row = tuple[dict[str, Fraction], Fraction]  # sum coef*x <= rhs, or = rhs for an equality
 
 
 def _normalize_row(coefs: dict[str, Fraction], rhs: Fraction) -> Row:
@@ -29,111 +30,167 @@ def _normalize_row(coefs: dict[str, Fraction], rhs: Fraction) -> Row:
     return coefs, rhs
 
 
-def _fourier_motzkin(rows: list[Row], max_rows: int = 50_000) -> bool:
-    """Feasibility of a system of <= rows by exact variable elimination."""
-    work = []
-    seen = set()
-    for coefs, rhs in rows:
-        coefs, rhs = _normalize_row(coefs, rhs)
-        if not coefs:
-            if rhs < 0:
-                return False
-            continue
-        key = (tuple(sorted(coefs.items())), rhs)
-        if key not in seen:
-            seen.add(key)
-            work.append((coefs, rhs))
+def _project(rows: list[Row], keep, max_rows: int = 50_000) -> Optional[list[Row]]:
+    """Eliminate every variable outside ``keep`` from a system of <= rows.
+
+    Exact Fourier-Motzkin elimination: the returned rows over ``keep`` hold
+    at a point iff some values of the other variables complete it.  ``None``
+    when no point completes, because a row with no variables left is violated.
+    """
+    work = list(rows)
     while True:
+        kept: list[Row] = []
+        seen = set()
+        for coefs, rhs in work:
+            coefs, rhs = _normalize_row(coefs, rhs)
+            if not coefs:
+                if rhs < 0:
+                    return None
+                continue
+            key = (tuple(sorted(coefs.items())), rhs)
+            if key not in seen:
+                seen.add(key)
+                kept.append((coefs, rhs))
+        if len(kept) > max_rows:
+            raise SizeGuardError(
+                f"support_validity: eliminating the auxiliary variables reached "
+                f"{len(kept)} rows, over the budget of {max_rows}"
+            )
         counts: dict[str, int] = {}
-        for coefs, _ in work:
+        for coefs, _ in kept:
             for v in coefs:
-                counts[v] = counts.get(v, 0) + 1
+                if v not in keep:
+                    counts[v] = counts.get(v, 0) + 1
         if not counts:
-            return True
+            return kept
         target = min(counts, key=lambda v: (counts[v], v))
-        pos = [r for r in work if r[0].get(target, 0) > 0]
-        neg = [r for r in work if r[0].get(target, 0) < 0]
-        keep = [r for r in work if target not in r[0]]
-        new_rows = keep
-        seen = {(tuple(sorted(c.items())), r) for c, r in keep}
-        for pc, pr in pos:
-            a = pc[target]
-            for nc, nr in neg:
-                b = -nc[target]
-                coefs: dict[str, Fraction] = {}
-                for v, c in pc.items():
-                    if v != target:
-                        coefs[v] = coefs.get(v, Fraction(0)) + b * c
+        work = [r for r in kept if target not in r[0]]
+        for pc, pr in kept:
+            if pc.get(target, 0) <= 0:
+                continue
+            for nc, nr in kept:
+                if nc.get(target, 0) >= 0:
+                    continue
+                a, b = pc[target], -nc[target]
+                coefs = {v: b * c for v, c in pc.items() if v != target}
                 for v, c in nc.items():
                     if v != target:
                         coefs[v] = coefs.get(v, Fraction(0)) + a * c
-                rhs = b * pr + a * nr
-                coefs, rhs = _normalize_row(coefs, rhs)
-                if not coefs:
-                    if rhs < 0:
-                        return False
-                    continue
-                key = (tuple(sorted(coefs.items())), rhs)
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append((coefs, rhs))
-        if len(new_rows) > max_rows:
-            raise SizeGuardError("variable elimination exceeded the row budget")
-        work = new_rows
+                work.append((coefs, b * pr + a * nr))
+
+
+def _substitute(coefs: dict[str, Fraction], rhs: Fraction, solved) -> Row:
+    """Replace each solved variable by its expression, in solving order.
+
+    An expression may hold variables solved after it; the later steps of
+    the same pass replace those in turn.
+    """
+    coefs = dict(coefs)
+    for pivot, prow, prhs in solved:
+        factor = coefs.pop(pivot, Fraction(0))
+        if factor:
+            for v, c in prow.items():
+                coefs[v] = coefs.get(v, Fraction(0)) - factor * c
+            rhs -= factor * prhs
+    return {v: c for v, c in coefs.items() if c != 0}, rhs
 
 
 def _solve_equalities(
-    eqs: list[tuple[dict[str, Fraction], Fraction]], ineqs: list[Row]
-) -> Optional[list[Row]]:
-    """Gaussian-eliminate equalities, substituting into the inequalities.
+    eqs: list[Row], ineqs: list[Row], pivots
+) -> Optional[tuple[list[Row], list[Row]]]:
+    """Gaussian-eliminate equalities on the ``pivots`` variables.
 
-    Returns the reduced inequality system, or ``None`` when the equalities
-    are inconsistent on their own.
+    Each equality pivots on its smallest-named variable among ``pivots``,
+    and the solved variables are substituted into the inequalities.  An
+    equality left with no such variable is a residual equality over the
+    others.  Returns (residual equalities, reduced inequalities), or ``None``
+    when the equalities are inconsistent on their own.
     """
-    reduced: list[tuple[str, dict[str, Fraction], Fraction]] = []  # pivot, row, rhs
+    solved: list[tuple[str, dict[str, Fraction], Fraction]] = []  # pivot = rhs - row . rest
+    residual: list[Row] = []
     for coefs, rhs in eqs:
-        coefs = dict(coefs)
-        for pivot, prow, prhs in reduced:
-            factor = coefs.pop(pivot, Fraction(0))
-            if factor:
-                for v, c in prow.items():
-                    coefs[v] = coefs.get(v, Fraction(0)) - factor * c
-                rhs -= factor * prhs
-        coefs = {v: c for v, c in coefs.items() if c != 0}
-        if not coefs:
-            if rhs != 0:
+        coefs, rhs = _substitute(coefs, rhs, solved)
+        eligible = [v for v in coefs if v in pivots]
+        if not eligible:
+            if coefs:
+                residual.append((coefs, rhs))
+            elif rhs != 0:
                 return None
             continue
-        pivot = min(coefs)
+        pivot = min(eligible)
         pc = coefs.pop(pivot)
         coefs = {v: c / pc for v, c in coefs.items()}
         rhs /= pc
-        for i, (pv, prow, prhs) in enumerate(reduced):
-            factor = prow.pop(pivot, Fraction(0))
-            if factor:
-                for v, c in coefs.items():
-                    prow[v] = prow.get(v, Fraction(0)) - factor * c
-                reduced[i] = (pv, {v: c for v, c in prow.items() if c != 0}, prhs - factor * rhs)
-        reduced.append((pivot, coefs, rhs))
-    # pivot var equals rhs - sum(coefs * free vars)
-    out: list[Row] = []
-    for coefs, rhs in ineqs:
-        coefs = dict(coefs)
-        for pivot, prow, prhs in reduced:
-            factor = coefs.pop(pivot, Fraction(0))
-            if factor:
-                for v, c in prow.items():
-                    coefs[v] = coefs.get(v, Fraction(0)) - factor * c
-                rhs -= factor * prhs
-        out.append((coefs, rhs))
-    return out
+        solved.append((pivot, coefs, rhs))
+    return residual, [_substitute(coefs, rhs, solved) for coefs, rhs in ineqs]
 
 
-def _system_feasible(eqs, ineqs) -> bool:
-    reduced = _solve_equalities(eqs, ineqs)
-    if reduced is None:
-        return False
-    return _fourier_motzkin(reduced)
+def _integral(values: list[Fraction]) -> list[int]:
+    """The values times the least common multiple of their denominators."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: int = 50_000):
+    """One integer system over the primary variables per binary assignment.
+
+    ``position`` maps each primary variable to its bit.  Under an assignment
+    the equalities are solved for auxiliary variables, the auxiliaries are
+    projected out, and each remaining row is scaled to integers as
+    (bit-coefficient pairs, rhs, is_equality).  A primary point completes to
+    a feasible point under the assignment iff it satisfies every row.
+    Assignments no point completes are left out, and equal systems are kept
+    once.
+    """
+    binaries = f.binary_names()
+    aux = {v.name for v in f.variables if v.kind != BINARY and v.name not in position}
+    bounds: list[Row] = []
+    for v in f.variables:
+        if v.kind != BINARY:  # a binary's values 0 and 1 are its bounds
+            if v.lower is not None:
+                bounds.append(({v.name: Fraction(-1)}, -v.lower))
+            if v.upper is not None:
+                bounds.append(({v.name: Fraction(1)}, v.upper))
+    systems: dict[tuple, None] = {}
+    for assignment in product((0, 1), repeat=len(binaries)):
+        z = dict(zip(binaries, assignment))
+        eqs: list[Row] = []
+        ineqs = list(bounds)
+        for c in f.constraints:
+            coefs: dict[str, Fraction] = {}
+            rhs = c.rhs
+            for var, coef in c.terms:
+                if var in z:
+                    rhs -= coef * z[var]
+                else:
+                    coefs[var] = coefs.get(var, Fraction(0)) + coef
+            if c.sense == ">=":
+                coefs, rhs = {v: -x for v, x in coefs.items()}, -rhs
+            (eqs if c.sense == "=" else ineqs).append((coefs, rhs))
+        solved = _solve_equalities(eqs, ineqs, aux)
+        if solved is None:
+            continue
+        residual, reduced = solved
+        rows = _project(reduced, position, max_rows)
+        if rows is None:
+            continue
+        system = []
+        for is_eq, group in ((True, residual), (False, rows)):
+            for coefs, rhs in group:
+                scaled = _integral([*coefs.values(), rhs])
+                bits = tuple(sorted(zip((position[v] for v in coefs), scaled)))
+                system.append((bits, scaled[-1], is_eq))
+        systems[tuple(sorted(system))] = None
+    return list(systems)
+
+
+def _admits_uniform(system, mask: int, r: int) -> bool:
+    """Uniform mass 1/r on the support ``mask`` meets every row: sum over it of a <= r*b."""
+    for bits, rhs, is_eq in system:
+        total = sum(a for bit, a in bits if mask & bit)
+        if total > r * rhs or is_eq and total != r * rhs:
+            return False
+    return True
 
 
 def support_validity(
@@ -147,8 +204,11 @@ def support_validity(
     For every nonempty subset of the ground set, uniform mass on it must be
     completable to a feasible point (over some binary assignment and some
     auxiliary values) exactly when the subset lies in a member set.
-    Completability is decided exactly: equality substitution first, then
-    variable elimination on what remains.
+    Each binary assignment is compiled once: its equalities are solved for
+    the auxiliary variables, and exact Fourier-Motzkin elimination projects
+    the auxiliaries out, keeping the primary variables symbolic.  A support
+    is then tested against each projected system by integer row sums.  Cost:
+    O(2^b) projections plus 2^|J|·2^b integer row tests.
     """
     j = sorted(ground_set(family))
     if len(j) > max_ground:
@@ -159,86 +219,15 @@ def support_validity(
     binaries = f.binary_names()
     if len(binaries) > max_binaries:
         raise SizeGuardError(f"{len(binaries)} binaries exceed the cap of {max_binaries}")
-    lam_names = set(lam.values())
-    by_name = {v.name: v for v in f.variables}
-    aux = [
-        v.name
-        for v in f.variables
-        if v.kind != BINARY and v.name not in lam_names
-    ]
-
+    bit = {v: 1 << k for k, v in enumerate(j)}
+    systems = _lambda_systems(f, {lam[v]: bit[v] for v in j})
     for r in range(1, len(j) + 1):
         for support in combinations(j, r):
-            weight = Fraction(1, r)
-            fixed_lam = {lam[v]: (weight if v in support else Fraction(0)) for v in j}
-            ok = any(
-                _completable(f, by_name, aux, fixed_lam, dict(zip(binaries, assignment)))
-                for assignment in product((Fraction(0), Fraction(1)), repeat=len(binaries))
-            )
+            mask = sum(bit[v] for v in support)
+            ok = any(_admits_uniform(system, mask, r) for system in systems)
             if ok != is_feasible_set(family, support):
                 return False
     return True
-
-
-def _completable(f, by_name, aux, fixed_lam, fixed_z) -> bool:
-    fixed = dict(fixed_lam)
-    fixed.update(fixed_z)
-    for name, value in fixed.items():
-        var = by_name[name]
-        if var.lower is not None and value < var.lower:
-            return False
-        if var.upper is not None and value > var.upper:
-            return False
-    eqs = []
-    ineqs: list[Row] = []
-    for c in f.constraints:
-        coefs: dict[str, Fraction] = {}
-        shift = Fraction(0)
-        for var, coef in c.terms:
-            if var in fixed:
-                shift += coef * fixed[var]
-            else:
-                coefs[var] = coefs.get(var, Fraction(0)) + coef
-        rhs = c.rhs - shift
-        if not coefs:
-            if c.sense == "=" and rhs != 0:
-                return False
-            if c.sense == "<=" and rhs < 0:
-                return False
-            if c.sense == ">=" and rhs > 0:
-                return False
-            continue
-        if c.sense == "=":
-            eqs.append((coefs, rhs))
-        elif c.sense == "<=":
-            ineqs.append((coefs, rhs))
-        else:
-            ineqs.append(({v: -c for v, c in coefs.items()}, -rhs))
-    for name in aux:
-        var = by_name[name]
-        if var.lower is not None:
-            ineqs.append(({name: Fraction(-1)}, -var.lower))
-        if var.upper is not None:
-            ineqs.append(({name: Fraction(1)}, var.upper))
-    return _system_feasible(eqs, ineqs)
-
-
-def _gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square exact system; ``None`` when singular."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pc = a[col][col]
-        a[col] = [x / pc for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def _bound_propagation(f: LinearFormulation, passes: int = 25) -> bool:
@@ -266,32 +255,20 @@ def _bound_propagation(f: LinearFormulation, passes: int = 25) -> bool:
         changed = False
         for c in f.constraints:
             for var, coef in c.terms:
-                if c.sense in ("<=", "="):
-                    rest = extremum(c.terms, var, minimize=True)
-                    if rest is not None:
-                        if coef > 0:
-                            cap = (c.rhs - rest) / coef
-                            if hi[var] is None or cap < hi[var]:
-                                hi[var] = cap
-                                changed = True
-                        else:
-                            cap = (c.rhs - rest) / coef
-                            if lo[var] is None or cap > lo[var]:
-                                lo[var] = cap
-                                changed = True
-                if c.sense in (">=", "="):
-                    rest = extremum(c.terms, var, minimize=False)
-                    if rest is not None:
-                        if coef > 0:
-                            cap = (c.rhs - rest) / coef
-                            if lo[var] is None or cap > lo[var]:
-                                lo[var] = cap
-                                changed = True
-                        else:
-                            cap = (c.rhs - rest) / coef
-                            if hi[var] is None or cap < hi[var]:
-                                hi[var] = cap
-                                changed = True
+                for sense, minimize in (("<=", True), (">=", False)):
+                    if c.sense not in (sense, "="):
+                        continue
+                    rest = extremum(c.terms, var, minimize)
+                    if rest is None:
+                        continue
+                    cap = (c.rhs - rest) / coef
+                    if (coef > 0) == minimize:  # the row caps var from above
+                        if hi[var] is None or cap < hi[var]:
+                            hi[var] = cap
+                            changed = True
+                    elif lo[var] is None or cap > lo[var]:
+                        lo[var] = cap
+                        changed = True
         if all(lo[n] is not None and hi[n] is not None for n in lo):
             return True
         if not changed:
@@ -299,93 +276,111 @@ def _bound_propagation(f: LinearFormulation, passes: int = 25) -> bool:
     return all(lo[n] is not None and hi[n] is not None for n in lo)
 
 
-def lp_vertices(f: LinearFormulation, max_vars: int = 12) -> list[tuple[Fraction, ...]]:
-    """All vertices of the LP relaxation, by tight-constraint basis enumeration.
 
-    Every independent equality row is forced into the basis, and the
-    remaining slots range over inequality rows and finite bounds.  The
-    relaxation must be certifiably bounded.
+def _reduce(basis, row: list[int]) -> list[int]:
+    """The row with every basis pivot column eliminated, in integers."""
+    for p, b in basis:
+        if row[p]:
+            row = _combine(b[p], row, -row[p], b)
+    return row
+
+
+def _insert(basis, row: list[int], p: int):
+    """A new basis with the reduced ``row`` pivoting on column ``p``, kept fully reduced."""
+    out = [(q, _combine(row[p], b, -b[p], row)) if b[p] else (q, b) for q, b in basis]
+    out.append((p, row))
+    return out
+
+
+def _combine(s: int, x: list[int], t: int, y: list[int]) -> list[int]:
+    """s·x + t·y, divided by the gcd of its entries."""
+    out = [s * a + t * b for a, b in zip(x, y)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
+
+
+def _vertices(f: LinearFormulation, max_vars: int):
+    """Yield every basic feasible point of the relaxation, repeats included.
+
+    A depth-first search over the inequality rows in index order extends a
+    fully reduced integer row-echelon basis that starts from the equalities;
+    a row dependent on the rows chosen before it prunes its whole subtree,
+    and a full basis gives its point straight from the pivots.
     """
     f.validate()
-    names = f.variable_names()
-    n = len(names)
+    n = len(f.variables)
     if n > max_vars:
         raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
     if not _bound_propagation(f):
         raise InputError("relaxation is not certifiably bounded; refusing to enumerate")
-    index = {name: i for i, name in enumerate(names)}
+    index = {name: i for i, name in enumerate(f.variable_names())}
 
-    eq_rows: list[tuple[list[Fraction], Fraction]] = []
-    ineq_rows: list[tuple[list[Fraction], Fraction]] = []  # a.x <= b
+    eq_rows: list[list[int]] = []
+    ineq_rows: list[list[int]] = []  # a.x <= b as [a..., b]
     for c in f.constraints:
-        vec = [Fraction(0)] * n
+        vec = [Fraction(0)] * (n + 1)
         for var, coef in c.terms:
             vec[index[var]] += coef
-        if c.sense == "=":
-            eq_rows.append((vec, c.rhs))
-        elif c.sense == "<=":
-            ineq_rows.append((vec, c.rhs))
-        else:
-            ineq_rows.append(([-x for x in vec], -c.rhs))
+        vec[n] = c.rhs
+        if c.sense == ">=":
+            vec = [-x for x in vec]
+        (eq_rows if c.sense == "=" else ineq_rows).append(_integral(vec))
     for i, v in enumerate(f.variables):
-        if v.lower is not None:
-            vec = [Fraction(0)] * n
-            vec[i] = Fraction(-1)
-            ineq_rows.append((vec, -v.lower))
-        if v.upper is not None:
-            vec = [Fraction(0)] * n
-            vec[i] = Fraction(1)
-            ineq_rows.append((vec, v.upper))
+        for sign, bound in ((-1, v.lower), (1, v.upper)):
+            if bound is not None:
+                vec = [Fraction(0)] * (n + 1)
+                vec[i], vec[n] = Fraction(sign), sign * bound
+                ineq_rows.append(_integral(vec))
 
-    independent_eqs = _independent_rows(eq_rows, n)
-    base_count = len(independent_eqs)
-    vertices: dict[tuple[Fraction, ...], None] = {}
-    for combo in combinations(range(len(ineq_rows)), n - base_count):
-        matrix = [row[0][:] for row in independent_eqs] + [ineq_rows[i][0][:] for i in combo]
-        rhs = [row[1] for row in independent_eqs] + [ineq_rows[i][1] for i in combo]
-        point = _gauss_solve(matrix, rhs)
-        if point is None:
-            continue
-        if any(
-            sum(c * x for c, x in zip(vec, point)) != b for vec, b in eq_rows
-        ):
-            continue
-        if any(
-            sum(c * x for c, x in zip(vec, point)) > b for vec, b in ineq_rows
-        ):
-            continue
-        vertices.setdefault(tuple(point), None)
-    return sorted(vertices)
+    basis: list[tuple[int, list[int]]] = []
+    for row in eq_rows:
+        row = _reduce(basis, row)
+        p = next((k for k in range(n) if row[k]), None)
+        if p is not None:
+            basis = _insert(basis, row, p)
+        elif row[n]:
+            return  # the equalities alone are inconsistent
+    checks = [([(k, a) for k, a in enumerate(row[:n]) if a], row[n]) for row in ineq_rows]
+
+    def search(start: int, basis):
+        missing = n - len(basis)
+        if not missing:
+            scale = lcm(*(abs(b[p]) for p, b in basis))
+            x = [0] * n
+            for p, b in basis:
+                x[p] = b[n] * (scale // b[p])
+            if all(sum(a * x[k] for k, a in coefs) <= rhs * scale for coefs, rhs in checks):
+                yield tuple(Fraction(v, scale) for v in x)
+            return
+        for i in range(start, len(ineq_rows) - missing + 1):
+            row = _reduce(basis, ineq_rows[i])
+            p = next((k for k in range(n) if row[k]), None)
+            if p is not None:
+                yield from search(i + 1, _insert(basis, row, p))
+
+    yield from search(0, basis)
 
 
-def _independent_rows(rows, n):
-    """A maximal linearly independent subset, kept in input order."""
-    kept: list[tuple[list[Fraction], Fraction]] = []
-    basis: list[list[Fraction]] = []
-    for vec, b in rows:
-        probe = vec[:]
-        for piv in basis:
-            lead = next(i for i, x in enumerate(piv) if x != 0)
-            if probe[lead] != 0:
-                factor = probe[lead] / piv[lead]
-                probe = [x - factor * y for x, y in zip(probe, piv)]
-        if any(x != 0 for x in probe):
-            basis.append(probe)
-            kept.append((vec, b))
-            if len(kept) == n:
-                break
-    return kept
+def lp_vertices(f: LinearFormulation, max_vars: int = 12) -> list[tuple[Fraction, ...]]:
+    """All vertices of the LP relaxation, sorted, by tight-row basis search.
+
+    Every independent equality row is forced into the basis, and the
+    remaining slots range over inequality rows and finite bounds, chosen
+    depth first in index order; a row dependent on the rows already chosen
+    prunes every basis that extends the choice.  The cost is one integer
+    row reduction per node of the pruned search tree plus a feasibility
+    test per full basis.  The relaxation must be certifiably bounded.
+    """
+    return sorted(set(_vertices(f, max_vars)))
 
 
 def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
-    """True iff every relaxation vertex has integral binary coordinates."""
-    names = f.variable_names()
-    binary_slots = [i for i, v in enumerate(f.variables) if v.kind == BINARY]
-    for vertex in lp_vertices(f, max_vars=max_vars):
-        for slot in binary_slots:
-            if vertex[slot] not in (Fraction(0), Fraction(1)):
-                return False
-    return True
+    """True iff every relaxation vertex has integral binary coordinates.
+
+    Stops at the first vertex with a fractional binary coordinate.
+    """
+    slots = [i for i, v in enumerate(f.variables) if v.kind == BINARY]
+    return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
 def _all_spanning_trees(d: int):

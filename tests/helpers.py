@@ -10,10 +10,12 @@ from __future__ import annotations
 import random
 import warnings
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
-from cdcmip import IndexSetFamily, InputError, RedundantFamilyWarning
-from cdcmip import geom
+from cdcmip import IndexSetFamily, InputError, RedundantFamilyWarning, SizeGuardError
+from cdcmip import geom, oracle
+from cdcmip.cdc import ground_set
+from cdcmip.formulate import BINARY
 from cdcmip.geom import PlanarPartition
 
 
@@ -269,3 +271,276 @@ def rows_match_up_to_scaling(parsed_rows, formulation) -> bool:
         if c.rhs * scale != rhs:
             return False
     return True
+
+
+# ---------------------------------------------------------------- oracles
+#
+# The exact oracles' earlier routes, kept as references: support validity
+# rebuilds and eliminates the whole system for every (support, assignment)
+# pair, and vertex enumeration solves every choice of tight rows afresh.
+
+
+def _normalize_row(coefs, rhs):
+    coefs = {v: c for v, c in coefs.items() if c != 0}
+    if coefs:
+        scale = abs(coefs[min(coefs)])
+        coefs = {v: c / scale for v, c in coefs.items()}
+        rhs = rhs / scale
+    return coefs, rhs
+
+
+def _fourier_motzkin(rows, max_rows=50_000) -> bool:
+    """Feasibility of a system of <= rows by exact variable elimination."""
+    work = []
+    seen = set()
+    for coefs, rhs in rows:
+        coefs, rhs = _normalize_row(coefs, rhs)
+        if not coefs:
+            if rhs < 0:
+                return False
+            continue
+        key = (tuple(sorted(coefs.items())), rhs)
+        if key not in seen:
+            seen.add(key)
+            work.append((coefs, rhs))
+    while True:
+        counts = {}
+        for coefs, _ in work:
+            for v in coefs:
+                counts[v] = counts.get(v, 0) + 1
+        if not counts:
+            return True
+        target = min(counts, key=lambda v: (counts[v], v))
+        pos = [r for r in work if r[0].get(target, 0) > 0]
+        neg = [r for r in work if r[0].get(target, 0) < 0]
+        new_rows = [r for r in work if target not in r[0]]
+        seen = {(tuple(sorted(c.items())), r) for c, r in new_rows}
+        for pc, pr in pos:
+            a = pc[target]
+            for nc, nr in neg:
+                b = -nc[target]
+                coefs = {}
+                for v, c in pc.items():
+                    if v != target:
+                        coefs[v] = coefs.get(v, Fraction(0)) + b * c
+                for v, c in nc.items():
+                    if v != target:
+                        coefs[v] = coefs.get(v, Fraction(0)) + a * c
+                coefs, rhs = _normalize_row(coefs, b * pr + a * nr)
+                if not coefs:
+                    if rhs < 0:
+                        return False
+                    continue
+                key = (tuple(sorted(coefs.items())), rhs)
+                if key not in seen:
+                    seen.add(key)
+                    new_rows.append((coefs, rhs))
+        if len(new_rows) > max_rows:
+            raise SizeGuardError("variable elimination exceeded the row budget")
+        work = new_rows
+
+
+def _solve_equalities(eqs, ineqs):
+    """Gaussian-eliminate equalities, substituting into the inequalities.
+
+    Returns the reduced inequality system, or ``None`` when the equalities
+    are inconsistent on their own.
+    """
+    reduced = []  # pivot, row, rhs
+    for coefs, rhs in eqs:
+        coefs = dict(coefs)
+        for pivot, prow, prhs in reduced:
+            factor = coefs.pop(pivot, Fraction(0))
+            if factor:
+                for v, c in prow.items():
+                    coefs[v] = coefs.get(v, Fraction(0)) - factor * c
+                rhs -= factor * prhs
+        coefs = {v: c for v, c in coefs.items() if c != 0}
+        if not coefs:
+            if rhs != 0:
+                return None
+            continue
+        pivot = min(coefs)
+        pc = coefs.pop(pivot)
+        coefs = {v: c / pc for v, c in coefs.items()}
+        rhs /= pc
+        for i, (pv, prow, prhs) in enumerate(reduced):
+            factor = prow.pop(pivot, Fraction(0))
+            if factor:
+                for v, c in coefs.items():
+                    prow[v] = prow.get(v, Fraction(0)) - factor * c
+                reduced[i] = (pv, {v: c for v, c in prow.items() if c != 0}, prhs - factor * rhs)
+        reduced.append((pivot, coefs, rhs))
+    out = []
+    for coefs, rhs in ineqs:
+        coefs = dict(coefs)
+        for pivot, prow, prhs in reduced:
+            factor = coefs.pop(pivot, Fraction(0))
+            if factor:
+                for v, c in prow.items():
+                    coefs[v] = coefs.get(v, Fraction(0)) - factor * c
+                rhs -= factor * prhs
+        out.append((coefs, rhs))
+    return out
+
+
+def _system_feasible(eqs, ineqs) -> bool:
+    reduced = _solve_equalities(eqs, ineqs)
+    if reduced is None:
+        return False
+    return _fourier_motzkin(reduced)
+
+
+def _completable(f, by_name, aux, fixed_lam, fixed_z) -> bool:
+    """Whether fixed primary and binary values extend to a feasible point."""
+    fixed = dict(fixed_lam)
+    fixed.update(fixed_z)
+    for name, value in fixed.items():
+        var = by_name[name]
+        if var.lower is not None and value < var.lower:
+            return False
+        if var.upper is not None and value > var.upper:
+            return False
+    eqs = []
+    ineqs = []
+    for c in f.constraints:
+        coefs = {}
+        shift = Fraction(0)
+        for var, coef in c.terms:
+            if var in fixed:
+                shift += coef * fixed[var]
+            else:
+                coefs[var] = coefs.get(var, Fraction(0)) + coef
+        rhs = c.rhs - shift
+        if not coefs:
+            if c.sense == "=" and rhs != 0:
+                return False
+            if c.sense == "<=" and rhs < 0:
+                return False
+            if c.sense == ">=" and rhs > 0:
+                return False
+            continue
+        if c.sense == "=":
+            eqs.append((coefs, rhs))
+        elif c.sense == "<=":
+            ineqs.append((coefs, rhs))
+        else:
+            ineqs.append(({v: -c for v, c in coefs.items()}, -rhs))
+    for name in aux:
+        var = by_name[name]
+        if var.lower is not None:
+            ineqs.append(({name: Fraction(-1)}, -var.lower))
+        if var.upper is not None:
+            ineqs.append(({name: Fraction(1)}, var.upper))
+    return _system_feasible(eqs, ineqs)
+
+
+def reference_support_validity(f, family, max_ground=12, max_binaries=12) -> bool:
+    """``support_validity`` by one elimination per (support, assignment) pair."""
+    j = sorted(ground_set(family))
+    if len(j) > max_ground:
+        raise SizeGuardError(f"ground set of {len(j)} exceeds the cap of {max_ground}")
+    lam = f.lambda_names()
+    if set(lam) != set(j):
+        raise InputError("formulation's primary variables do not match the family")
+    binaries = f.binary_names()
+    if len(binaries) > max_binaries:
+        raise SizeGuardError(f"{len(binaries)} binaries exceed the cap of {max_binaries}")
+    lam_names = set(lam.values())
+    by_name = {v.name: v for v in f.variables}
+    aux = [v.name for v in f.variables if v.kind != BINARY and v.name not in lam_names]
+    for r in range(1, len(j) + 1):
+        for support in combinations(j, r):
+            weight = Fraction(1, r)
+            fixed_lam = {lam[v]: (weight if v in support else Fraction(0)) for v in j}
+            ok = any(
+                _completable(f, by_name, aux, fixed_lam, dict(zip(binaries, assignment)))
+                for assignment in product((Fraction(0), Fraction(1)), repeat=len(binaries))
+            )
+            if ok != brute_feasible(family.sets, support):
+                return False
+    return True
+
+
+def _gauss_solve(matrix, rhs):
+    """Solve a square exact system; ``None`` when singular."""
+    n = len(matrix)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        pc = a[col][col]
+        a[col] = [x / pc for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def _independent_rows(rows, n):
+    """A maximal linearly independent subset, kept in input order."""
+    kept = []
+    basis = []
+    for vec, b in rows:
+        probe = vec[:]
+        for piv in basis:
+            lead = next(i for i, x in enumerate(piv) if x != 0)
+            if probe[lead] != 0:
+                factor = probe[lead] / piv[lead]
+                probe = [x - factor * y for x, y in zip(probe, piv)]
+        if any(x != 0 for x in probe):
+            basis.append(probe)
+            kept.append((vec, b))
+            if len(kept) == n:
+                break
+    return kept
+
+
+def reference_lp_vertices(f, max_vars=12):
+    """``lp_vertices`` by solving every choice of tight inequality rows."""
+    f.validate()
+    names = f.variable_names()
+    n = len(names)
+    if n > max_vars:
+        raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
+    if not oracle._bound_propagation(f):
+        raise InputError("relaxation is not certifiably bounded; refusing to enumerate")
+    index = {name: i for i, name in enumerate(names)}
+    eq_rows = []
+    ineq_rows = []  # a.x <= b
+    for c in f.constraints:
+        vec = [Fraction(0)] * n
+        for var, coef in c.terms:
+            vec[index[var]] += coef
+        if c.sense == "=":
+            eq_rows.append((vec, c.rhs))
+        elif c.sense == "<=":
+            ineq_rows.append((vec, c.rhs))
+        else:
+            ineq_rows.append(([-x for x in vec], -c.rhs))
+    for i, v in enumerate(f.variables):
+        if v.lower is not None:
+            vec = [Fraction(0)] * n
+            vec[i] = Fraction(-1)
+            ineq_rows.append((vec, -v.lower))
+        if v.upper is not None:
+            vec = [Fraction(0)] * n
+            vec[i] = Fraction(1)
+            ineq_rows.append((vec, v.upper))
+    independent_eqs = _independent_rows(eq_rows, n)
+    vertices = set()
+    for combo in combinations(range(len(ineq_rows)), n - len(independent_eqs)):
+        matrix = [row[0][:] for row in independent_eqs] + [ineq_rows[i][0][:] for i in combo]
+        rhs = [row[1] for row in independent_eqs] + [ineq_rows[i][1] for i in combo]
+        point = _gauss_solve(matrix, rhs)
+        if point is None:
+            continue
+        if any(sum(c * x for c, x in zip(vec, point)) != b for vec, b in eq_rows):
+            continue
+        if any(sum(c * x for c, x in zip(vec, point)) > b for vec, b in ineq_rows):
+            continue
+        vertices.add(tuple(point))
+    return sorted(vertices)

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import cdcmip
 from cdcmip.cli import main
 from conftest import triangle_strip
 
 SOS2_5 = '{"sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}'
 TRIANGLE = '{"sets": [[1, 2], [2, 3], [1, 3]]}'
+# The naive model of this family has 9 variables and 17 fractional vertices out of 27.
+NAIVE_NOT_IDEAL = '{"sets": [[1, 2, 3, 5], [1, 4], [1, 4, 5], [4]]}'
 
 
 def run(capsys, *argv):
@@ -180,3 +189,48 @@ def test_geom_analyze(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["dual_edges"] == [[0, 1]]
     assert len(payload["sets"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::cdcmip.RedundantFamilyWarning")
+def test_verify_reports_a_model_that_is_not_ideal(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "verify", "--formulation", "naive", family_file(tmp_path, NAIVE_NOT_IDEAL)
+    )
+    assert code == 0
+    assert out == "support_validity: pass\nideal: fail\n"
+
+
+def run_optimized(*argv):
+    """Run Python with ``-O``, so that ``assert`` statements are stripped."""
+    src = str(Path(cdcmip.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-O", *argv], env=env, capture_output=True, text=True)
+
+
+def test_verify_passes_under_optimization(tmp_path):
+    res = run_optimized("-m", "cdcmip.cli", "verify", family_file(tmp_path, SOS2_5))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "support_validity: pass\nideal: pass\n"
+
+
+BROKEN_IB = """
+import sys
+from cdcmip import cli
+
+build = cli.BUILDERS["ib"]
+
+def without_a_biclique_row(family):
+    f = build(family)
+    f.constraints = [c for c in f.constraints if c.name != "a_2"]
+    return f
+
+cli.BUILDERS["ib"] = without_a_biclique_row
+sys.exit(cli.main(["formulate", sys.argv[1], "--verify"]))
+"""
+
+
+def test_formulate_verify_catches_a_dropped_row_under_optimization(tmp_path):
+    res = run_optimized("-c", BROKEN_IB, family_file(tmp_path, SOS2_5))
+    assert res.returncode == 4, res.stderr
+    assert "support_validity: fail" in res.stderr

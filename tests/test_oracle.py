@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from cdcmip import (
     build_naive,
     build_sosk,
     build_sosk_kis,
+    build_extended_disjoint,
     build_extended_jtree,
     conflict_graph,
     heuristic_cover,
@@ -21,6 +23,8 @@ from cdcmip import (
     min_biclique_cover_exact,
     support_validity,
 )
+from cdcmip import oracle
+from cdcmip.cli import main
 from cdcmip.errors import InputError
 from cdcmip.formulate import LinearFormulation
 from helpers import random_family
@@ -78,6 +82,33 @@ def test_support_validity_guards(sos2_5):
     del f.metadata["lambda_vars"]
     with pytest.raises(InputError):
         support_validity(f, sos2_5)
+
+
+def test_elimination_budget_error_explains_itself(sos2_5):
+    f = build_extended_disjoint(sos2_5)
+    lam = f.lambda_names()
+    position = {lam[v]: 1 << k for k, v in enumerate(sorted(lam))}
+    with pytest.raises(SizeGuardError) as caught:
+        oracle._lambda_systems(f, position, max_rows=10)
+    found = re.fullmatch(
+        r"support_validity: eliminating the auxiliary variables reached (\d+) rows, "
+        r"over the budget of 10",
+        str(caught.value),
+    )
+    assert found and int(found.group(1)) > 10
+    assert oracle._lambda_systems(f, position)  # fits the default budget
+
+
+def test_elimination_budget_exits_3(sos2_5, tmp_path, monkeypatch, capsys):
+    compile_systems = oracle._lambda_systems
+    monkeypatch.setattr(
+        oracle, "_lambda_systems", lambda f, position: compile_systems(f, position, max_rows=10)
+    )
+    path = tmp_path / "family.json"
+    path.write_text('{"sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}')
+    code = main(["formulate", str(path), "--formulation", "ext-disjoint", "--verify"])
+    assert code == 3
+    assert "over the budget of 10" in capsys.readouterr().err
 
 
 def test_lp_vertices_simplex():
@@ -138,8 +169,6 @@ def test_is_ideal_examples(path3):
 
 def test_extended_builders_ideal_at_desk_scale(triangle):
     assert is_ideal(build_extended_jtree(triangle))
-    from cdcmip import build_extended_disjoint
-
     assert is_ideal(build_extended_disjoint(IndexSetFamily([[1, 2], [2, 3]])))
 
 
@@ -159,7 +188,7 @@ def test_min_biclique_cover_guard(path3):
 
 
 def test_every_builder_valid_on_random_families():
-    from cdcmip import build_extended_disjoint, build_jeroslow_lowe, build_log_embedding
+    from cdcmip import build_jeroslow_lowe, build_log_embedding
 
     rng = random.Random(71)
     count = 0

@@ -2,13 +2,15 @@
 
 The bitset conflict graph, the redundancy scan and the planar front end's
 index structures each answer the same question as an all-pairs scan in
-``helpers``.  Families mix small labels with labels near 10**12, so a mask
+``helpers``; the exact oracles answer the same question as their earlier
+routes there, which redo the whole elimination or solve for every case.  Families mix small labels with labels near 10**12, so a mask
 that used the label itself as its bit position would show up here as a
 size blow-up.
 """
 
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -19,11 +21,24 @@ from cdcmip import (
     BicliqueCover,
     IndexSetFamily,
     InputError,
+    LinearFormulation,
     RedundantFamilyWarning,
+    SizeGuardError,
+    admits_junction_tree,
+    build_extended_disjoint,
+    build_extended_jtree,
+    build_ib_from_cover,
+    build_jeroslow_lowe,
+    build_log_embedding,
+    build_naive,
+    build_sosk,
     conflict_graph,
     heuristic_cover,
     is_biclique,
     is_irredundant,
+    lp_vertices,
+    sosk_family,
+    support_validity,
     verify_cover,
 )
 from cdcmip.geom import PlanarPartition, dual_graph, partition_to_cdc
@@ -36,7 +51,10 @@ from helpers import (
     pairwise_has_containment,
     pairwise_partition_error,
     quiet_family,
+    random_family,
     random_junction_family,
+    reference_lp_vertices,
+    reference_support_validity,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -287,3 +305,78 @@ def test_front_end_matches_all_pairs_on_tilings(polys):
 @given(soups)
 def test_front_end_matches_all_pairs_on_triangle_soups(polys):
     check_front_end(polys)
+
+
+# ---------------------------------------------------------------- oracles
+#
+# Models come from every builder on small random families (with and without
+# a junction tree) and from build_sosk, as built, with one constraint dropped
+# or its right-hand side raised by one, or with one continuous variable's
+# bound dropped.  The references are slow, so the
+# sizes sit well inside the oracles' caps of 12.
+
+ORACLE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+BUILDERS = {
+    "naive": build_naive,
+    "jl": build_jeroslow_lowe,
+    "log": build_log_embedding,
+    "ib": lambda fam: build_ib_from_cover(fam, heuristic_cover(fam)),
+    "ext-jtree": build_extended_jtree,
+    "ext-disjoint": build_extended_disjoint,
+}
+
+
+@st.composite
+def oracle_models(draw, max_sets=4, max_ground=6):
+    """A (model, family) pair: a builder's output, maybe with one piece dropped or moved."""
+    kind = draw(st.sampled_from(["sosk", *BUILDERS]))
+    if kind == "sosk":
+        n = draw(st.integers(3, max_ground))
+        k = draw(st.integers(2, n - 1))
+        f, fam = build_sosk(n, k), sosk_family(n, k)
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        if kind == "ib" or draw(st.booleans()):
+            fam = random_junction_family(rng, max_sets=max_sets, max_ground=max_ground)
+        else:
+            fam = random_family(rng, max_sets=max_sets, max_ground=max_ground)
+        if kind == "ib" and admits_junction_tree(fam) is None:
+            kind = "naive"
+        f = BUILDERS[kind](fam)
+    variables, constraints = list(f.variables), list(f.constraints)
+    how = draw(st.sampled_from(["keep", "constraint", "shift", "bound"]))
+    bounded = [i for i, v in enumerate(variables) if v.kind != "binary" and (v.lower, v.upper) != (None, None)]
+    if how in ("constraint", "shift") and constraints:
+        k = draw(st.integers(0, len(constraints) - 1))
+        if how == "constraint":
+            del constraints[k]
+        else:
+            constraints[k] = replace(constraints[k], rhs=constraints[k].rhs + 1)
+    elif how == "bound" and bounded:
+        i = draw(st.sampled_from(bounded))
+        v = variables[i]
+        variables[i] = replace(v, lower=None) if v.lower is not None else replace(v, upper=None)
+    return LinearFormulation(variables, constraints, dict(f.metadata)), fam
+
+
+def outcome(fn, *args):
+    """The result, or the class of the refusal raised."""
+    try:
+        return fn(*args)
+    except (InputError, SizeGuardError) as exc:
+        return type(exc)
+
+
+@ORACLE_PROPERTY
+@given(oracle_models())
+def test_support_validity_matches_per_support_elimination(model):
+    f, fam = model
+    assert outcome(support_validity, f, fam) == outcome(reference_support_validity, f, fam)
+
+
+@ORACLE_PROPERTY
+@given(oracle_models(max_sets=3, max_ground=4))
+def test_lp_vertices_match_every_basis_solve(model):
+    f, _ = model
+    assert outcome(lp_vertices, f) == outcome(reference_lp_vertices, f)
