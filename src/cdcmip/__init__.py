@@ -37,6 +37,7 @@ from .formulate import (
     build_jeroslow_lowe,
     build_log_embedding,
     build_naive,
+    build_pwl,
     build_sosk,
     build_sosk_kis,
     write_lp,
@@ -59,7 +60,6 @@ from .oracle import (
     support_validity,
 )
 from .sosk import (
-    build_pwl,
     compare_bounds,
     sosk_base_cover,
     sosk_cover,

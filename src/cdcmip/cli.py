@@ -46,7 +46,7 @@ from .formulate import (
     write_lp,
 )
 from .geom import PlanarPartition, dual_graph, partition_to_cdc, savings_report
-from .jtree import admits_junction_tree, maximum_spanning_tree_of
+from .jtree import admits_junction_tree, is_junction_tree, maximum_spanning_tree_of
 from .oracle import (
     brute_admits_junction_tree,
     is_ideal,
@@ -75,8 +75,11 @@ def _dump(data) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -98,14 +101,14 @@ def _load_family(path: str, max_sets: int, max_ground: int) -> IndexSetFamily:
 
 def cmd_analyze(args) -> int:
     family = _load_family(args.input, args.max_sets, args.max_ground)
-    tree = admits_junction_tree(family)
+    tree = maximum_spanning_tree_of(family)
     report = {
         "num_sets": len(family),
         "ground_size": len(ground_set(family)),
         "irredundant": is_irredundant(family),
         "pairwise_ib": is_pairwise_ib_representable(family),
-        "admits_junction_tree": tree is not None,
-        "mst_weight": maximum_spanning_tree_of(family).weight,
+        "admits_junction_tree": is_junction_tree(family, tree),
+        "mst_weight": tree.weight,
         "conflict_edges": conflict_graph(family).edge_count,
     }
     if args.pretty:
@@ -181,9 +184,14 @@ def cmd_verify(args) -> int:
 
 
 def _verify_random(args) -> int:
+    if args.random < 0:
+        raise InputError(f"--random needs a count >= 0, got {args.random}")
+    if args.max_sets < 1 or args.max_ground < 2:
+        raise InputError("--random needs --max-sets >= 1 and --max-ground >= 2")
     rng = random.Random(args.seed)
-    d_cap = min(args.max_sets, 6)
     j_cap = min(args.max_ground, 10)
+    # A draw of d sets takes its indices from n >= d of them.
+    d_cap = min(args.max_sets, 6, j_cap)
     agree = 0
     for _ in range(args.random):
         d = rng.randint(1, d_cap)

@@ -153,36 +153,28 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     return out[0] if out else []
 
 
-def merge_cover(
-    bicliques: Sequence[Biclique], g: ConflictGraph, fixpoint: bool = False
-) -> BicliqueCover:
+def merge_cover(bicliques: Sequence[Biclique], g: ConflictGraph) -> BicliqueCover:
     """Greedy single pass merging each biclique into the first compatible one.
 
     Both orientations of a union are tried before giving up and appending.
-    ``fixpoint`` repeats the pass until the cover stops shrinking; the
-    default single pass is the reference behaviour.
     """
-    current = list(bicliques)
-    while True:
-        merged: list[Biclique] = []
-        for cand in current:
-            placed = False
-            for idx, acc in enumerate(merged):
-                for a, b in (
-                    (acc.side_a | cand.side_a, acc.side_b | cand.side_b),
-                    (acc.side_a | cand.side_b, acc.side_b | cand.side_a),
-                ):
-                    if is_biclique(g, a, b):
-                        merged[idx] = Biclique(a, b)
-                        placed = True
-                        break
-                if placed:
+    merged: list[Biclique] = []
+    for cand in bicliques:
+        placed = False
+        for idx, acc in enumerate(merged):
+            for a, b in (
+                (acc.side_a | cand.side_a, acc.side_b | cand.side_b),
+                (acc.side_a | cand.side_b, acc.side_b | cand.side_a),
+            ):
+                if is_biclique(g, a, b):
+                    merged[idx] = Biclique(a, b)
+                    placed = True
                     break
-            if not placed:
-                merged.append(cand)
-        if not fixpoint or len(merged) == len(current):
-            return BicliqueCover(merged)
-        current = merged
+            if placed:
+                break
+        if not placed:
+            merged.append(cand)
+    return BicliqueCover(merged)
 
 
 def verify_cover(g: ConflictGraph, cover: BicliqueCover) -> bool:
@@ -204,7 +196,7 @@ def verify_cover(g: ConflictGraph, cover: BicliqueCover) -> bool:
     return covered == g.adj
 
 
-def heuristic_cover(family: IndexSetFamily, fixpoint: bool = False) -> BicliqueCover:
+def heuristic_cover(family: IndexSetFamily) -> BicliqueCover:
     """Separation along a maximum spanning tree, then greedy merging.
 
     Raises :class:`NoJunctionTreeError` when the family does not admit a
@@ -221,7 +213,7 @@ def heuristic_cover(family: IndexSetFamily, fixpoint: bool = False) -> BicliqueC
             "rewrite it with the transform module"
         ) from exc
     g = conflict_graph(family)
-    cover = merge_cover(bicliques, g, fixpoint=fixpoint)
+    cover = merge_cover(bicliques, g)
     if not verify_cover(g, cover):
         raise InvariantError("heuristic produced a non-covering result")
     if len(cover) > max(len(family) - 1, 0):

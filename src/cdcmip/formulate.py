@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cdc import IndexSetFamily, conflict_graph, ground_set
 from .cover import BicliqueCover, disjoint_level_cover, heuristic_cover, verify_cover
@@ -134,163 +135,117 @@ def family_digest(family: IndexSetFamily) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _new(builder: str, family: Optional[IndexSetFamily]) -> LinearFormulation:
-    meta = {"builder": builder}
-    if family is not None:
-        meta["family_digest"] = family_digest(family)
-    return LinearFormulation(metadata=meta)
+def _new(builder: str, family: IndexSetFamily) -> tuple[LinearFormulation, dict[int, str]]:
+    """A formulation with one ``lam_<v>`` per index of the family, recorded as primary."""
+    f = LinearFormulation(metadata={"builder": builder, "family_digest": family_digest(family)})
+    lam = _add_lambda_vars(f, ground_set(family))
+    f.metadata["lambda_vars"] = {str(v): name for v, name in lam.items()}
+    return f, lam
 
 
 def _add_lambda_vars(f: LinearFormulation, indices, prefix="lam") -> dict[int, str]:
-    names = {}
-    for v in sorted(indices):
-        names[v] = f.add_variable(f"{prefix}_{v}", CONTINUOUS, lower=Fraction(0))
-    return names
+    return {
+        v: f.add_variable(f"{prefix}_{v}", CONTINUOUS, lower=Fraction(0)) for v in sorted(indices)
+    }
+
+
+def _add_binaries(f: LinearFormulation, count: int) -> list[str]:
+    return [f.add_variable(f"z_{i + 1}", BINARY, Fraction(0), Fraction(1)) for i in range(count)]
+
+
+def _per_set_weights(f, family, lam, binaries: int):
+    """Weights ``gam_<set>_<v>``, then ``binaries`` binaries, then ``link_<v>`` rows.
+
+    Each link row equates ``lam_<v>`` with the sum of the weights on ``v``.
+    Returns the weights keyed by (set ordinal, index) and the binaries.
+    """
+    gam = {
+        (i, v): f.add_variable(f"gam_{i + 1}_{v}", CONTINUOUS, lower=Fraction(0))
+        for i, s in enumerate(family.sets)
+        for v in sorted(s)
+    }
+    z = _add_binaries(f, binaries)
+    for v, name in lam.items():
+        terms = [(name, 1)] + [(gam[(i, v)], -1) for i, s in enumerate(family.sets) if v in s]
+        f.add_constraint(f"link_{v}", terms, "=", 0)
+    return gam, z
 
 
 def build_naive(family: IndexSetFamily) -> LinearFormulation:
     """One binary per member set; each index is capped by the sets that hold it."""
-    f = _new("naive", family)
-    j = ground_set(family)
-    lam = _add_lambda_vars(f, j)
-    z = [f.add_variable(f"z_{i + 1}", BINARY, Fraction(0), Fraction(1)) for i in range(len(family))]
-    for v in sorted(j):
-        terms = [(lam[v], Fraction(1))]
-        terms += [(z[i], Fraction(-1)) for i, s in enumerate(family.sets) if v in s]
+    f, lam = _new("naive", family)
+    z = _add_binaries(f, len(family))
+    for v, name in lam.items():
+        terms = [(name, 1)] + [(z[i], -1) for i, s in enumerate(family.sets) if v in s]
         f.add_constraint(f"cap_{v}", terms, "<=", 0)
-    f.add_constraint("select", [(name, Fraction(1)) for name in z], "=", 1)
-    f.add_constraint("mass", [(lam[v], Fraction(1)) for v in sorted(j)], "=", 1)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in sorted(j)}
+    f.add_constraint("select", [(name, 1) for name in z], "=", 1)
+    f.add_constraint("mass", [(name, 1) for name in lam.values()], "=", 1)
     return f
 
 
 def build_jeroslow_lowe(family: IndexSetFamily) -> LinearFormulation:
     """One weight vector per member set, tied to a selection binary."""
-    f = _new("jeroslow_lowe", family)
-    j = ground_set(family)
-    lam = _add_lambda_vars(f, j)
-    gam = {
-        (i, v): f.add_variable(f"gam_{i + 1}_{v}", CONTINUOUS, lower=Fraction(0))
-        for i, s in enumerate(family.sets)
-        for v in sorted(s)
-    }
-    z = [f.add_variable(f"z_{i + 1}", BINARY, Fraction(0), Fraction(1)) for i in range(len(family))]
-    for v in sorted(j):
-        terms = [(lam[v], Fraction(1))]
-        terms += [
-            (gam[(i, v)], Fraction(-1)) for i, s in enumerate(family.sets) if v in s
-        ]
-        f.add_constraint(f"link_{v}", terms, "=", 0)
+    f, lam = _new("jeroslow_lowe", family)
+    gam, z = _per_set_weights(f, family, lam, len(family))
     for i, s in enumerate(family.sets):
-        terms = [(z[i], Fraction(1))]
-        terms += [(gam[(i, v)], Fraction(-1)) for v in sorted(s)]
+        terms = [(z[i], 1)] + [(gam[(i, v)], -1) for v in sorted(s)]
         f.add_constraint(f"weight_{i + 1}", terms, "=", 0)
-    f.add_constraint("select", [(name, Fraction(1)) for name in z], "=", 1)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in sorted(j)}
+    f.add_constraint("select", [(name, 1) for name in z], "=", 1)
     return f
 
 
-def _default_codes(d: int) -> list[tuple[int, ...]]:
-    r = (d - 1).bit_length()
-    return [tuple((i >> bit) & 1 for bit in range(r)) for i in range(d)]
-
-
-def gray_codes(d: int) -> list[tuple[int, ...]]:
-    """Reflected binary labels; consecutive member sets differ in one bit."""
-    r = (d - 1).bit_length()
-    return [tuple(((i ^ (i >> 1)) >> bit) & 1 for bit in range(r)) for i in range(d)]
-
-
-def build_log_embedding(
-    family: IndexSetFamily,
-    codes: Optional[Sequence[Sequence[int]]] = None,
-    gray: bool = False,
-) -> LinearFormulation:
+def build_log_embedding(family: IndexSetFamily) -> LinearFormulation:
     """Per-set weights whose code-weighted sum pins logarithmically many binaries.
 
-    Default labels are the plain binary encoding of each set's ordinal;
-    ``gray`` switches to reflected labels.  Any family of distinct 0/1
-    vectors of a common sufficient length works.
+    Member set ``i`` (from 0) is labelled by the binary encoding of ``i``;
+    ``metadata["codes"]`` lists the labels, lowest bit first.
     """
-    f = _new("log_embedding", family)
-    d = len(family)
-    if codes is None:
-        fixed = gray_codes(d) if gray else _default_codes(d)
-    else:
-        fixed = [tuple(c) for c in codes]
-        if len(fixed) != d:
-            raise InputError(f"need {d} codes, got {len(fixed)}")
-        if len(set(fixed)) != d:
-            raise InputError("codes must be distinct")
-        lengths = {len(c) for c in fixed}
-        if len(lengths) != 1:
-            raise InputError("codes must share a common length")
-        r = lengths.pop()
-        if r < (d - 1).bit_length():
-            raise InputError("code length is too short to distinguish the sets")
-        if any(bit not in (0, 1) for c in fixed for bit in c):
-            raise InputError("codes must be 0/1 vectors")
-    r = len(fixed[0]) if fixed else 0
-    j = ground_set(family)
-    lam = _add_lambda_vars(f, j)
-    gam = {
-        (i, v): f.add_variable(f"gam_{i + 1}_{v}", CONTINUOUS, lower=Fraction(0))
-        for i, s in enumerate(family.sets)
-        for v in sorted(s)
-    }
-    z = [f.add_variable(f"z_{bit + 1}", BINARY, Fraction(0), Fraction(1)) for bit in range(r)]
-    for v in sorted(j):
-        terms = [(lam[v], Fraction(1))]
-        terms += [
-            (gam[(i, v)], Fraction(-1)) for i, s in enumerate(family.sets) if v in s
-        ]
-        f.add_constraint(f"link_{v}", terms, "=", 0)
-    f.add_constraint(
-        "mass",
-        [(gam[(i, v)], Fraction(1)) for i, s in enumerate(family.sets) for v in sorted(s)],
-        "=",
-        1,
-    )
+    f, lam = _new("log_embedding", family)
+    r = (len(family) - 1).bit_length()
+    gam, z = _per_set_weights(f, family, lam, r)
+    f.add_constraint("mass", [(name, 1) for name in gam.values()], "=", 1)
     for bit in range(r):
-        terms = [
-            (gam[(i, v)], Fraction(fixed[i][bit]))
-            for i, s in enumerate(family.sets)
-            for v in sorted(s)
-            if fixed[i][bit]
-        ]
-        terms.append((z[bit], Fraction(-1)))
-        f.add_constraint(f"code_{bit + 1}", terms, "=", 0)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in sorted(j)}
-    f.metadata["codes"] = ["".join(map(str, c)) for c in fixed]
+        terms = [(name, 1) for (i, _), name in gam.items() if i >> bit & 1]
+        f.add_constraint(f"code_{bit + 1}", terms + [(z[bit], -1)], "=", 0)
+    f.metadata["codes"] = [
+        "".join(str(i >> bit & 1) for bit in range(r)) for i in range(len(family))
+    ]
     return f
 
 
-def _add_cover_rows(f, cover, var_of, z_names) -> None:
+def _cover_model(builder, family, cover, rewrite=None, prefix="lamp") -> LinearFormulation:
+    """The independent-branching model of a biclique cover: one binary per biclique.
+
+    Without ``rewrite`` the cover is of ``family``'s conflict graph and acts
+    on ``lam``.  With a :class:`TransformResult`, it is of the rewritten
+    family's and acts on copy variables ``<prefix>_<u>``, which ``fiber_<v>``
+    rows sum back onto each ``lam_<v>``.  Each biclique's side A has its mass
+    forbidden when its binary is 0, side B when it is 1.
+    """
+    f, lam = _new(builder, family)
+    var_of = lam
+    if rewrite is not None:
+        var_of = _add_lambda_vars(f, ground_set(rewrite.family_prime), prefix)
+        fibers = rewrite.mapping.fibers()
+        for v, name in lam.items():
+            terms = [(name, 1)] + [(var_of[u], -1) for u in fibers.get(v, [])]
+            f.add_constraint(f"fiber_{v}", terms, "=", 0)
+    z = _add_binaries(f, len(cover))
+    f.add_constraint("mass", [(name, 1) for name in var_of.values()], "=", 1)
     for idx, bc in enumerate(cover):
-        terms = [(var_of[v], Fraction(1)) for v in sorted(bc.side_a)]
-        terms.append((z_names[idx], Fraction(-1)))
-        f.add_constraint(f"a_{idx + 1}", terms, "<=", 0)
-        terms = [(var_of[v], Fraction(1)) for v in sorted(bc.side_b)]
-        terms.append((z_names[idx], Fraction(1)))
-        f.add_constraint(f"b_{idx + 1}", terms, "<=", 1)
+        terms = [(var_of[v], 1) for v in sorted(bc.side_a)]
+        f.add_constraint(f"a_{idx + 1}", terms + [(z[idx], -1)], "<=", 0)
+        terms = [(var_of[v], 1) for v in sorted(bc.side_b)]
+        f.add_constraint(f"b_{idx + 1}", terms + [(z[idx], 1)], "<=", 1)
+    f.metadata["cover_size"] = len(cover)
+    return f
 
 
 def build_ib_from_cover(family: IndexSetFamily, cover: BicliqueCover) -> LinearFormulation:
     """One binary per cover biclique: each side's mass is forbidden on one branch."""
     if not verify_cover(conflict_graph(family), cover):
         raise InputError("cover does not verify against the family's conflict graph")
-    f = _new("ib_cover", family)
-    j = ground_set(family)
-    lam = _add_lambda_vars(f, j)
-    z = [
-        f.add_variable(f"z_{idx + 1}", BINARY, Fraction(0), Fraction(1))
-        for idx in range(len(cover))
-    ]
-    f.add_constraint("mass", [(lam[v], Fraction(1)) for v in sorted(j)], "=", 1)
-    _add_cover_rows(f, cover, lam, z)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in sorted(j)}
-    f.metadata["cover_size"] = len(cover)
-    return f
+    return _cover_model("ib_cover", family, cover)
 
 
 def build_sosk(n: int, k: int) -> LinearFormulation:
@@ -306,30 +261,15 @@ def build_sosk_kis(n: int, k: int) -> LinearFormulation:
     """Windowed constraint with one binary per window position."""
     if not 1 <= k <= n:
         raise InputError("need n >= k >= 1")
-    f = _new("sosk_kis", None)
-    family = sosk_family(n, k)
-    f.metadata["family_digest"] = family_digest(family)
-    lam = _add_lambda_vars(f, range(1, n + 1))
+    f, lam = _new("sosk_kis", sosk_family(n, k))
     nwin = n - k + 1
-    z = [f.add_variable(f"z_{i + 1}", BINARY, Fraction(0), Fraction(1)) for i in range(nwin)]
+    z = _add_binaries(f, nwin)
     for j in range(1, n + 1):
-        lo = max(j - k + 1, 1)
-        hi = min(j, nwin)
-        terms = [(lam[j], Fraction(1))]
-        terms += [(z[i - 1], Fraction(-1)) for i in range(lo, hi + 1)]
-        f.add_constraint(f"win_{j}", terms, "<=", 0)
-    f.add_constraint("mass", [(lam[j], Fraction(1)) for j in range(1, n + 1)], "=", 1)
-    f.add_constraint("select", [(name, Fraction(1)) for name in z], "=", 1)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in range(1, n + 1)}
+        windows = range(max(j - k + 1, 1), min(j, nwin) + 1)
+        f.add_constraint(f"win_{j}", [(lam[j], 1)] + [(z[i - 1], -1) for i in windows], "<=", 0)
+    f.add_constraint("mass", [(name, 1) for name in lam.values()], "=", 1)
+    f.add_constraint("select", [(name, 1) for name in z], "=", 1)
     return f
-
-
-def _add_fiber_rows(f, family, mapping, lam, copy_names) -> None:
-    fibers = mapping.fibers()
-    for v in sorted(ground_set(family)):
-        terms = [(lam[v], Fraction(1))]
-        terms += [(copy_names[u], Fraction(-1)) for u in fibers.get(v, [])]
-        f.add_constraint(f"fiber_{v}", terms, "=", 0)
 
 
 def build_extended_jtree(family: IndexSetFamily) -> LinearFormulation:
@@ -338,22 +278,8 @@ def build_extended_jtree(family: IndexSetFamily) -> LinearFormulation:
     Auxiliary continuous cost equals the copy count beyond tree overlap.
     """
     res = build_equivalent_family(family, disjoint=False)
-    cover = heuristic_cover(res.family_prime)
-    f = _new("extended_jtree", family)
-    j = ground_set(family)
-    j2 = ground_set(res.family_prime)
-    lam = _add_lambda_vars(f, j)
-    lamp = _add_lambda_vars(f, j2, prefix="lamp")
-    z = [
-        f.add_variable(f"z_{idx + 1}", BINARY, Fraction(0), Fraction(1))
-        for idx in range(len(cover))
-    ]
-    _add_fiber_rows(f, family, res.mapping, lam, lamp)
-    f.add_constraint("mass", [(lamp[u], Fraction(1)) for u in sorted(j2)], "=", 1)
-    _add_cover_rows(f, cover, lamp, z)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in sorted(j)}
+    f = _cover_model("extended_jtree", family, heuristic_cover(res.family_prime), res, "lamp")
     f.metadata["aux_continuous"] = res.extra_continuous
-    f.metadata["cover_size"] = len(cover)
     return f
 
 
@@ -363,59 +289,35 @@ def build_extended_disjoint(family: IndexSetFamily) -> LinearFormulation:
     cover = disjoint_level_cover(res.family_prime, res.tree)
     if not verify_cover(conflict_graph(res.family_prime), cover):
         raise InvariantError("level-merged cover failed verification")
-    d = len(family)
-    if len(cover) != (d - 1).bit_length():
+    if len(cover) != (len(family) - 1).bit_length():
         raise InvariantError("level-merged cover missed the logarithmic count")
-    f = _new("extended_disjoint", family)
-    j = ground_set(family)
-    j2 = ground_set(res.family_prime)
-    lam = _add_lambda_vars(f, j)
-    lampp = _add_lambda_vars(f, j2, prefix="lampp")
-    z = [
-        f.add_variable(f"z_{idx + 1}", BINARY, Fraction(0), Fraction(1))
-        for idx in range(len(cover))
-    ]
-    _add_fiber_rows(f, family, res.mapping, lam, lampp)
-    f.add_constraint("mass", [(lampp[u], Fraction(1)) for u in sorted(j2)], "=", 1)
-    _add_cover_rows(f, cover, lampp, z)
-    f.metadata["lambda_vars"] = {str(v): lam[v] for v in sorted(j)}
-    f.metadata["aux_continuous"] = len(j2)
-    f.metadata["cover_size"] = len(cover)
+    f = _cover_model("extended_disjoint", family, cover, res, "lampp")
+    f.metadata["aux_continuous"] = len(ground_set(res.family_prime))
     return f
 
 
-def build_piecewise_linear(breakpoints) -> LinearFormulation:
-    """Graph of a piecewise-linear function over its breakpoint list.
+def build_pwl(breakpoints) -> LinearFormulation:
+    """Formulation of a univariate piecewise-linear function given its breakpoints.
 
-    Two consecutive breakpoints may carry mass at a time, so the windowed
-    cover with k = 2 supplies the binaries on top of the usual convex
-    combination rows.
+    Accepts (x, y) pairs with exact coordinates (int, Fraction, or string);
+    x values must be strictly increasing.  The graph of the function is the
+    set of convex combinations of at most two consecutive breakpoints, so
+    the windowed cover with k = 2 supplies the binaries on top of the usual
+    convex combination rows.
     """
     pts = [(exact_coordinate(x), exact_coordinate(y)) for x, y in breakpoints]
     if len(pts) < 2:
         raise InputError("need at least two breakpoints")
-    xs = [x for x, _ in pts]
-    if any(a >= b for a, b in zip(xs, xs[1:])):
+    if any(a >= b for (a, _), (b, _) in zip(pts, pts[1:])):
         raise InputError("breakpoint x values must be strictly increasing")
     n = len(pts)
-    cover = sosk_cover(n, 2) if n > 2 else BicliqueCover()
-    f = build_ib_from_cover(sosk_family(n, 2), cover)
+    f = build_ib_from_cover(sosk_family(n, 2), sosk_cover(n, 2) if n > 2 else BicliqueCover())
     f.metadata["builder"] = "piecewise_linear"
     lam = f.lambda_names()
-    x = f.add_variable("x", CONTINUOUS)
-    y = f.add_variable("y", CONTINUOUS)
-    f.add_constraint(
-        "def_x",
-        [(x, Fraction(1))] + [(lam[v], -pts[v - 1][0]) for v in range(1, n + 1)],
-        "=",
-        0,
-    )
-    f.add_constraint(
-        "def_y",
-        [(y, Fraction(1))] + [(lam[v], -pts[v - 1][1]) for v in range(1, n + 1)],
-        "=",
-        0,
-    )
+    for axis, name in enumerate("xy"):
+        f.add_variable(name, CONTINUOUS)
+        terms = [(name, 1)] + [(lam[v], -pts[v - 1][axis]) for v in range(1, n + 1)]
+        f.add_constraint(f"def_{name}", terms, "=", 0)
     return f
 
 
@@ -451,19 +353,13 @@ def _decimal_or_none(x: Fraction) -> Optional[str]:
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
-
-
 def _render_row(terms, rhs) -> tuple[list[tuple[str, str]], str]:
     values = [coef for _, coef in terms] + [rhs]
     if all(_decimal_or_none(v) is not None for v in values):
         return [(var, _decimal_or_none(coef)) for var, coef in terms], _decimal_or_none(rhs)
     scale = 1
     for v in values:
-        scale = _lcm(scale, v.denominator)
+        scale = math.lcm(scale, v.denominator)
     return (
         [(var, str(coef.numerator * scale // coef.denominator)) for var, coef in terms],
         str(rhs.numerator * scale // rhs.denominator),

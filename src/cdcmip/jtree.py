@@ -163,11 +163,6 @@ class CandidateTree:
             (i, j): family.sets[i] & family.sets[j] for i, j in normalized
         }
 
-    def mid(self, i: int, j: int) -> frozenset[int]:
-        if i > j:
-            i, j = j, i
-        return self.mids[(i, j)]
-
     @property
     def weight(self) -> int:
         return sum(len(m) for m in self.mids.values())

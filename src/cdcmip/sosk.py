@@ -164,19 +164,6 @@ def compare_bounds(n: int, k: int) -> BoundComparison:
     return BoundComparison(ours, hv, n)
 
 
-def build_pwl(breakpoints):
-    """Formulation of a univariate piecewise-linear function given its breakpoints.
-
-    Accepts (x, y) pairs with exact coordinates (int, Fraction, or string);
-    x values must be strictly increasing.  The graph of the function is the
-    set of convex combinations of at most two consecutive breakpoints, so
-    the windowed cover with k = 2 supplies the binary constraints.
-    """
-    from .formulate import build_piecewise_linear  # deferred to avoid a cycle
-
-    return build_piecewise_linear(breakpoints)
-
-
 def exact_coordinate(value) -> Fraction:
     """Parse an exact rational from int, Fraction, or a decimal/fraction string."""
     if isinstance(value, bool):

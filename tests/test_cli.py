@@ -65,6 +65,43 @@ def test_analyze_pretty(tmp_path, capsys):
     assert code == 0 and "mst_weight" in out and "{" not in out
 
 
+def test_analyze_builds_one_spanning_tree(tmp_path, capsys, monkeypatch):
+    import cdcmip.cli as cli
+    import cdcmip.jtree as jtree
+
+    calls = []
+    real = jtree.maximum_spanning_tree_of
+
+    def counted(family):
+        calls.append(family)
+        return real(family)
+
+    # Both bindings: jtree's own helpers (admits_junction_tree) call it there.
+    for module in (cli, jtree):
+        monkeypatch.setattr(module, "maximum_spanning_tree_of", counted)
+    for text, admits in ((SOS2_5, True), (TRIANGLE, False)):
+        calls.clear()
+        code, out, _ = run(capsys, "analyze", family_file(tmp_path, text))
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["admits_junction_tree"] is admits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "FAMILY", "--out", "MISSING"],
+        ["sosk", "--n", "5", "--k", "2", "--out", "MISSING"],
+        ["sosk", "--n", "5", "--k", "2", "--cover-out", "MISSING"],
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    family = family_file(tmp_path, SOS2_5)
+    argv = [{"FAMILY": family, "MISSING": missing}.get(a, a) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and err.startswith(f"error: cannot write {missing}")
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", family_file(tmp_path, '{"sets": []}'))
     assert code == 2 and "error" in err
@@ -164,6 +201,25 @@ def test_verify_random(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["agreements"] == 15
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--max-ground", "3"], 0),
+        (["--max-ground", "4"], 0),
+        (["--max-ground", "1"], 2),
+        (["--max-sets", "0"], 2),
+        (["--random", "-2"], 2),
+    ],
+)
+def test_verify_random_caps(capsys, flags, code):
+    got, out, err = run(capsys, "verify", "--random", "30", "--seed", "1", *flags)
+    assert got == code
+    if code == 0:
+        assert json.loads(out) == {"agreements": 30, "random_families": 30}
+    else:
+        assert err.startswith("error: --random needs")
 
 
 def test_transform_subcommand(tmp_path, capsys):

@@ -10,13 +10,13 @@ from cdcmip import (
     build_jeroslow_lowe,
     build_log_embedding,
     build_naive,
+    build_pwl,
     build_sosk,
     build_sosk_kis,
     heuristic_cover,
     write_lp,
 )
 from cdcmip.cover import Biclique
-from cdcmip.formulate import build_piecewise_linear, gray_codes
 from helpers import parse_lp, rows_match_up_to_scaling
 
 SOS2_3 = [[1, 2], [2, 3]]
@@ -56,12 +56,7 @@ def test_build_log_embedding(triangle):
     assert len(build_log_embedding(four).binary_names()) == 2
     assert len(build_log_embedding(IndexSetFamily([[1, 2]])).binary_names()) == 0
     assert len(build_log_embedding(triangle).binary_names()) == 2
-    with pytest.raises(InputError):
-        build_log_embedding(triangle, codes=[(0, 0), (0, 0), (1, 0)])
-    with pytest.raises(InputError):
-        build_log_embedding(triangle, codes=[(0,), (1,)])
-    custom = build_log_embedding(triangle, codes=gray_codes(3))
-    assert custom.metadata["codes"] == ["00", "10", "11"]  # bits stored low-to-high
+    assert build_log_embedding(triangle).metadata["codes"] == ["00", "10", "01"]  # low bit first
 
 
 def test_build_ib_from_cover_rows(sos2_5):
@@ -207,7 +202,7 @@ def test_write_lp_roundtrip(sos2_5, build):
 
 
 def test_write_lp_scales_non_terminating_rows():
-    f = build_piecewise_linear([(0, 0), ("1/3", 1), (1, "2/3")])
+    f = build_pwl([(0, 0), ("1/3", 1), (1, "2/3")])
     text = write_lp(f)
     rows, _, _ = parse_lp(text)
     assert rows_match_up_to_scaling(rows, f)
@@ -216,7 +211,7 @@ def test_write_lp_scales_non_terminating_rows():
 
 
 def test_write_lp_decimal_fractions():
-    f = build_piecewise_linear([(0, 0), ("1/2", "3/4"), (1, 1)])
+    f = build_pwl([(0, 0), ("1/2", "3/4"), (1, 1)])
     text = write_lp(f)
     assert "0.5" in text and "0.75" in text
     rows, _, _ = parse_lp(text)
