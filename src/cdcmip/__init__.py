@@ -47,9 +47,9 @@ from .jtree import (
     CandidateTree,
     IntersectionGraph,
     admits_junction_tree,
+    failing_index,
     intersection_graph,
     is_junction_tree,
-    maximum_spanning_tree,
     maximum_spanning_tree_of,
 )
 from .oracle import (

@@ -27,9 +27,13 @@ class IndexSetFamily:
     iterates the members deterministically.  Exact duplicates are rejected;
     a member contained in another only triggers a warning because the MIP
     builders stay correct on redundant families.
+
+    ``holders`` is the family's one inverted index: each index maps to the
+    ordinals of the member sets that hold it, in ordinal order.  It is built
+    with the family and must not be modified.
     """
 
-    __slots__ = ("sets",)
+    __slots__ = ("sets", "holders")
 
     def __init__(self, sets: Iterable[Iterable[int]]):
         members = []
@@ -46,7 +50,12 @@ class IndexSetFamily:
         if len(set(members)) != len(members):
             raise InputError("duplicate member sets are not allowed")
         self.sets: tuple[frozenset[int], ...] = tuple(members)
-        if _has_containment(self.sets):
+        holders: dict[int, list[int]] = {}
+        for i, s in enumerate(members):
+            for v in s:
+                holders.setdefault(v, []).append(i)
+        self.holders = holders
+        if _has_containment(self):
             warnings.warn(
                 "family is redundant: one member set contains another",
                 RedundantFamilyWarning,
@@ -147,34 +156,27 @@ class ConflictGraph:
 
 def ground_set(family: IndexSetFamily) -> frozenset[int]:
     """Union of all member sets."""
-    out: frozenset[int] = frozenset()
-    for s in family.sets:
-        out |= s
-    return out
+    return frozenset(family.holders)
 
 
-def _has_containment(sets: tuple[frozenset[int], ...]) -> bool:
-    """True iff one of the distinct sets lies inside another.
+def _has_containment(family: IndexSetFamily) -> bool:
+    """True iff one of the distinct member sets lies inside another.
 
     A set can only lie inside the sets that hold its rarest element, so it
-    is tested against those alone, through an index from each element to
-    its holders.
+    is tested against those alone, found through the family's holders.
     """
-    holders: dict[int, list[frozenset[int]]] = {}
-    for s in sets:
-        for v in s:
-            holders.setdefault(v, []).append(s)
+    sets, holders = family.sets, family.holders
     count = {v: len(h) for v, h in holders.items()}
     for s in sets:
         for t in holders[min(s, key=count.__getitem__)]:
-            if s < t:
+            if s < sets[t]:
                 return True
     return False
 
 
 def is_irredundant(family: IndexSetFamily) -> bool:
     """True iff no member set is contained in a distinct member set."""
-    return not _has_containment(family.sets)
+    return not _has_containment(family)
 
 
 def is_feasible_set(family: IndexSetFamily, subset: Iterable[int]) -> bool:

@@ -46,7 +46,12 @@ from .formulate import (
     write_lp,
 )
 from .geom import PlanarPartition, dual_graph, partition_to_cdc, savings_report
-from .jtree import admits_junction_tree, is_junction_tree, maximum_spanning_tree_of
+from .jtree import (
+    admits_junction_tree,
+    failing_index,
+    is_junction_tree,
+    maximum_spanning_tree_of,
+)
 from .oracle import (
     brute_admits_junction_tree,
     is_ideal,
@@ -111,6 +116,9 @@ def cmd_analyze(args) -> int:
         "mst_weight": tree.weight,
         "conflict_edges": conflict_graph(family).edge_count,
     }
+    if not report["admits_junction_tree"]:
+        # The smallest index whose holders the tree cannot keep connected.
+        report["failing_index"] = failing_index(family, tree)
     if args.pretty:
         width = max(len(k) for k in report)
         lines = [f"{k.ljust(width)}  {report[k]}" for k in sorted(report)]

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 from .cdc import ConflictGraph, IndexSetFamily, conflict_graph, ground_set
 from .errors import InputError, InvariantError, NoJunctionTreeError
-from .jtree import CandidateTree, _cut_recursion, _index_union, maximum_spanning_tree_of
+from .jtree import CandidateTree, _cut_recursion, maximum_spanning_tree_of
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,15 @@ def is_biclique(g: ConflictGraph, side_a: Iterable[int], side_b: Iterable[int]) 
         return False
     if not (a <= g.vertices and b <= g.vertices):
         return False
+    if len(a) > len(b):
+        a, b = b, a  # the test is symmetric; AND over the smaller side
     mb = g.mask(b)
-    adj = g.adj
-    return all(adj[u] & mb == mb for u in a)
+    return reduce(and_, map(g.adj.__getitem__, a)) & mb == mb
+
+
+def _index_union(family: IndexSetFamily, vertices: Iterable[int]) -> frozenset[int]:
+    """Every index held by one of the given member sets."""
+    return frozenset().union(*map(family.sets.__getitem__, vertices))
 
 
 def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
@@ -113,16 +121,11 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     if tree.size != len(family):
         raise InputError("tree does not span the family's member sets")
 
-    # Top-down pass from an explicit stack (a star tree is as deep as it has
-    # leaves), left subtree before right, so the first offending cut raises.
+    # Top down in preorder, left side before right, so the first offending
+    # cut raises.
+    splits = _cut_recursion(tree)
     own: list[Biclique | None] = []
-    children: list[list[int]] = []
-    pending = [(_cut_recursion(tree), -1)]
-    while pending:
-        node, parent = pending.pop()
-        if node is None:
-            continue
-        cut, left, right, left_sub, right_sub = node
+    for cut, left, right, _, _ in splits:
         mid = tree.mids[cut]
         side_a = _index_union(family, left) - mid
         side_b = _index_union(family, right) - mid
@@ -131,25 +134,20 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
             raise NoJunctionTreeError(
                 f"tree edge {cut} has index {min(shared)} on both sides but not in its middle set"
             )
-        key = len(own)
         own.append(Biclique(side_a, side_b) if side_a and side_b else None)
-        children.append([])
-        if parent >= 0:
-            children[parent].append(key)
-        pending.append((right_sub, key))
-        pending.append((left_sub, key))
-    # Bottom-up: a node's own biclique, then the head of each side's list,
-    # then the rest of each side's list.
-    out: list[list[Biclique]] = [[] for _ in own]
-    for key in reversed(range(len(own))):
-        subs = [out[c] for c in children[key]]
+    # Bottom up (a split's sides come after it): a split's own biclique,
+    # then the head of each side's list, then the rest of each side's list.
+    out: list[list[Biclique]] = [[] for _ in splits]
+    for key in reversed(range(len(splits))):
+        subs = [out[c] for c in splits[key][3:] if c is not None]
         merged = [own[key]] if own[key] is not None else []
         merged += [sub[0] for sub in subs if sub]
         for sub in subs:
             merged += sub[1:]
         out[key] = merged
-        for c in children[key]:
-            out[c] = []
+        for c in splits[key][3:]:
+            if c is not None:
+                out[c] = []
     return out[0] if out else []
 
 
@@ -157,23 +155,48 @@ def merge_cover(bicliques: Sequence[Biclique], g: ConflictGraph) -> BicliqueCove
     """Greedy single pass merging each biclique into the first compatible one.
 
     Both orientations of a union are tried before giving up and appending.
+
+    Each biclique (A, B) is held as the masks of its sides plus N(A), the
+    AND of the neighbour masks over A.  A union (A | A', B | B') is a
+    biclique iff N(A) & N(A') covers B | B'; since no vertex is its own
+    neighbour, that also makes the sides disjoint.  The test splits into
+    B' within N(A), B within N(A'), and each part being a biclique itself,
+    which is checked once per biclique.  A biclique with a side outside the
+    graph, or that is no biclique of ``g``, is kept but never merges.  Sides
+    are built as sets only when a merge succeeds.
     """
     merged: list[Biclique] = []
+    masks: list[tuple[int, int, int] | None] = []  # (m(A), m(B), N(A)) of a mergeable one
+    adj, vertices = g.adj, g.vertices
     for cand in bicliques:
-        placed = False
-        for idx, acc in enumerate(merged):
-            for a, b in (
-                (acc.side_a | cand.side_a, acc.side_b | cand.side_b),
-                (acc.side_a | cand.side_b, acc.side_b | cand.side_a),
-            ):
-                if is_biclique(g, a, b):
-                    merged[idx] = Biclique(a, b)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
+        a2, b2 = cand.side_a, cand.side_b
+        mergeable = a2 <= vertices and b2 <= vertices
+        if mergeable:
+            ma2, mb2 = g.mask(a2), g.mask(b2)
+            na2 = reduce(and_, map(adj.__getitem__, a2))
+            mergeable = na2 & mb2 == mb2
+        if not mergeable:
             merged.append(cand)
+            masks.append(None)
+            continue
+        nb2 = reduce(and_, map(adj.__getitem__, b2))
+        for idx, acc in enumerate(masks):
+            if acc is None:
+                continue
+            ma, mb, na = acc
+            if na & mb2 == mb2 and na2 & mb == mb:
+                old = merged[idx]
+                merged[idx] = Biclique(old.side_a | a2, old.side_b | b2)
+                masks[idx] = (ma | ma2, mb | mb2, na & na2)
+                break
+            if na & ma2 == ma2 and nb2 & mb == mb:
+                old = merged[idx]
+                merged[idx] = Biclique(old.side_a | b2, old.side_b | a2)
+                masks[idx] = (ma | mb2, mb | ma2, na & nb2)
+                break
+        else:
+            merged.append(cand)
+            masks.append((ma2, mb2, na2))
     return BicliqueCover(merged)
 
 
@@ -230,19 +253,16 @@ def disjoint_level_cover(family: IndexSetFamily, tree: CandidateTree) -> Bicliqu
     """
     if sum(len(s) for s in family.sets) != len(ground_set(family)):
         raise InputError("level merging needs pairwise disjoint member sets")
-    levels = []
-    level = [_cut_recursion(tree)]
-    while level:
-        side_a: set[int] = set()
-        side_b: set[int] = set()
-        deeper = []
-        for node in level:
-            if node is not None:
-                _, left, right, left_sub, right_sub = node
-                side_a |= _index_union(family, left)
-                side_b |= _index_union(family, right)
-                deeper += [left_sub, right_sub]
-        if side_a and side_b:
-            levels.append(Biclique(frozenset(side_a), frozenset(side_b)))
-        level = deeper
-    return BicliqueCover(levels)
+    splits = _cut_recursion(tree)
+    depth = [0] * len(splits)
+    level_sides: list[tuple[set[int], set[int]]] = []
+    for key, (_, left, right, left_sub, right_sub) in enumerate(splits):
+        for sub in (left_sub, right_sub):
+            if sub is not None:
+                depth[sub] = depth[key] + 1
+        if depth[key] == len(level_sides):
+            level_sides.append((set(), set()))
+        side_a, side_b = level_sides[depth[key]]
+        side_a |= _index_union(family, left)
+        side_b |= _index_union(family, right)
+    return BicliqueCover(Biclique(frozenset(a), frozenset(b)) for a, b in level_sides)

@@ -65,6 +65,8 @@ class LinearFormulation:
 
     def __post_init__(self):
         self._names = {v.name for v in self.variables}
+        if len(self._names) != len(self.variables):
+            raise InputError("variable names are not unique")
 
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
@@ -94,11 +96,6 @@ class LinearFormulation:
             if var not in self._names:
                 raise InputError(f"constraint {name!r} references unknown variable {var!r}")
         self.constraints.append(Constraint(name, fixed, sense, Fraction(rhs)))
-
-    def validate(self) -> None:
-        names = self.variable_names()
-        if len(set(names)) != len(names):
-            raise InputError("variable names are not unique")
 
     def to_json(self) -> str:
         def frac(x):
@@ -166,7 +163,7 @@ def _per_set_weights(f, family, lam, binaries: int):
     }
     z = _add_binaries(f, binaries)
     for v, name in lam.items():
-        terms = [(name, 1)] + [(gam[(i, v)], -1) for i, s in enumerate(family.sets) if v in s]
+        terms = [(name, 1)] + [(gam[(i, v)], -1) for i in family.holders[v]]
         f.add_constraint(f"link_{v}", terms, "=", 0)
     return gam, z
 
@@ -176,7 +173,7 @@ def build_naive(family: IndexSetFamily) -> LinearFormulation:
     f, lam = _new("naive", family)
     z = _add_binaries(f, len(family))
     for v, name in lam.items():
-        terms = [(name, 1)] + [(z[i], -1) for i, s in enumerate(family.sets) if v in s]
+        terms = [(name, 1)] + [(z[i], -1) for i in family.holders[v]]
         f.add_constraint(f"cap_{v}", terms, "<=", 0)
     f.add_constraint("select", [(name, 1) for name in z], "=", 1)
     f.add_constraint("mass", [(name, 1) for name in lam.values()], "=", 1)
@@ -372,7 +369,6 @@ def write_lp(f: LinearFormulation) -> str:
     Rows keep declaration order; a row with any non-terminating coefficient
     is scaled by the common denominator so the file stays exact.
     """
-    f.validate()
     renamed = {}
     used = set()
     for v in f.variables:

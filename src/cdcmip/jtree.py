@@ -2,22 +2,28 @@
 
 Member sets become vertices of a complete weighted graph whose edge weights
 are the pairwise intersection sizes.  A spanning tree of that graph is a
-junction tree exactly when, for every tree edge, the two sides of the cut
-only share indices that the edge's own intersection already contains.  The
+junction tree exactly when every index keeps the sets that hold it
+connected in the tree, which happens exactly when the tree's weight equals
+the sum over indices v of (c_v - 1), c_v the number of sets holding v.  The
 family admits a junction tree if and only if one (equivalently every)
-maximum spanning tree passes that test, so admission is a single greedy
-tree construction plus one sweep of cut checks.
+maximum spanning tree passes that test.  Both steps read the family's
+inverted index: the tree weighs only pairs that share an index, and the
+test is one sum, so admission costs the family's overlaps, not d^2 pairs.
 
 The tree machinery the other modules share lives here too: one union-find,
-one rooted walk and one balanced-cut recursion.
+one rooted walk and one balanced-cut recursion.  The complete graph itself,
+``intersection_graph``, serves the exhaustive oracle.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations, repeat
+from typing import Iterable, Iterator, Optional
 
 from .cdc import IndexSetFamily
 from .errors import InputError
@@ -61,8 +67,8 @@ def _spanning_forest(size: int, edges: Iterable[tuple[int, int]]) -> list[tuple[
             rj = root[rj]
         if ri != rj:
             root[ri] = rj
-            # A new tuple: keeping the caller's (such as the keys of an
-            # intersection graph about to be freed) pins its memory.
+            # A new tuple: keeping the caller's (such as the keys of a
+            # pair-weight table about to be freed) pins its memory.
             kept.append((i, j))
             if len(kept) == size - 1:
                 break
@@ -91,51 +97,104 @@ def _rooted_walk(edges: Iterable[tuple[int, int]], root: int) -> list[tuple[int,
     return pairs
 
 
-def _index_union(family: IndexSetFamily, vertices: Iterable[int]) -> frozenset[int]:
-    """Every index held by one of the given member sets."""
-    return frozenset().union(*(family.sets[v] for v in vertices))
+def _cut_recursion(tree: CandidateTree) -> list[tuple]:
+    """Balanced-cut recursion over the tree, as a list of splits in preorder.
 
+    Each split is ``(cut, left, right, left_sub, right_sub)``: the edge whose
+    removal splits the current part most evenly (ties by ordinal pair), the
+    vertices on the side of its smaller and of its larger endpoint, and the
+    positions in the list of the two sides' own splits, ``None`` for a
+    single vertex.  A split's left side comes before its right side.
 
-def _cut_recursion(tree: CandidateTree):
-    """Balanced-cut recursion over the tree, as nested tuples.
-
-    Each node is ``(cut, left, right, left_sub, right_sub)``: the edge whose
-    removal splits the current subtree most evenly (ties by ordinal pair),
-    the vertex sets on the side of its smaller and larger endpoint, and the
-    nodes of the two sides; ``None`` stands for a single vertex.  Subtrees
-    are split from an explicit stack, since a star is as deep as it has
-    leaves, and the tuples are then assembled from the deepest up.
+    The tree is rooted once at vertex 0 and laid out in depth-first
+    preorder, so each part is a run of that order in which the subtree of
+    any vertex is one slice.  The most even cut of a part is incident to its
+    centroid (every edge further out leaves a strictly smaller side), which
+    a walk from the part's top into heavy children finds; each vertex keeps
+    its children in a heap keyed by (-subtree size, vertex), and cutting a
+    subtree off only updates the sizes on the path from the cut to the top.
+    Both run along the path from the centroid up to the top, through the
+    part above the centroid; that part is one of the sides the chosen cut
+    beat, so the path is no longer than the cut's smaller side.  A vertex
+    is on the smaller side at most log2(d) times, so the recursion makes
+    O(d log d) heap operations in all, plus slicing.  A part is never
+    walked whole: on a star, each of the d - 1 splits is a heap lookup and
+    two slices.
     """
-    splits = {}  # subtree number -> (cut, left, right, left number, right number)
-    pending = [(0, list(range(tree.size)), list(tree.edges))]
-    count = 1
-    while pending:
-        key, vertices, edges = pending.pop()
-        if len(vertices) <= 1:
+    d = tree.size
+    adj: list[list[int]] = [[] for _ in range(d)]
+    for i, j in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = [-1] * d
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    pos = [0] * d
+    for k, v in enumerate(order):
+        pos[v] = k
+    size = [1] * d  # of each vertex's subtree within its current part
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    span = size[:]  # v's subtree is order[pos[v]:pos[v] + span[v]], minus parts cut off
+    kids: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for v in order[1:]:
+        kids[parent[v]].append((-size[v], v))
+    for heap in kids:
+        heapify(heap)
+    detached = [False] * d  # the edge to the parent is cut
+
+    def heaviest(v: int) -> int:
+        """v's child of largest subtree in v's part (smallest first), or -1."""
+        heap = kids[v]
+        while heap:
+            neg, w = heap[0]
+            if not detached[w] and -neg == size[w]:
+                return w
+            heappop(heap)  # stale: cut off, or its size has changed since
+        return -1
+
+    nodes: list[list] = []
+    parts = [(0, order, -1, 0)]  # (top, vertices in preorder, owner split, slot)
+    while parts:
+        top, run, owner, slot = parts.pop()
+        n = len(run)
+        if n <= 1:
             continue
-        walk = _rooted_walk(edges, vertices[0])
-        size = dict.fromkeys(vertices, 1)
-        for parent, child in reversed(walk):
-            size[parent] += size[child]
-        _, cut, child = min(
-            (abs(len(vertices) - 2 * size[c]), (min(p, c), max(p, c)), c) for p, c in walk
-        )
-        below = {child}
-        for parent, c in walk:
-            if parent in below:
-                below.add(c)
-        above = set(vertices) - below
-        left, right = (below, above) if child == cut[0] else (above, below)
-        rest = [e for e in edges if e != cut]
-        splits[key] = (cut, left, right, count, count + 1)
-        pending.append((count + 1, sorted(right), [e for e in rest if e[0] in right]))
-        pending.append((count, sorted(left), [e for e in rest if e[0] in left]))
-        count += 2
-    nodes = {}
-    for key in sorted(splits, reverse=True):  # a subtree's number exceeds its parent's
-        cut, left, right, lkey, rkey = splits.pop(key)
-        nodes[key] = (cut, left, right, nodes.pop(lkey, None), nodes.pop(rkey, None))
-    return nodes.get(0)
+        c = top
+        w = heaviest(c)
+        while w >= 0 and 2 * size[w] > n:
+            c, w = w, heaviest(w)
+        # Edges at c rank by imbalance, then by their other endpoint.
+        x, p = w, c
+        if c != top and (w < 0 or (2 * size[c] - n, parent[c]) < (n - 2 * size[w], w)):
+            x, p = c, parent[c]
+        detached[x] = True
+        lo = bisect_left(run, pos[x], key=pos.__getitem__)
+        hi = bisect_left(run, pos[x] + span[x], lo, key=pos.__getitem__)
+        below, above = run[lo:hi], run[:lo] + run[hi:]
+        a = p
+        while True:
+            size[a] -= hi - lo
+            if a == top:
+                break
+            heappush(kids[parent[a]], (-size[a], a))
+            a = parent[a]
+        key = len(nodes)
+        if owner >= 0:
+            nodes[owner][slot] = key
+        lower, upper = (x, below), (top, above)  # (top, vertices) of the two new parts
+        left, right = (lower, upper) if x < p else (upper, lower)
+        nodes.append([(min(x, p), max(x, p)), left[1], right[1], None, None])
+        parts.append((*right, key, 4))  # slots 3 and 4 take the sides' own splits
+        parts.append((*left, key, 3))  # the left side is popped first
+    return [tuple(node) for node in nodes]
 
 
 class CandidateTree:
@@ -166,13 +225,6 @@ class CandidateTree:
     @property
     def weight(self) -> int:
         return sum(len(m) for m in self.mids.values())
-
-    def split(self, edge: tuple[int, int]) -> tuple[set[int], set[int]]:
-        """Vertex sets of the two components of the tree minus ``edge``."""
-        i, j = min(edge), max(edge)
-        rest = [e for e in self.edges if e != (i, j)]
-        side = {i} | {child for _, child in _rooted_walk(rest, i)}
-        return side, set(range(self.size)) - side
 
     def to_json(self) -> str:
         return json.dumps(
@@ -206,30 +258,87 @@ def intersection_graph(family: IndexSetFamily) -> IntersectionGraph:
     return IntersectionGraph(d, mids)
 
 
-def maximum_spanning_tree(g: IntersectionGraph) -> tuple[tuple[int, int], ...]:
-    """Greedy maximum spanning tree, deterministic under ties.
+def _pair_weights(family: IndexSetFamily) -> Counter:
+    """Intersection sizes of the pairs of member sets that can share two indices.
 
-    Edges are scanned by weight descending, then by ordinal pair ascending,
-    so repeated runs always pick the same tree.
+    Such a pair's sets both hold two or more indices that other sets hold
+    too, so only those sets are counted.  Each index adds one to every pair
+    of the counted sets holding it: at most the sum over v of
+    c_v(c_v - 1)/2 updates, c_v the number of holders of v, and pairs that
+    share nothing never appear.
     """
-    order = sorted(g.mids, key=lambda e: (-len(g.mids[e]), e))
-    return tuple(sorted(_spanning_forest(g.size, order)))
+    holders = family.holders
+    shared = Counter(chain.from_iterable(h for h in holders.values() if len(h) > 1))
+    lists = ([i for i in h if shared[i] > 1] for h in holders.values() if len(h) > 1)
+    return Counter(chain.from_iterable(combinations(h, 2) for h in lists))
+
+
+def _weight_one_pairs(family: IndexSetFamily) -> Iterator[tuple[int, int]]:
+    """Every pair of weight 1 that can still join two trees, in ordinal order.
+
+    A pair is offered by the first holder of an index the two share.  Once
+    the scan has passed index v's first holder, every holder of v is in that
+    holder's tree, so a later pair through v could not join anything.  Pairs
+    of larger weight come along too; the scan has seen them already, so
+    they cannot join anything either.
+    """
+    lead: dict[int, list[list[int]]] = {}
+    for h in family.holders.values():
+        if len(h) > 1:
+            lead.setdefault(h[0], []).append(h)
+    for i in sorted(lead):
+        lists = lead[i]
+        later = lists[0][1:] if len(lists) == 1 else sorted(set().union(*lists) - {i})
+        yield from zip(repeat(i), later)
 
 
 def maximum_spanning_tree_of(family: IndexSetFamily) -> CandidateTree:
-    """Convenience wrapper returning a :class:`CandidateTree`."""
-    return CandidateTree(family, maximum_spanning_tree(intersection_graph(family)))
+    """Greedy maximum spanning tree of the intersection graph, deterministic under ties.
+
+    Kruskal scans pairs by weight descending, then by ordinal pair
+    ascending, so repeated runs always pick the same tree, and it stops
+    once the tree spans.  The scan never lists all pairs: those of weight 2
+    or more come from the pair table, those of weight 1 from the holder
+    lists, and if these leave the forest disconnected, the zero-weight
+    pairs (0, j) join the rest in order of j.  A scan of all pairs would
+    keep exactly these, since its zero-weight pairs begin with (0, 1),
+    (0, 2), ... and those alone connect everything.
+    """
+    d = len(family)
+    weights = _pair_weights(family)
+    ranked = sorted(pair for pair, w in weights.items() if w > 1)
+    ranked.sort(key=weights.__getitem__, reverse=True)  # stable: pairs stay ascending
+    edges = chain(ranked, _weight_one_pairs(family), zip(repeat(0), range(1, d)))
+    return CandidateTree(family, _spanning_forest(d, edges))
 
 
 def is_junction_tree(family: IndexSetFamily, tree: CandidateTree) -> bool:
-    """Cut test: each edge's two sides may only share what its middle set holds."""
+    """Running-intersection identity: the tree weighs sum over v of (c_v - 1).
+
+    The tree edges whose two ends both hold index v form a forest on v's
+    c_v holders, so there are at most c_v - 1 of them, and exactly that many
+    iff the holders of v are connected in the tree.  These counts sum to the
+    tree's weight, which therefore reaches sum over v of (c_v - 1) exactly
+    when every index keeps its holders connected: the junction property.
+    """
     if tree.size != len(family):
         raise InputError("tree does not span the family's member sets")
-    for edge in tree.edges:
-        left, right = tree.split(edge)
-        if not _index_union(family, left) & _index_union(family, right) <= tree.mids[edge]:
-            return False
-    return True
+    sets, holders = family.sets, family.holders
+    weight = sum(len(sets[i] & sets[j]) for i, j in tree.edges)
+    return weight == sum(map(len, holders.values())) - len(holders)
+
+
+def failing_index(family: IndexSetFamily, tree: CandidateTree) -> Optional[int]:
+    """The smallest index whose holders the tree leaves disconnected, if any.
+
+    That index lies in fewer than c_v - 1 of the tree's middle sets.
+    """
+    if tree.size != len(family):
+        raise InputError("tree does not span the family's member sets")
+    sets = family.sets
+    middles = Counter(chain.from_iterable(sets[i] & sets[j] for i, j in tree.edges))
+    failing = (v for v, h in family.holders.items() if middles[v] < len(h) - 1)
+    return min(failing, default=None)
 
 
 def admits_junction_tree(family: IndexSetFamily) -> Optional[CandidateTree]:

@@ -15,7 +15,7 @@ from typing import Optional
 from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
 from .errors import InputError, InvariantError, SizeGuardError
 from .formulate import BINARY, LinearFormulation
-from .jtree import CandidateTree, _spanning_forest, intersection_graph, is_junction_tree
+from .jtree import CandidateTree, _rooted_walk, _spanning_forest, intersection_graph
 from .cover import is_biclique
 
 Row = tuple[dict[str, Fraction], Fraction]  # sum coef*x <= rhs, or = rhs for an equality
@@ -307,7 +307,6 @@ def _vertices(f: LinearFormulation, max_vars: int):
     a row dependent on the rows chosen before it prunes its whole subtree,
     and a full basis gives its point straight from the pivots.
     """
-    f.validate()
     n = len(f.variables)
     if n > max_vars:
         raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
@@ -389,38 +388,53 @@ def _all_spanning_trees(d: int):
             yield combo
 
 
+def _holds_on_every_path(family: IndexSetFamily, edges) -> bool:
+    """The definition: two sets' shared indices lie in every set on their tree path."""
+    sets = family.sets
+    for root in range(len(sets)):
+        up = {child: parent for parent, child in _rooted_walk(edges, root)}
+        for far, v in up.items():
+            shared = sets[root] & sets[far]
+            while v != root:
+                if not shared <= sets[v]:
+                    return False
+                v = up[v]
+    return True
+
+
 def brute_admits_junction_tree(
     family: IndexSetFamily, max_sets: int = 7
 ) -> Optional[CandidateTree]:
     """Exhaustive junction-tree search over all spanning trees.
 
-    Besides deciding existence, this cross-checks two structural facts on
-    the way: every qualifying tree carries maximum weight, and the maximum
-    trees either all qualify or none does.
+    Each tree is tested by the definition, on every path, and weighed by the
+    intersection graph.  Besides deciding existence, this cross-checks two
+    structural facts on the way: every qualifying tree carries maximum
+    weight, and the maximum trees either all qualify or none does.
     """
     d = len(family)
     if d > max_sets:
         raise SizeGuardError(f"{d} sets exceed the cap of {max_sets}")
     g = intersection_graph(family)
     best_weight = None
-    passing: list[CandidateTree] = []
+    passing: list[tuple[int, CandidateTree]] = []
     max_trees: list[CandidateTree] = []
     for edges in _all_spanning_trees(d):
         tree = CandidateTree(family, edges)
-        weight = tree.weight
+        weight = sum(g.weight(i, j) for i, j in edges)
         if best_weight is None or weight > best_weight:
             best_weight = weight
             max_trees = []
         if weight == best_weight:
             max_trees.append(tree)
-        if is_junction_tree(family, tree):
-            passing.append(tree)
+        if _holds_on_every_path(family, edges):
+            passing.append((weight, tree))
     if passing:
-        if any(t.weight != best_weight for t in passing):
+        if any(weight != best_weight for weight, _ in passing):
             raise InvariantError("a qualifying tree of non-maximum weight appeared")
         if len(passing) != len(max_trees):
             raise InvariantError("maximum trees disagree on the junction property")
-        return passing[0]
+        return passing[0][1]
     return None
 
 

@@ -18,14 +18,7 @@ from typing import Mapping, NamedTuple
 
 from .cdc import IndexSetFamily, ground_set
 from .errors import InputError, InvariantError, RedundantFamilyWarning
-from .jtree import (
-    CandidateTree,
-    _rooted_walk,
-    intersection_graph,
-    is_junction_tree,
-    maximum_spanning_tree,
-    maximum_spanning_tree_of,
-)
+from .jtree import CandidateTree, _rooted_walk, is_junction_tree, maximum_spanning_tree_of
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> Transform
             fam2, IndexMapping(alpha), tree, c - len(original_ground)
         )
 
-    mst_edges = maximum_spanning_tree(intersection_graph(family))
+    mst_edges = maximum_spanning_tree_of(family).edges
     for parent, child in _rooted_walk(mst_edges, 0):
         by_orig = {alpha[x]: x for x in new_sets[parent]}
         new_sets[child] = [by_orig.get(alpha[y], y) for y in sorted(new_sets[child])]

@@ -2,7 +2,9 @@
 
 Everything here recomputes results from definitions (powerset scans, direct
 formula evaluation, all-pairs scans, text parsing) so the production code is checked against
-a second, simpler route.
+a second, simpler route.  The junction-tree references are the routes the
+library used to take: Kruskal over all pairs, the per-edge cut test, the
+cut recursion that re-walks each part, and merging through set unions.
 """
 
 from __future__ import annotations
@@ -12,8 +14,16 @@ import warnings
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from cdcmip import IndexSetFamily, InputError, RedundantFamilyWarning, SizeGuardError
-from cdcmip import geom, oracle
+from cdcmip import (
+    Biclique,
+    BicliqueCover,
+    IndexSetFamily,
+    InputError,
+    RedundantFamilyWarning,
+    SizeGuardError,
+    is_biclique,
+)
+from cdcmip import geom, jtree, oracle
 from cdcmip.cdc import ground_set
 from cdcmip.formulate import BINARY
 from cdcmip.geom import PlanarPartition
@@ -133,6 +143,88 @@ def pairwise_dual_graph(p: PlanarPartition) -> set[tuple[int, int]]:
         for (i, a), (j, b) in combinations(enumerate(p.polygons), 2)
         if any(_segments_overlap(*e, *f) for e in edges(a) for f in edges(b))
     }
+
+
+def dense_maximum_spanning_tree(g) -> tuple[tuple[int, int], ...]:
+    """Kruskal over every pair of an intersection graph, by weight descending, then pair."""
+    order = sorted(g.mids, key=lambda e: (-len(g.mids[e]), e))
+    return tuple(sorted(jtree._spanning_forest(g.size, order)))
+
+
+def tree_split(tree, edge) -> tuple[set[int], set[int]]:
+    """Vertex sets of the two components of the tree minus ``edge``, by a fresh walk."""
+    i, j = min(edge), max(edge)
+    rest = [e for e in tree.edges if e != (i, j)]
+    side = {i} | {child for _, child in jtree._rooted_walk(rest, i)}
+    return side, set(range(tree.size)) - side
+
+
+def cut_test_is_junction_tree(family, tree) -> bool:
+    """Each edge's two sides may only share what its middle set holds."""
+    def union(vertices):
+        return frozenset().union(*(family.sets[v] for v in vertices))
+
+    for edge in tree.edges:
+        left, right = tree_split(tree, edge)
+        if not union(left) & union(right) <= tree.mids[edge]:
+            return False
+    return True
+
+
+def disconnected_index(family, tree):
+    """The smallest index whose holders are not connected by tree edges between holders."""
+    for v in sorted(ground_set(family)):
+        holders = [i for i, s in enumerate(family.sets) if v in s]
+        inside = [(i, j) for i, j in tree.edges if v in family.sets[i] and v in family.sets[j]]
+        if 1 + len(jtree._rooted_walk(inside, holders[0])) < len(holders):
+            return v
+    return None
+
+
+def reference_merge_cover(bicliques, g):
+    """Greedy merge building both unions as sets and testing each with ``is_biclique``."""
+    merged = []
+    for cand in bicliques:
+        for idx, acc in enumerate(merged):
+            pairs = (
+                (acc.side_a | cand.side_a, acc.side_b | cand.side_b),
+                (acc.side_a | cand.side_b, acc.side_b | cand.side_a),
+            )
+            fused = next(((a, b) for a, b in pairs if is_biclique(g, a, b)), None)
+            if fused is not None:
+                merged[idx] = Biclique(*fused)
+                break
+        else:
+            merged.append(cand)
+    return BicliqueCover(merged)
+
+
+def reference_cut_recursion(tree):
+    """Balanced cuts by re-walking each part: (cut, left, right, left_sub, right_sub) nested."""
+    def build(vertices, edges):
+        if len(vertices) <= 1:
+            return None
+        walk = jtree._rooted_walk(edges, min(vertices))
+        size = dict.fromkeys(vertices, 1)
+        for parent, child in reversed(walk):
+            size[parent] += size[child]
+        _, cut, child = min(
+            (abs(len(vertices) - 2 * size[c]), (min(p, c), max(p, c)), c) for p, c in walk
+        )
+        below = {child}
+        for parent, c in walk:
+            if parent in below:
+                below.add(c)
+        above = set(vertices) - below
+        left, right = (below, above) if child == cut[0] else (above, below)
+        rest = [e for e in edges if e != cut]
+        return (
+            cut, left, right,
+            build(left, [e for e in rest if e[0] in left]),
+            build(right, [e for e in rest if e[0] in right]),
+        )
+
+    return build(set(range(tree.size)), list(tree.edges))
 
 
 def random_family(rng: random.Random, max_sets=6, max_ground=10) -> IndexSetFamily:
@@ -501,7 +593,6 @@ def _independent_rows(rows, n):
 
 def reference_lp_vertices(f, max_vars=12):
     """``lp_vertices`` by solving every choice of tight inequality rows."""
-    f.validate()
     names = f.variable_names()
     n = len(names)
     if n > max_vars:

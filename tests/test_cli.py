@@ -53,6 +53,22 @@ def test_analyze_triangle(tmp_path, capsys):
     assert report["pairwise_ib"] is False
 
 
+def test_analyze_names_the_failing_index(tmp_path, capsys):
+    # The cyclic triple's maximum spanning tree is (0, 1), (0, 2): index 3,
+    # held by sets 1 and 2, lies in no middle set.
+    keys = None
+    for text, failing in ((TRIANGLE, 3), (SOS2_5, None)):
+        code, out, _ = run(capsys, "analyze", family_file(tmp_path, text))
+        report = json.loads(out)
+        assert code == 0 and report.get("failing_index") == failing
+        assert ("failing_index" in report) is (failing is not None)
+        report.pop("failing_index", None)
+        assert keys is None or set(report) == keys
+        keys = set(report)
+    code, out, _ = run(capsys, "analyze", "--pretty", family_file(tmp_path, TRIANGLE))
+    assert code == 0 and "failing_index         3" in out
+
+
 def test_analyze_deterministic(tmp_path, capsys):
     path = family_file(tmp_path, SOS2_5)
     _, first, _ = run(capsys, "analyze", path)

@@ -251,6 +251,15 @@ def test_formulation_rejects_duplicate_and_unknown_names():
     assert [c.name for c in f.constraints] == ["row"]
 
 
+def test_formulation_rejects_duplicate_names_at_construction():
+    from cdcmip import LinearFormulation
+    from cdcmip.formulate import Variable
+
+    with pytest.raises(InputError, match="not unique"):
+        LinearFormulation(variables=[Variable("x"), Variable("y"), Variable("x")])
+    assert LinearFormulation(variables=[Variable("x"), Variable("y")]).variable_names() == ["x", "y"]
+
+
 def test_lambda_metadata(sos2_5):
     f = build_naive(sos2_5)
     assert f.lambda_names() == {v: f"lam_{v}" for v in range(1, 6)}

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from cdcmip import (
+    IndexSetFamily,
     InputError,
     NoJunctionTreeError,
     build_extended_disjoint,
@@ -24,6 +25,7 @@ from cdcmip import (
     build_sosk,
     build_sosk_kis,
     heuristic_cover,
+    maximum_spanning_tree_of,
     sosk_family,
     write_lp,
 )
@@ -35,6 +37,20 @@ def _families():
     fams = [random_junction_family(rng, 10, 20) for _ in range(60)]
     fams += [random_family(rng, 7, 10) for _ in range(120)]
     return fams + [sosk_family(20, 3), sosk_family(40, 4), sosk_family(64, 2)]
+
+
+def _extra_families():
+    """A 40-set star, and a family whose maximum spanning tree needs zero-weight pairs.
+
+    The second family's intersection graph has four components, {0, 2},
+    {1, 3, 5}, {4} and {6, 7}, so its tree joins them through pairs that
+    share no index.
+    """
+    star = IndexSetFamily([[0, i] for i in range(1, 41)])
+    split = IndexSetFamily(
+        [[5, 6], [1, 2], [6, 7], [2, 3], [9], [3, 4, 8], [10, 11], [11, 12]]
+    )
+    return [star, split]
 
 
 WINDOWS = [(n, k) for n in range(3, 40) for k in range(2, min(n, 8))]
@@ -67,6 +83,19 @@ DIGESTS = {
     "heuristic_cover": "340b24eb1f94",
 }
 
+# The star and the zero-weight completion, and the maximum spanning tree of
+# every family in both corpora.
+EXTRA_DIGESTS = {
+    "naive": "2f069d519ea5",
+    "jl": "a2de352b49ac",
+    "log": "499978445138",
+    "ib": "b109cab67cc4",
+    "ext-jtree": "ba157f990fb9",
+    "ext-disjoint": "67725ba30060",
+    "heuristic_cover": "c47aaaf001a0",
+    "tree": "4b7ec2100cee",
+}
+
 
 def _digest(make, inputs, render) -> str:
     h = hashlib.sha256()
@@ -94,6 +123,20 @@ def cases():
     return out
 
 
+@pytest.fixture(scope="module")
+def extra_cases():
+    fams = _extra_families()
+    out = {name: (build, fams, _model) for name, build in FAMILY_BUILDERS.items()}
+    out["heuristic_cover"] = (heuristic_cover, fams, lambda cover: cover.to_json())
+    out["tree"] = (maximum_spanning_tree_of, _families() + fams, lambda tree: tree.to_json())
+    return out
+
+
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_output_digest(cases, name):
     assert _digest(*cases[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(EXTRA_DIGESTS))
+def test_extra_output_digest(extra_cases, name):
+    assert _digest(*extra_cases[name]) == EXTRA_DIGESTS[name]

@@ -1,8 +1,8 @@
 """Fast paths against brute pair-by-pair routes.
 
-The bitset conflict graph, the redundancy scan and the planar front end's
-index structures each answer the same question as an all-pairs scan in
-``helpers``; the exact oracles answer the same question as their earlier
+The bitset conflict graph, the redundancy scan, the planar front end's
+index structures and the junction-tree core each answer the same question
+as an all-pairs scan or an earlier route in ``helpers``; the exact oracles answer the same question as their earlier
 routes there, which redo the whole elimination or solve for every case.  Families mix small labels with labels near 10**12, so a mask
 that used the label itself as its bit position would show up here as a
 size blow-up.
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from cdcmip import (
     Biclique,
     BicliqueCover,
+    CandidateTree,
     IndexSetFamily,
     InputError,
     LinearFormulation,
@@ -33,19 +34,29 @@ from cdcmip import (
     build_naive,
     build_sosk,
     conflict_graph,
+    failing_index,
     heuristic_cover,
+    intersection_graph,
     is_biclique,
     is_irredundant,
+    is_junction_tree,
     lp_vertices,
+    maximum_spanning_tree_of,
+    merge_cover,
+    separation,
     sosk_family,
     support_validity,
     verify_cover,
 )
 from cdcmip.geom import PlanarPartition, dual_graph, partition_to_cdc
+from cdcmip.jtree import _cut_recursion
 from helpers import (
     all_points_partition_to_cdc,
     brute_conflict_edges,
     brute_is_biclique,
+    cut_test_is_junction_tree,
+    dense_maximum_spanning_tree,
+    disconnected_index,
     pairset_verify_cover,
     pairwise_dual_graph,
     pairwise_has_containment,
@@ -53,7 +64,9 @@ from helpers import (
     quiet_family,
     random_family,
     random_junction_family,
+    reference_cut_recursion,
     reference_lp_vertices,
+    reference_merge_cover,
     reference_support_validity,
 )
 
@@ -305,6 +318,101 @@ def test_front_end_matches_all_pairs_on_tilings(polys):
 @given(soups)
 def test_front_end_matches_all_pairs_on_triangle_soups(polys):
     check_front_end(polys)
+
+
+# ------------------------------------------------------ junction-tree core
+#
+# The sparse maximum spanning tree, the running-intersection identity, the
+# cut recursion over one preorder and merging by masks, each against the
+# route it replaced in ``helpers``: Kruskal over all pairs, the per-edge cut
+# test, re-walking every part, and merging through set unions.
+
+junction_families = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_junction_family(random.Random(seed), max_sets=12, max_ground=24)
+)
+
+
+@st.composite
+def split_families(draw):
+    """Sets drawn from up to three disjoint blocks of labels, so the pieces often share nothing."""
+    blocks = draw(st.integers(1, 3))
+    drawn = draw(
+        st.lists(
+            st.tuples(st.integers(0, blocks - 1), st.frozensets(st.integers(0, 5), min_size=1, max_size=4)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    return quiet_family(dict.fromkeys(frozenset(100 * b + x for x in s) for b, s in drawn))
+
+
+@st.composite
+def spanning_trees(draw, fam):
+    """A maximum spanning tree of the family, or a random path-, star- or bushy-shaped one."""
+    d = len(fam)
+    shape = draw(st.sampled_from(["maximum", "path", "star", "random"]))
+    if shape == "maximum":
+        return maximum_spanning_tree_of(fam)
+    perm = draw(st.permutations(range(d)))
+    parents = {
+        "path": lambda i: i - 1,
+        "star": lambda i: draw(st.sampled_from([0, 0, 0, i - 1])),
+        "random": lambda i: draw(st.integers(0, i - 1)),
+    }[shape]
+    return CandidateTree(fam, [(perm[parents(i)], perm[i]) for i in range(1, d)])
+
+
+@PROPERTY
+@given(st.one_of(families, split_families(), junction_families))
+def test_sparse_tree_matches_kruskal_over_all_pairs(fam):
+    tree = maximum_spanning_tree_of(fam)
+    assert tree.edges == dense_maximum_spanning_tree(intersection_graph(fam))
+
+
+@PROPERTY
+@given(st.data())
+def test_identity_matches_the_cut_test_on_any_spanning_tree(data):
+    fam = data.draw(st.one_of(families, split_families(), junction_families))
+    tree = data.draw(spanning_trees(fam))
+    assert is_junction_tree(fam, tree) == cut_test_is_junction_tree(fam, tree)
+    assert failing_index(fam, tree) == disconnected_index(fam, tree)
+
+
+def nested(splits, key=0):
+    """The preorder list of splits as the nested tuples of the reference."""
+    if key is None or not splits:
+        return None
+    cut, left, right, left_sub, right_sub = splits[key]
+    return (cut, set(left), set(right), nested(splits, left_sub), nested(splits, right_sub))
+
+
+@PROPERTY
+@given(st.data())
+def test_cut_recursion_matches_rewalking_every_part(data):
+    d = data.draw(st.integers(1, 40))
+    tree = data.draw(spanning_trees(IndexSetFamily([[i] for i in range(d)])))
+    assert nested(_cut_recursion(tree)) == reference_cut_recursion(tree)
+
+
+@PROPERTY
+@given(st.one_of(families, junction_families), st.data())
+def test_mask_merge_matches_set_unions(fam, data):
+    g = conflict_graph(fam)
+    pool = sorted(g.vertices) + [max(g.vertices) + 1, max(g.vertices) + 2]  # two outside
+    pieces = separation(fam, admits_junction_tree(fam)) if admits_junction_tree(fam) else []
+    bicliques = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        if pieces and data.draw(st.booleans()):
+            # part of a tree-cut biclique, so merges succeed often
+            bc = data.draw(st.sampled_from(pieces))
+            a = data.draw(st.frozensets(st.sampled_from(sorted(bc.side_a)), min_size=1))
+            b = data.draw(st.frozensets(st.sampled_from(sorted(bc.side_b)), min_size=1))
+        else:
+            a = data.draw(st.frozensets(st.sampled_from(pool), min_size=1, max_size=3))
+            rest = [v for v in pool if v not in a]
+            b = data.draw(st.frozensets(st.sampled_from(rest), min_size=1, max_size=3))
+        bicliques.append(Biclique(a, b) if data.draw(st.booleans()) else Biclique(b, a))
+    assert merge_cover(bicliques, g) == reference_merge_cover(bicliques, g)
 
 
 # ---------------------------------------------------------------- oracles
