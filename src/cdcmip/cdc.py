@@ -20,6 +20,19 @@ from typing import Iterable, Iterator
 from .errors import InputError, RedundantFamilyWarning, SizeGuardError
 
 
+def read_json(text: str):
+    """The parsed JSON text; any parse failure is an ``InputError``.
+
+    Besides syntax errors, ``json.loads`` raises ``ValueError`` for an
+    integer literal past ``sys.get_int_max_str_digits()`` digits and
+    ``RecursionError`` for nesting past the interpreter's depth limit.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
+
+
 class IndexSetFamily:
     """An ordered family of nonempty index sets over non-negative integers.
 
@@ -38,13 +51,13 @@ class IndexSetFamily:
     def __init__(self, sets: Iterable[Iterable[int]]):
         members = []
         for raw in sets:
-            s = frozenset(raw)
-            if not s:
-                raise InputError("member sets must be nonempty")
-            for v in s:
+            items = tuple(raw)
+            for v in items:  # before hashing, which a list entry would fail
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise InputError(f"indices must be non-negative integers, got {v!r}")
-            members.append(s)
+            if not items:
+                raise InputError("member sets must be nonempty")
+            members.append(frozenset(items))
         if not members:
             raise InputError("a family needs at least one member set")
         if len(set(members)) != len(members):
@@ -83,10 +96,7 @@ class IndexSetFamily:
 
     @classmethod
     def from_json(cls, text: str) -> "IndexSetFamily":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
+        data = read_json(text)
         if not isinstance(data, dict) or "sets" not in data:
             raise InputError('expected an object with a "sets" key')
         sets = data["sets"]

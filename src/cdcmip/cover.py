@@ -15,7 +15,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, Sequence
 
-from .cdc import ConflictGraph, IndexSetFamily, conflict_graph, ground_set
+from .cdc import ConflictGraph, IndexSetFamily, conflict_graph, ground_set, read_json
 from .errors import InputError, InvariantError, NoJunctionTreeError
 from .jtree import CandidateTree, _cut_recursion, maximum_spanning_tree_of
 
@@ -73,10 +73,7 @@ class BicliqueCover:
 
     @classmethod
     def from_json(cls, text: str) -> "BicliqueCover":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
+        data = read_json(text)
         items = data.get("bicliques") if isinstance(data, dict) else None
         if not isinstance(items, list):
             raise InputError('expected an object with a "bicliques" list')

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cdc import IndexSetFamily
+from .cdc import IndexSetFamily, read_json
 from .errors import DisconnectedPartitionError, InputError, InvariantError
 from .sosk import exact_coordinate
 from .jtree import _spanning_forest, is_junction_tree, maximum_spanning_tree_of
@@ -79,10 +79,7 @@ class PlanarPartition:
 
     @classmethod
     def from_json(cls, text: str) -> "PlanarPartition":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
+        data = read_json(text)
         if not isinstance(data, dict) or "polygons" not in data:
             raise InputError('expected an object with a "polygons" key')
         return cls(data["polygons"])

@@ -18,112 +18,6 @@ from .formulate import BINARY, LinearFormulation
 from .jtree import CandidateTree, _rooted_walk, _spanning_forest, intersection_graph
 from .cover import is_biclique
 
-Row = tuple[dict[str, Fraction], Fraction]  # sum coef*x <= rhs, or = rhs for an equality
-
-
-def _normalize_row(coefs: dict[str, Fraction], rhs: Fraction) -> Row:
-    coefs = {v: c for v, c in coefs.items() if c != 0}
-    if coefs:
-        scale = abs(coefs[min(coefs)])
-        coefs = {v: c / scale for v, c in coefs.items()}
-        rhs = rhs / scale
-    return coefs, rhs
-
-
-def _project(rows: list[Row], keep, max_rows: int = 50_000) -> Optional[list[Row]]:
-    """Eliminate every variable outside ``keep`` from a system of <= rows.
-
-    Exact Fourier-Motzkin elimination: the returned rows over ``keep`` hold
-    at a point iff some values of the other variables complete it.  ``None``
-    when no point completes, because a row with no variables left is violated.
-    """
-    work = list(rows)
-    while True:
-        kept: list[Row] = []
-        seen = set()
-        for coefs, rhs in work:
-            coefs, rhs = _normalize_row(coefs, rhs)
-            if not coefs:
-                if rhs < 0:
-                    return None
-                continue
-            key = (tuple(sorted(coefs.items())), rhs)
-            if key not in seen:
-                seen.add(key)
-                kept.append((coefs, rhs))
-        if len(kept) > max_rows:
-            raise SizeGuardError(
-                f"support_validity: eliminating the auxiliary variables reached "
-                f"{len(kept)} rows, over the budget of {max_rows}"
-            )
-        counts: dict[str, int] = {}
-        for coefs, _ in kept:
-            for v in coefs:
-                if v not in keep:
-                    counts[v] = counts.get(v, 0) + 1
-        if not counts:
-            return kept
-        target = min(counts, key=lambda v: (counts[v], v))
-        work = [r for r in kept if target not in r[0]]
-        for pc, pr in kept:
-            if pc.get(target, 0) <= 0:
-                continue
-            for nc, nr in kept:
-                if nc.get(target, 0) >= 0:
-                    continue
-                a, b = pc[target], -nc[target]
-                coefs = {v: b * c for v, c in pc.items() if v != target}
-                for v, c in nc.items():
-                    if v != target:
-                        coefs[v] = coefs.get(v, Fraction(0)) + a * c
-                work.append((coefs, b * pr + a * nr))
-
-
-def _substitute(coefs: dict[str, Fraction], rhs: Fraction, solved) -> Row:
-    """Replace each solved variable by its expression, in solving order.
-
-    An expression may hold variables solved after it; the later steps of
-    the same pass replace those in turn.
-    """
-    coefs = dict(coefs)
-    for pivot, prow, prhs in solved:
-        factor = coefs.pop(pivot, Fraction(0))
-        if factor:
-            for v, c in prow.items():
-                coefs[v] = coefs.get(v, Fraction(0)) - factor * c
-            rhs -= factor * prhs
-    return {v: c for v, c in coefs.items() if c != 0}, rhs
-
-
-def _solve_equalities(
-    eqs: list[Row], ineqs: list[Row], pivots
-) -> Optional[tuple[list[Row], list[Row]]]:
-    """Gaussian-eliminate equalities on the ``pivots`` variables.
-
-    Each equality pivots on its smallest-named variable among ``pivots``,
-    and the solved variables are substituted into the inequalities.  An
-    equality left with no such variable is a residual equality over the
-    others.  Returns (residual equalities, reduced inequalities), or ``None``
-    when the equalities are inconsistent on their own.
-    """
-    solved: list[tuple[str, dict[str, Fraction], Fraction]] = []  # pivot = rhs - row . rest
-    residual: list[Row] = []
-    for coefs, rhs in eqs:
-        coefs, rhs = _substitute(coefs, rhs, solved)
-        eligible = [v for v in coefs if v in pivots]
-        if not eligible:
-            if coefs:
-                residual.append((coefs, rhs))
-            elif rhs != 0:
-                return None
-            continue
-        pivot = min(eligible)
-        pc = coefs.pop(pivot)
-        coefs = {v: c / pc for v, c in coefs.items()}
-        rhs /= pc
-        solved.append((pivot, coefs, rhs))
-    return residual, [_substitute(coefs, rhs, solved) for coefs, rhs in ineqs]
-
 
 def _integral(values: list[Fraction]) -> list[int]:
     """The values times the least common multiple of their denominators."""
@@ -131,56 +25,154 @@ def _integral(values: list[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
+def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
+    """The model as integer rows ``[a..., b]`` over its variables in declaration order.
+
+    Returns (equalities a.x = b, inequalities a.x <= b): ``>=`` rows are
+    negated, and every finite bound follows the constraints as a row.
+    """
+    n = len(f.variables)
+    index = {name: i for i, name in enumerate(f.variable_names())}
+    eqs: list[list[int]] = []
+    ineqs: list[list[int]] = []
+    for c in f.constraints:
+        vec = [Fraction(0)] * (n + 1)
+        for var, coef in c.terms:
+            vec[index[var]] += coef
+        vec[n] = c.rhs
+        if c.sense == ">=":
+            vec = [-x for x in vec]
+        (eqs if c.sense == "=" else ineqs).append(_integral(vec))
+    for i, v in enumerate(f.variables):
+        for sign, bound in ((-1, v.lower), (1, v.upper)):
+            if bound is not None:
+                vec = [Fraction(0)] * (n + 1)
+                vec[i], vec[n] = Fraction(sign), sign * bound
+                ineqs.append(_integral(vec))
+    return eqs, ineqs
+
+
+def _reduce(basis, row: list[int]) -> list[int]:
+    """The row with every basis pivot column eliminated, in integers."""
+    for p, b in basis:
+        if row[p]:
+            row = _combine(b[p], row, -row[p], b)
+    return row
+
+
+def _insert(basis, row: list[int], p: int):
+    """A new basis with the reduced ``row`` pivoting on column ``p``, kept fully reduced.
+
+    Every pivot entry is made positive, so reducing a row by the basis
+    scales it by a positive factor and never flips an inequality.
+    """
+    if row[p] < 0:
+        row = [-a for a in row]
+    out = [(q, _combine(row[p], b, -b[p], row)) if b[p] else (q, b) for q, b in basis]
+    out.append((p, row))
+    return out
+
+
+def _combine(s: int, x: list[int], t: int, y: list[int]) -> list[int]:
+    """s·x + t·y, divided by the gcd of its entries."""
+    return _primitive([s * a + t * b for a, b in zip(x, y)])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _fourier_motzkin(rows: list[list[int]], m: int, max_rows: int) -> Optional[list[list[int]]]:
+    """Eliminate columns ``0..m-1`` from primitive integer rows ``a.x <= b``.
+
+    Exact Fourier-Motzkin elimination: the returned rows hold at a point of
+    the other columns iff some values of the eliminated ones complete it.
+    ``None`` when no point completes, because a row with no variables left
+    is violated.  Each round drops constant and repeated rows, then
+    eliminates the column held by the fewest rows, the first on a tie.
+    """
+    while True:
+        kept: list[list[int]] = []
+        seen = set()
+        for row in rows:
+            if not any(row[:-1]):
+                if row[-1] < 0:
+                    return None
+                continue
+            key = tuple(row)
+            if key not in seen:
+                seen.add(key)
+                kept.append(row)
+        if len(kept) > max_rows:
+            raise SizeGuardError(
+                f"support_validity: eliminating the auxiliary variables reached "
+                f"{len(kept)} rows, over the budget of {max_rows}"
+            )
+        counts = [sum(1 for row in kept if row[k]) for k in range(m)]
+        live = [k for k in range(m) if counts[k]]
+        if not live:
+            return kept
+        k = min(live, key=lambda k: (counts[k], k))
+        rows = [r for r in kept if not r[k]]
+        negative = [q for q in kept if q[k] < 0]
+        for p in kept:
+            if p[k] > 0:
+                rows.extend(_combine(-q[k], p, p[k], q) for q in negative)
+
+
 def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: int = 50_000):
     """One integer system over the primary variables per binary assignment.
 
-    ``position`` maps each primary variable to its bit.  Under an assignment
-    the equalities are solved for auxiliary variables, the auxiliaries are
-    projected out, and each remaining row is scaled to integers as
-    (bit-coefficient pairs, rhs, is_equality).  A primary point completes to
-    a feasible point under the assignment iff it satisfies every row.
-    Assignments no point completes are left out, and equal systems are kept
-    once.
+    ``position`` maps each primary variable to its bit.  The compiled rows
+    put the auxiliary variables first, by name, then the primary ones; an
+    assignment folds the binaries into the right-hand side.  Its equalities
+    are eliminated on auxiliary pivots, the auxiliaries are projected out,
+    and each remaining row is kept as (bit-coefficient pairs, rhs,
+    is_equality).  A primary point completes to a feasible point under the
+    assignment iff it satisfies every row.  Assignments no point completes
+    are left out, and equal systems are kept once.
     """
-    binaries = f.binary_names()
-    aux = {v.name for v in f.variables if v.kind != BINARY and v.name not in position}
-    bounds: list[Row] = []
-    for v in f.variables:
-        if v.kind != BINARY:  # a binary's values 0 and 1 are its bounds
-            if v.lower is not None:
-                bounds.append(({v.name: Fraction(-1)}, -v.lower))
-            if v.upper is not None:
-                bounds.append(({v.name: Fraction(1)}, v.upper))
+    index = {name: i for i, name in enumerate(f.variable_names())}
+    binaries = [index[v] for v in f.binary_names()]
+    aux = sorted(v.name for v in f.variables if v.kind != BINARY and v.name not in position)
+    primary = sorted(position, key=position.get)
+    cols = [index[v] for v in aux + primary]
+    bits = [position[v] for v in primary]
+    m, w = len(aux), len(cols)
+    eqs, ineqs = _compile(f)
+
+    def fold(rows, z):
+        return [
+            _primitive([row[c] for c in cols] + [row[-1] - sum(row[c] for c in z)])
+            for row in rows
+        ]
+
     systems: dict[tuple, None] = {}
-    for assignment in product((0, 1), repeat=len(binaries)):
-        z = dict(zip(binaries, assignment))
-        eqs: list[Row] = []
-        ineqs = list(bounds)
-        for c in f.constraints:
-            coefs: dict[str, Fraction] = {}
-            rhs = c.rhs
-            for var, coef in c.terms:
-                if var in z:
-                    rhs -= coef * z[var]
-                else:
-                    coefs[var] = coefs.get(var, Fraction(0)) + coef
-            if c.sense == ">=":
-                coefs, rhs = {v: -x for v, x in coefs.items()}, -rhs
-            (eqs if c.sense == "=" else ineqs).append((coefs, rhs))
-        solved = _solve_equalities(eqs, ineqs, aux)
-        if solved is None:
-            continue
-        residual, reduced = solved
-        rows = _project(reduced, position, max_rows)
-        if rows is None:
-            continue
-        system = []
-        for is_eq, group in ((True, residual), (False, rows)):
-            for coefs, rhs in group:
-                scaled = _integral([*coefs.values(), rhs])
-                bits = tuple(sorted(zip((position[v] for v in coefs), scaled)))
-                system.append((bits, scaled[-1], is_eq))
-        systems[tuple(sorted(system))] = None
+    for assignment in product((False, True), repeat=len(binaries)):
+        z = [c for c, one in zip(binaries, assignment) if one]
+        basis: list[tuple[int, list[int]]] = []
+        residual = []
+        for row in fold(eqs, z):
+            row = _reduce(basis, row)
+            p = next((k for k in range(m) if row[k]), None)
+            if p is not None:
+                basis = _insert(basis, row, p)
+            elif any(row[m:w]):
+                residual.append(row)
+            elif row[w]:
+                break  # the equalities alone are inconsistent
+        else:
+            rows = _fourier_motzkin([_reduce(basis, row) for row in fold(ineqs, z)], m, max_rows)
+            if rows is None:
+                continue
+            system = [
+                (tuple((bits[k], a) for k, a in enumerate(row[m:w]) if a), row[w], is_eq)
+                for is_eq, group in ((True, residual), (False, rows))
+                for row in group
+            ]
+            systems[tuple(sorted(system))] = None
     return list(systems)
 
 
@@ -276,29 +268,6 @@ def _bound_propagation(f: LinearFormulation, passes: int = 25) -> bool:
     return all(lo[n] is not None and hi[n] is not None for n in lo)
 
 
-
-def _reduce(basis, row: list[int]) -> list[int]:
-    """The row with every basis pivot column eliminated, in integers."""
-    for p, b in basis:
-        if row[p]:
-            row = _combine(b[p], row, -row[p], b)
-    return row
-
-
-def _insert(basis, row: list[int], p: int):
-    """A new basis with the reduced ``row`` pivoting on column ``p``, kept fully reduced."""
-    out = [(q, _combine(row[p], b, -b[p], row)) if b[p] else (q, b) for q, b in basis]
-    out.append((p, row))
-    return out
-
-
-def _combine(s: int, x: list[int], t: int, y: list[int]) -> list[int]:
-    """s·x + t·y, divided by the gcd of its entries."""
-    out = [s * a + t * b for a, b in zip(x, y)]
-    g = gcd(*out)
-    return [a // g for a in out] if g > 1 else out
-
-
 def _vertices(f: LinearFormulation, max_vars: int):
     """Yield every basic feasible point of the relaxation, repeats included.
 
@@ -312,25 +281,7 @@ def _vertices(f: LinearFormulation, max_vars: int):
         raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
     if not _bound_propagation(f):
         raise InputError("relaxation is not certifiably bounded; refusing to enumerate")
-    index = {name: i for i, name in enumerate(f.variable_names())}
-
-    eq_rows: list[list[int]] = []
-    ineq_rows: list[list[int]] = []  # a.x <= b as [a..., b]
-    for c in f.constraints:
-        vec = [Fraction(0)] * (n + 1)
-        for var, coef in c.terms:
-            vec[index[var]] += coef
-        vec[n] = c.rhs
-        if c.sense == ">=":
-            vec = [-x for x in vec]
-        (eq_rows if c.sense == "=" else ineq_rows).append(_integral(vec))
-    for i, v in enumerate(f.variables):
-        for sign, bound in ((-1, v.lower), (1, v.upper)):
-            if bound is not None:
-                vec = [Fraction(0)] * (n + 1)
-                vec[i], vec[n] = Fraction(sign), sign * bound
-                ineq_rows.append(_integral(vec))
-
+    eq_rows, ineq_rows = _compile(f)
     basis: list[tuple[int, list[int]]] = []
     for row in eq_rows:
         row = _reduce(basis, row)
@@ -344,7 +295,7 @@ def _vertices(f: LinearFormulation, max_vars: int):
     def search(start: int, basis):
         missing = n - len(basis)
         if not missing:
-            scale = lcm(*(abs(b[p]) for p, b in basis))
+            scale = lcm(*(b[p] for p, b in basis))
             x = [0] * n
             for p, b in basis:
                 x[p] = b[n] * (scale // b[p])

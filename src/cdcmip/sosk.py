@@ -9,6 +9,8 @@ sides.  The fused cover has at most ceil(log2(n-k+1)) + k - 2 members.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -164,6 +166,9 @@ def compare_bounds(n: int, k: int) -> BoundComparison:
     return BoundComparison(ours, hv, n)
 
 
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def exact_coordinate(value) -> Fraction:
     """Parse an exact rational from int, Fraction, or a decimal/fraction string."""
     if isinstance(value, bool):
@@ -172,6 +177,10 @@ def exact_coordinate(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # Fraction would expand 10**exponent, which a huge exponent never finishes.
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > sys.get_int_max_str_digits():
+                raise ValueError("decimal exponent is past the integer digit limit")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse exact rational from {value!r}") from exc

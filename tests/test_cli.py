@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,11 @@ from conftest import triangle_strip
 
 SOS2_5 = '{"sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}'
 TRIANGLE = '{"sets": [[1, 2], [2, 3], [1, 3]]}'
+# Its naive model has 13 variables and its conflict graph 15 edges: both past
+# the exact oracles' cap of 12.
+SOS2_7 = '{"sets": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7]]}'
+# An integer literal longer than json.loads converts (4,300 digits by default).
+HUGE_INT = "1" * 5000
 # The naive model of this family has 9 variables and 17 fractional vertices out of 27.
 NAIVE_NOT_IDEAL = '{"sets": [[1, 2, 3, 5], [1, 4], [1, 4, 5], [4]]}'
 
@@ -125,6 +131,23 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
+    code, _, err = run(capsys, "analyze", family_file(tmp_path, '{"sets": [[[1]]]}'))
+    assert code == 2 and "non-negative integers" in err
+    code, _, err = run(capsys, "analyze", family_file(tmp_path, f'{{"sets": [[{HUGE_INT}]]}}'))
+    assert code == 2 and "invalid JSON" in err
+    code, _, err = run(capsys, "analyze", family_file(tmp_path, "[" * 100_000))
+    assert code == 2 and "invalid JSON" in err
+    polygons = f'{{"polygons": [[[0, 0], [2, 0], [{HUGE_INT}, 1]]]}}'
+    code, _, err = run(capsys, "geom", "analyze", family_file(tmp_path, polygons))
+    assert code == 2 and "invalid JSON" in err
+
+
+def test_huge_decimal_exponent_exits_2_promptly(tmp_path, capsys):
+    polygons = '{"polygons": [[["0", "0"], ["2", "0"], ["1e99999999", "1"]]]}'
+    start = time.monotonic()
+    code, _, err = run(capsys, "geom", "analyze", family_file(tmp_path, polygons))
+    assert code == 2 and "1e99999999" in err
+    assert time.monotonic() - start < 10
 
 
 def test_size_guard_exits_3(tmp_path, capsys):
@@ -141,6 +164,14 @@ def test_cover_verify(tmp_path, capsys):
     assert len(payload["bicliques"]) == 2
     assert payload["verified"] is True
     assert payload["min_exact"] == 2
+
+
+def test_cover_verify_omits_min_exact_past_the_cap(tmp_path, capsys):
+    code, out, _ = run(capsys, "cover", "--verify", family_file(tmp_path, SOS2_7))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert "min_exact" not in payload
 
 
 def test_cover_without_junction_tree_hints(tmp_path, capsys):
@@ -210,6 +241,14 @@ def test_verify_subcommand(tmp_path, capsys):
     assert code == 0
     assert "support_validity: pass" in out
     assert "ideal: pass" in out
+
+
+def test_verify_skips_ideal_past_the_cap(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "verify", "--formulation", "naive", family_file(tmp_path, SOS2_7)
+    )
+    assert code == 0
+    assert out == "support_validity: pass\nideal: skipped (size)\n"
 
 
 def test_verify_random(capsys):

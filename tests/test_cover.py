@@ -228,6 +228,7 @@ def test_cover_json_roundtrip(sos2_5):
         '{"bicliques": [{"a": 1, "b": [2]}]}',
         '{"bicliques": [{"a": [1], "b": "2"}]}',
         '{"bicliques": [[1, 2]]}',
+        '{"bicliques": [{"a": [%s], "b": [2]}]}' % ("1" * 5000),
     ],
 )
 def test_cover_json_rejects_malformed_input(text):
