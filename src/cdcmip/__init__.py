@@ -45,10 +45,8 @@ from .formulate import (
 from .geom import PlanarPartition, dual_graph, partition_to_cdc, savings_report
 from .jtree import (
     CandidateTree,
-    IntersectionGraph,
     admits_junction_tree,
     failing_index,
-    intersection_graph,
     is_junction_tree,
     maximum_spanning_tree_of,
 )

@@ -50,7 +50,6 @@ from .geom import PlanarPartition, dual_graph, partition_to_cdc, savings_report
 from .jtree import (
     admits_junction_tree,
     failing_index,
-    is_junction_tree,
     maximum_spanning_tree_of,
 )
 from .oracle import (
@@ -108,18 +107,19 @@ def _load_family(path: str, max_sets: int, max_ground: int) -> IndexSetFamily:
 def cmd_analyze(args) -> int:
     family = _load_family(args.input, args.max_sets, args.max_ground)
     tree = maximum_spanning_tree_of(family)
+    # The smallest index whose holders the tree cannot keep connected, if any.
+    failing = failing_index(family, tree)
     report = {
         "num_sets": len(family),
         "ground_size": len(ground_set(family)),
         "irredundant": is_irredundant(family),
         "pairwise_ib": is_pairwise_ib_representable(family),
-        "admits_junction_tree": is_junction_tree(family, tree),
+        "admits_junction_tree": failing is None,
         "mst_weight": tree.weight,
         "conflict_edges": conflict_graph(family).edge_count,
     }
-    if not report["admits_junction_tree"]:
-        # The smallest index whose holders the tree cannot keep connected.
-        report["failing_index"] = failing_index(family, tree)
+    if failing is not None:
+        report["failing_index"] = failing
     if args.pretty:
         width = max(len(k) for k in report)
         lines = [f"{k.ljust(width)}  {report[k]}" for k in sorted(report)]

@@ -5,7 +5,8 @@ share one naming scheme (``lam_<v>`` for the primary simplex variables,
 ``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>`` for
 per-set weights, ``z_<j>`` for binaries) so emitted files diff cleanly.
 The LP writer renders terminating rationals as exact decimals and scales
-any other row to integers, which keeps output byte-stable.
+any other row to integers, which keeps output byte-stable; a bound that
+does not terminate cannot be scaled and is an input error.
 """
 
 from __future__ import annotations
@@ -89,9 +90,7 @@ class LinearFormulation:
         return name
 
     def add_constraint(self, name, terms, sense, rhs) -> None:
-        fixed = tuple(
-            (var, Fraction(coef)) for var, coef in terms if Fraction(coef) != 0
-        )
+        fixed = tuple((var, x) for var, coef in terms if (x := Fraction(coef)))
         for var, _ in fixed:
             if var not in self._names:
                 raise InputError(f"constraint {name!r} references unknown variable {var!r}")
@@ -350,24 +349,24 @@ def _decimal_or_none(x: Fraction) -> Optional[str]:
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
-def _render_row(terms, rhs) -> tuple[list[tuple[str, str]], str]:
-    values = [coef for _, coef in terms] + [rhs]
-    if all(_decimal_or_none(v) is not None for v in values):
-        return [(var, _decimal_or_none(coef)) for var, coef in terms], _decimal_or_none(rhs)
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
-    return (
-        [(var, str(coef.numerator * scale // coef.denominator)) for var, coef in terms],
-        str(rhs.numerator * scale // rhs.denominator),
-    )
+def _integral(values: list[Fraction]) -> list[int]:
+    """The values times the least common multiple of their denominators."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def _render_row(values: list[Fraction]) -> Optional[list[str]]:
+    """The values as exact decimals, each rendered once, or ``None`` if one does not terminate."""
+    out = [_decimal_or_none(x) for x in values]
+    return None if None in out else out
 
 
 def write_lp(f: LinearFormulation) -> str:
     """Render the formulation in LP format, deterministically.
 
     Rows keep declaration order; a row with any non-terminating coefficient
-    is scaled by the common denominator so the file stays exact.
+    is scaled by the common denominator so the file stays exact.  A bound
+    cannot be scaled, so one that does not terminate is an input error.
     """
     renamed = {}
     used = set()
@@ -380,12 +379,13 @@ def write_lp(f: LinearFormulation) -> str:
 
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
     for c in f.constraints:
-        rendered, rhs = _render_row(c.terms, c.rhs)
+        values = [coef for _, coef in c.terms] + [c.rhs]
+        *coefs, rhs = _render_row(values) or map(str, _integral(values))
         parts = []
-        for var, coef in rendered:
+        for (var, _), coef in zip(c.terms, coefs):
             mag = coef.lstrip("-")
             sign = "-" if coef.startswith("-") else "+"
-            piece = renamed[var] if mag in ("1", "1.0") else f"{mag} {renamed[var]}"
+            piece = renamed[var] if mag == "1" else f"{mag} {renamed[var]}"
             if not parts:
                 parts.append(piece if sign == "+" else f"- {piece}")
             else:
@@ -395,16 +395,17 @@ def write_lp(f: LinearFormulation) -> str:
     lines.append("Bounds")
     for v in f.variables:
         name = renamed[v.name]
-        lo = None if v.lower is None else _decimal_or_none(v.lower) or str(v.lower)
-        hi = None if v.upper is None else _decimal_or_none(v.upper) or str(v.upper)
-        if lo is None and hi is None:
+        bounds = _render_row([b for b in (v.lower, v.upper) if b is not None])
+        if bounds is None:
+            raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
+        if v.lower is None and v.upper is None:
             lines.append(f" {name} free")
-        elif hi is None:
-            lines.append(f" {name} >= {lo}")
-        elif lo is None:
-            lines.append(f" {name} <= {hi}")
+        elif v.upper is None:
+            lines.append(f" {name} >= {bounds[0]}")
+        elif v.lower is None:
+            lines.append(f" {name} <= {bounds[0]}")
         else:
-            lines.append(f" {lo} <= {name} <= {hi}")
+            lines.append(f" {bounds[0]} <= {name} <= {bounds[1]}")
     binaries = [renamed[v.name] for v in f.variables if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")

@@ -141,23 +141,20 @@ def _box_overlaps(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
             yield min(i, j), max(i, j)
 
 
-def _project(poly: tuple[Point, ...], axis: Point) -> tuple[Fraction, Fraction]:
-    values = [axis[0] * x + axis[1] * y for x, y in poly]
-    return min(values), max(values)
-
-
 def _interiors_disjoint(p: tuple[Point, ...], q: tuple[Point, ...]) -> bool:
-    """Separating-axis test over both polygons' edge normals, touching allowed."""
-    for poly in (p, q):
-        m = len(poly)
-        for i in range(m):
-            ax, ay = poly[(i + 1) % m][0] - poly[i][0], poly[(i + 1) % m][1] - poly[i][1]
-            normal = (-ay, ax)
-            plo, phi = _project(p, normal)
-            qlo, qhi = _project(q, normal)
-            if phi <= qlo or qhi <= plo:
-                return True
-    return False
+    """Whether some edge of either polygon has the other on or beyond its line.
+
+    The test is exact: two convex polygons with disjoint interiors are
+    separated by the line through an edge of one of them.  (Their
+    difference P - Q is a convex polygon whose edges run along edges of P
+    and of Q, and the origin lies outside its interior exactly when it is
+    on or beyond the line of one of those edges.)  Touching is allowed.
+    """
+    return any(
+        all(_cross(a, b, pt) <= 0 for pt in other)
+        for poly, other in ((p, q), (q, p))
+        for a, b in zip(poly, poly[1:] + poly[:1])
+    )
 
 
 def _contains(poly: tuple[Point, ...], pt: Point) -> bool:

@@ -1,18 +1,16 @@
-"""Intersection graphs, maximum spanning trees, and junction-tree admission.
+"""Maximum spanning trees of the intersection graph, and junction-tree admission.
 
-Member sets become vertices of a complete weighted graph whose edge weights
-are the pairwise intersection sizes.  A spanning tree of that graph is a
-junction tree exactly when every index keeps the sets that hold it
-connected in the tree, which happens exactly when the tree's weight equals
-the sum over indices v of (c_v - 1), c_v the number of sets holding v.  The
-family admits a junction tree if and only if one (equivalently every)
-maximum spanning tree passes that test.  Both steps read the family's
-inverted index: the tree weighs only pairs that share an index, and the
-test is one sum, so admission costs the family's overlaps, not d^2 pairs.
+Member sets are the vertices of a complete graph whose edge weights are the
+pairwise intersection sizes.  A spanning tree of that graph is a junction
+tree exactly when every index keeps the sets that hold it connected in the
+tree.  The family admits a junction tree if and only if one (equivalently
+every) maximum spanning tree passes that test.  Both steps read the
+family's inverted index: the tree weighs only pairs that share an index,
+and the test counts each index's middles, so admission costs the family's
+overlaps, not d^2 pairs; the complete graph is never built.
 
 The tree machinery the other modules share lives here too: one union-find,
-one rooted walk and one balanced-cut recursion.  The complete graph itself,
-``intersection_graph``, serves the exhaustive oracle.
+one rooted layout and one balanced-cut recursion.
 """
 
 from __future__ import annotations
@@ -20,33 +18,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional
 
 from .cdc import IndexSetFamily
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class IntersectionGraph:
-    """Complete graph on the member-set ordinals, weighted by overlap size."""
-
-    size: int
-    mids: dict[tuple[int, int], frozenset[int]]
-
-    def mid(self, i: int, j: int) -> frozenset[int]:
-        if i > j:
-            i, j = j, i
-        return self.mids[(i, j)]
-
-    def weight(self, i: int, j: int) -> int:
-        return len(self.mid(i, j))
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.mids)
 
 
 def _spanning_forest(size: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -75,26 +52,26 @@ def _spanning_forest(size: int, edges: Iterable[tuple[int, int]]) -> list[tuple[
     return kept
 
 
-def _rooted_walk(edges: Iterable[tuple[int, int]], root: int) -> list[tuple[int, int]]:
-    """(parent, child) pairs of the tree containing ``root``, breadth first.
+def _preorder(edges: Iterable[tuple[int, int]], root: int) -> dict[int, int]:
+    """Each vertex of the tree holding ``root`` mapped to its parent, in depth-first preorder.
 
-    Every parent comes before its children, and each vertex's children come
-    in ordinal order.
+    The root's parent is -1.  The walk runs from an explicit stack, pushing
+    each vertex's neighbours in edge order, so a parent always comes before
+    its children and every subtree is a contiguous run of the keys.
     """
     adj: dict[int, list[int]] = {}
     for i, j in edges:
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
-    seen = {root}
-    queue = [root]
-    pairs = []
-    for parent in queue:
-        for child in sorted(adj.get(parent, ())):
-            if child not in seen:
-                seen.add(child)
-                queue.append(child)
-                pairs.append((parent, child))
-    return pairs
+    parent: dict[int, int] = {}
+    stack = [(root, -1)]
+    while stack:
+        v, p = stack.pop()
+        parent[v] = p
+        for w in adj.get(v, ()):
+            if w != p:
+                stack.append((w, v))
+    return parent
 
 
 def _cut_recursion(tree: CandidateTree) -> list[tuple]:
@@ -122,20 +99,8 @@ def _cut_recursion(tree: CandidateTree) -> list[tuple]:
     two slices.
     """
     d = tree.size
-    adj: list[list[int]] = [[] for _ in range(d)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = [-1] * d
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                stack.append(w)
+    parent = _preorder(tree.edges, 0)
+    order = list(parent)
     pos = [0] * d
     for k, v in enumerate(order):
         pos[v] = k
@@ -248,16 +213,6 @@ class CandidateTree:
         return f"CandidateTree(size={self.size}, edges={list(self.edges)})"
 
 
-def intersection_graph(family: IndexSetFamily) -> IntersectionGraph:
-    """Complete weighted graph of pairwise member-set intersections."""
-    d = len(family)
-    mids = {
-        (i, j): family.sets[i] & family.sets[j]
-        for i, j in combinations(range(d), 2)
-    }
-    return IntersectionGraph(d, mids)
-
-
 def _pair_weights(family: IndexSetFamily) -> Counter:
     """Intersection sizes of the pairs of member sets that can share two indices.
 
@@ -313,19 +268,16 @@ def maximum_spanning_tree_of(family: IndexSetFamily) -> CandidateTree:
 
 
 def is_junction_tree(family: IndexSetFamily, tree: CandidateTree) -> bool:
-    """Running-intersection identity: the tree weighs sum over v of (c_v - 1).
+    """Whether every index keeps the sets holding it connected in the tree.
 
     The tree edges whose two ends both hold index v form a forest on v's
-    c_v holders, so there are at most c_v - 1 of them, and exactly that many
-    iff the holders of v are connected in the tree.  These counts sum to the
-    tree's weight, which therefore reaches sum over v of (c_v - 1) exactly
-    when every index keeps its holders connected: the junction property.
+    c_v holders, so v lies in at most c_v - 1 middle sets, and in exactly
+    that many iff its holders are connected in the tree.  The tree is a
+    junction tree iff that holds for every v, that is iff ``failing_index``
+    finds no index; summed over v, the same counts say that a junction tree
+    weighs sum over v of (c_v - 1) and every other spanning tree less.
     """
-    if tree.size != len(family):
-        raise InputError("tree does not span the family's member sets")
-    sets, holders = family.sets, family.holders
-    weight = sum(len(sets[i] & sets[j]) for i, j in tree.edges)
-    return weight == sum(map(len, holders.values())) - len(holders)
+    return failing_index(family, tree) is None
 
 
 def failing_index(family: IndexSetFamily, tree: CandidateTree) -> Optional[int]:

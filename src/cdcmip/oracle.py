@@ -14,15 +14,9 @@ from typing import Optional
 
 from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
 from .errors import InputError, InvariantError, SizeGuardError
-from .formulate import BINARY, LinearFormulation
-from .jtree import CandidateTree, _rooted_walk, _spanning_forest, intersection_graph
+from .formulate import BINARY, LinearFormulation, _integral
+from .jtree import CandidateTree, _preorder, _spanning_forest
 from .cover import is_biclique
-
-
-def _integral(values: list[Fraction]) -> list[int]:
-    """The values times the least common multiple of their denominators."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
 
 
 def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
@@ -343,7 +337,8 @@ def _holds_on_every_path(family: IndexSetFamily, edges) -> bool:
     """The definition: two sets' shared indices lie in every set on their tree path."""
     sets = family.sets
     for root in range(len(sets)):
-        up = {child: parent for parent, child in _rooted_walk(edges, root)}
+        up = _preorder(edges, root)
+        del up[root]
         for far, v in up.items():
             shared = sets[root] & sets[far]
             while v != root:
@@ -358,21 +353,20 @@ def brute_admits_junction_tree(
 ) -> Optional[CandidateTree]:
     """Exhaustive junction-tree search over all spanning trees.
 
-    Each tree is tested by the definition, on every path, and weighed by the
-    intersection graph.  Besides deciding existence, this cross-checks two
+    Each tree is tested by the definition, on every path, and weighed by its
+    middle sets.  Besides deciding existence, this cross-checks two
     structural facts on the way: every qualifying tree carries maximum
     weight, and the maximum trees either all qualify or none does.
     """
     d = len(family)
     if d > max_sets:
         raise SizeGuardError(f"{d} sets exceed the cap of {max_sets}")
-    g = intersection_graph(family)
     best_weight = None
     passing: list[tuple[int, CandidateTree]] = []
     max_trees: list[CandidateTree] = []
     for edges in _all_spanning_trees(d):
         tree = CandidateTree(family, edges)
-        weight = sum(g.weight(i, j) for i, j in edges)
+        weight = tree.weight
         if best_weight is None or weight > best_weight:
             best_weight = weight
             max_trees = []

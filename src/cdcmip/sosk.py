@@ -170,20 +170,33 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def exact_coordinate(value) -> Fraction:
-    """Parse an exact rational from int, Fraction, or a decimal/fraction string."""
+    """Parse an exact rational from int, Fraction, or a decimal/fraction string.
+
+    A numerator or denominator of more digits than Python prints
+    (``sys.get_int_max_str_digits()``) is an input error: neither JSON nor
+    LP output could hold it.
+    """
     if isinstance(value, bool):
         raise InputError("booleans are not coordinates")
+    limit = sys.get_int_max_str_digits()
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
+        x = Fraction(value)
+    elif isinstance(value, str):
         try:
             # Fraction would expand 10**exponent, which a huge exponent never finishes.
             exponent = _EXPONENT.search(value)
-            if exponent and abs(int(exponent[1])) > sys.get_int_max_str_digits():
+            if exponent and abs(int(exponent[1])) > limit:
                 raise ValueError("decimal exponent is past the integer digit limit")
-            return Fraction(value)
+            x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse exact rational from {value!r}") from exc
-    raise InputError(
-        f"exact rational required (int, Fraction, or string), got {type(value).__name__}"
-    )
+    else:
+        raise InputError(
+            f"exact rational required (int, Fraction, or string), got {type(value).__name__}"
+        )
+    # More than `limit` digits takes more than 3 * limit bits, so only long
+    # values pay for the power of ten.
+    big = max(abs(x.numerator), x.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise InputError(f"a coordinate has more than {limit} digits, past the integer digit limit")
+    return x

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple
 
 from .cdc import IndexSetFamily, ground_set
 from .errors import InputError, InvariantError, RedundantFamilyWarning
-from .jtree import CandidateTree, _rooted_walk, is_junction_tree, maximum_spanning_tree_of
+from .jtree import CandidateTree, _preorder, is_junction_tree, maximum_spanning_tree_of
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> Transform
 
     ``disjoint=True`` keeps one private copy of every index per set and a
     path tree.  ``disjoint=False`` additionally re-identifies copies along a
-    maximum spanning tree of the original intersection graph, walked
-    breadth-first from the first set with children in ordinal order.
+    maximum spanning tree of the original intersection graph, walked from
+    the first set, each parent before its children.
     """
     d = len(family)
     original_ground = ground_set(family)
@@ -83,7 +83,9 @@ def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> Transform
         )
 
     mst_edges = maximum_spanning_tree_of(family).edges
-    for parent, child in _rooted_walk(mst_edges, 0):
+    up = _preorder(mst_edges, 0)
+    del up[0]
+    for child, parent in up.items():
         by_orig = {alpha[x]: x for x in new_sets[parent]}
         new_sets[child] = [by_orig.get(alpha[y], y) for y in sorted(new_sets[child])]
 

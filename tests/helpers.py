@@ -90,6 +90,22 @@ def pairwise_has_containment(sets) -> bool:
     return any(a <= b or b <= a for a, b in combinations(map(frozenset, sets), 2))
 
 
+def projection_interiors_disjoint(p, q) -> bool:
+    """Separating-axis test: the projections meet in at most a point along some edge normal."""
+    def extent(poly, normal):
+        values = [normal[0] * x + normal[1] * y for x, y in poly]
+        return min(values), max(values)
+
+    for poly in (p, q):
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+            normal = (ay - by, bx - ax)
+            plo, phi = extent(p, normal)
+            qlo, qhi = extent(q, normal)
+            if phi <= qlo or qhi <= plo:
+                return True
+    return False
+
+
 def pairwise_partition_error(polygons):
     """The ``InputError`` message of an all-pairs validation, or ``None``.
 
@@ -106,7 +122,7 @@ def pairwise_partition_error(polygons):
     if not fixed:
         return "a partition needs at least one polygon"
     for p, q in combinations(fixed, 2):
-        if not geom._interiors_disjoint(p, q):
+        if not projection_interiors_disjoint(p, q):
             return "polygon interiors overlap"
     return None
 
@@ -145,17 +161,41 @@ def pairwise_dual_graph(p: PlanarPartition) -> set[tuple[int, int]]:
     }
 
 
-def dense_maximum_spanning_tree(g) -> tuple[tuple[int, int], ...]:
-    """Kruskal over every pair of an intersection graph, by weight descending, then pair."""
-    order = sorted(g.mids, key=lambda e: (-len(g.mids[e]), e))
-    return tuple(sorted(jtree._spanning_forest(g.size, order)))
+def dense_maximum_spanning_tree(family) -> tuple[tuple[int, int], ...]:
+    """Kruskal over every pair of member sets, by intersection size descending, then pair."""
+    sets = family.sets
+    weight = {(i, j): len(sets[i] & sets[j]) for i, j in combinations(range(len(sets)), 2)}
+    order = sorted(weight, key=lambda e: (-weight[e], e))
+    return tuple(sorted(jtree._spanning_forest(len(sets), order)))
+
+
+def breadth_first_walk(edges, root) -> list[tuple[int, int]]:
+    """(parent, child) pairs of the forest's tree containing ``root``, breadth first.
+
+    Every parent comes before its children, and each vertex's children come
+    in ordinal order.
+    """
+    adj = {}
+    for i, j in edges:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    seen = {root}
+    queue = [root]
+    pairs = []
+    for parent in queue:
+        for child in sorted(adj.get(parent, ())):
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+                pairs.append((parent, child))
+    return pairs
 
 
 def tree_split(tree, edge) -> tuple[set[int], set[int]]:
     """Vertex sets of the two components of the tree minus ``edge``, by a fresh walk."""
     i, j = min(edge), max(edge)
     rest = [e for e in tree.edges if e != (i, j)]
-    side = {i} | {child for _, child in jtree._rooted_walk(rest, i)}
+    side = {i} | {child for _, child in breadth_first_walk(rest, i)}
     return side, set(range(tree.size)) - side
 
 
@@ -176,7 +216,7 @@ def disconnected_index(family, tree):
     for v in sorted(ground_set(family)):
         holders = [i for i, s in enumerate(family.sets) if v in s]
         inside = [(i, j) for i, j in tree.edges if v in family.sets[i] and v in family.sets[j]]
-        if 1 + len(jtree._rooted_walk(inside, holders[0])) < len(holders):
+        if 1 + len(breadth_first_walk(inside, holders[0])) < len(holders):
             return v
     return None
 
@@ -204,7 +244,7 @@ def reference_cut_recursion(tree):
     def build(vertices, edges):
         if len(vertices) <= 1:
             return None
-        walk = jtree._rooted_walk(edges, min(vertices))
+        walk = breadth_first_walk(edges, min(vertices))
         size = dict.fromkeys(vertices, 1)
         for parent, child in reversed(walk):
             size[parent] += size[child]

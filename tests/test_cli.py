@@ -140,6 +140,14 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     polygons = f'{{"polygons": [[[0, 0], [2, 0], [{HUGE_INT}, 1]]]}}'
     code, _, err = run(capsys, "geom", "analyze", family_file(tmp_path, polygons))
     assert code == 2 and "invalid JSON" in err
+    # A coordinate within the exponent limit whose value has 4,301 digits.
+    polygons = '{"polygons": [[["0", "0"], ["1e4300", "0"], ["0", "1"]]]}'
+    for action in ("analyze", "savings"):
+        code, _, err = run(capsys, "geom", action, family_file(tmp_path, polygons))
+        assert code == 2 and "digit limit" in err
+    polygons = '{"polygons": [[["0", "0"], ["1e4000", "0"], ["0", "1"]]]}'
+    code, _, _ = run(capsys, "geom", "analyze", family_file(tmp_path, polygons))
+    assert code == 0
 
 
 def test_huge_decimal_exponent_exits_2_promptly(tmp_path, capsys):

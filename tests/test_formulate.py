@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cdcmip import (
@@ -216,6 +218,36 @@ def test_write_lp_decimal_fractions():
     assert "0.5" in text and "0.75" in text
     rows, _, _ = parse_lp(text)
     assert rows_match_up_to_scaling(rows, f)
+
+
+def test_write_lp_renders_each_value_once(monkeypatch):
+    from cdcmip import formulate
+
+    f = build_sosk(40, 3)
+    render = formulate._decimal_or_none
+    calls = []
+    monkeypatch.setattr(formulate, "_decimal_or_none", lambda x: calls.append(x) or render(x))
+    write_lp(f)
+    printed = sum(len(c.terms) + 1 for c in f.constraints)
+    printed += sum((v.lower is not None) + (v.upper is not None) for v in f.variables)
+    assert 0 < len(calls) <= printed
+
+
+def test_write_lp_rejects_a_non_terminating_bound():
+    from cdcmip import LinearFormulation
+
+    f = LinearFormulation()
+    f.add_variable("x", lower=Fraction(1, 3), upper=Fraction(7, 2))
+    f.add_constraint("row", [("x", 1)], "<=", 3)
+    with pytest.raises(InputError, match="'x'"):
+        write_lp(f)
+
+
+def test_pwl_rejects_coordinates_past_the_digit_limit():
+    with pytest.raises(InputError, match="digit limit"):
+        build_pwl([(0, 0), ("1e4300", 1)])
+    f = build_pwl([(0, 0), ("1e4000", 1)])
+    assert "1" + "0" * 4000 in write_lp(f) and f.to_json()
 
 
 def test_write_lp_empty_formulation():

@@ -15,6 +15,8 @@ from cdcmip import (
     IndexSetFamily,
     InputError,
     NoJunctionTreeError,
+    brute_admits_junction_tree,
+    build_equivalent_family,
     build_extended_disjoint,
     build_extended_jtree,
     build_ib_from_cover,
@@ -97,6 +99,15 @@ EXTRA_DIGESTS = {
 }
 
 
+# The rewrite in both modes over both corpora, and the exhaustive oracle's
+# junction tree (or null) on every corpus family of at most 7 sets.
+TREE_DIGESTS = {
+    "transform": "5a3d180580b2",
+    "transform-disjoint": "8d2bd14e8ef7",
+    "brute_tree": "b2b5ba04f8a4",
+}
+
+
 def _digest(make, inputs, render) -> str:
     h = hashlib.sha256()
     for item in inputs:
@@ -140,3 +151,26 @@ def test_output_digest(cases, name):
 @pytest.mark.parametrize("name", list(EXTRA_DIGESTS))
 def test_extra_output_digest(extra_cases, name):
     assert _digest(*extra_cases[name]) == EXTRA_DIGESTS[name]
+
+
+def _rewrite(disjoint: bool):
+    return lambda fam: build_equivalent_family(fam, disjoint=disjoint)
+
+
+@pytest.fixture(scope="module")
+def tree_cases():
+    fams = _families() + _extra_families()
+    return {
+        "transform": (_rewrite(False), fams, lambda res: res.to_json()),
+        "transform-disjoint": (_rewrite(True), fams, lambda res: res.to_json()),
+        "brute_tree": (
+            brute_admits_junction_tree,
+            [fam for fam in fams if len(fam) <= 7],
+            lambda tree: "null" if tree is None else tree.to_json(),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(TREE_DIGESTS))
+def test_tree_digest(tree_cases, name):
+    assert _digest(*tree_cases[name]) == TREE_DIGESTS[name]

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -9,7 +8,6 @@ from cdcmip import (
     InputError,
     admits_junction_tree,
     failing_index,
-    intersection_graph,
     is_junction_tree,
     is_pairwise_ib_representable,
     maximum_spanning_tree_of,
@@ -18,24 +16,11 @@ from cdcmip.sosk import sosk_family, sosk_junction_tree
 from helpers import dense_maximum_spanning_tree, random_family
 
 
-def test_intersection_graph(path3):
-    g = intersection_graph(path3)
-    assert g.size == 3 and len(g.mids) == 3
-    assert g.weight(0, 1) == 1 and g.weight(1, 2) == 1 and g.weight(0, 2) == 0
-    assert g.mid(1, 2) == {5}
-
-    single = intersection_graph(IndexSetFamily([[1], [2]]))
-    assert single.edges == [(0, 1)] and single.weight(0, 1) == 0
-
-    sos3_4 = intersection_graph(IndexSetFamily([[1, 2, 3], [2, 3, 4]]))
-    assert sos3_4.mid(0, 1) == {2, 3} and sos3_4.weight(0, 1) == 2
-
-
 def test_maximum_spanning_tree(path3, triangle):
     t = maximum_spanning_tree_of(path3)
     assert t.edges == ((0, 1), (1, 2)) and t.weight == 2
 
-    assert dense_maximum_spanning_tree(intersection_graph(IndexSetFamily([[1], [2]]))) == ((0, 1),)
+    assert dense_maximum_spanning_tree(IndexSetFamily([[1], [2]])) == ((0, 1),)
     assert maximum_spanning_tree_of(IndexSetFamily([[1], [2]])).edges == ((0, 1),)
 
     tie = maximum_spanning_tree_of(triangle)
@@ -121,31 +106,7 @@ def test_zero_weight_completion():
     # and (0, 4), the first zero-weight pairs of a scan of all pairs.
     fam = IndexSetFamily([[1, 2], [5, 6], [2, 3], [6, 7], [9]])
     assert maximum_spanning_tree_of(fam).edges == ((0, 1), (0, 2), (0, 4), (1, 3))
-    assert maximum_spanning_tree_of(fam).edges == dense_maximum_spanning_tree(intersection_graph(fam))
-
-
-def _forbid_intersection_graph(monkeypatch):
-    """Make every binding of ``intersection_graph`` in the package fail."""
-    def forbidden(family):
-        raise AssertionError("the dense intersection graph was built")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cdcmip") and hasattr(module, "intersection_graph"):
-            monkeypatch.setattr(module, "intersection_graph", forbidden)
-
-
-def test_pipeline_never_builds_the_intersection_graph(monkeypatch):
-    from cdcmip import build_equivalent_family, heuristic_cover, variable_accounting
-
-    _forbid_intersection_graph(monkeypatch)
-    for fam in (sosk_family(60, 3), IndexSetFamily([[0, i] for i in range(1, 50)])):
-        assert admits_junction_tree(fam) is not None
-        assert len(heuristic_cover(fam)) <= len(fam) - 1
-    triangle = IndexSetFamily([[1, 2], [2, 3], [1, 3]])
-    assert admits_junction_tree(triangle) is None
-    for disjoint in (True, False):
-        build_equivalent_family(triangle, disjoint)
-    variable_accounting(triangle)
+    assert maximum_spanning_tree_of(fam).edges == dense_maximum_spanning_tree(fam)
 
 
 @pytest.mark.parametrize("n, k", [(400, 2), (600, 3), (800, 5), (800, 8)])

@@ -36,7 +36,6 @@ from cdcmip import (
     conflict_graph,
     failing_index,
     heuristic_cover,
-    intersection_graph,
     is_biclique,
     is_irredundant,
     is_junction_tree,
@@ -48,7 +47,7 @@ from cdcmip import (
     support_validity,
     verify_cover,
 )
-from cdcmip.geom import PlanarPartition, dual_graph, partition_to_cdc
+from cdcmip.geom import PlanarPartition, _cross, _interiors_disjoint, dual_graph, partition_to_cdc
 from cdcmip.jtree import _cut_recursion
 from helpers import (
     all_points_partition_to_cdc,
@@ -61,6 +60,7 @@ from helpers import (
     pairwise_dual_graph,
     pairwise_has_containment,
     pairwise_partition_error,
+    projection_interiors_disjoint,
     quiet_family,
     random_family,
     random_junction_family,
@@ -320,6 +320,36 @@ def test_front_end_matches_all_pairs_on_triangle_soups(polys):
     check_front_end(polys)
 
 
+def convex_hull(points):
+    """Counterclockwise hull of the points (monotone chain), collinear points dropped."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for pt in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], pt) <= 0:
+                out.pop()
+            out.append(pt)
+        return out[:-1]
+
+    return tuple(chain(pts) + chain(reversed(pts)))
+
+
+# Hulls on a 7x7 lattice: pairs overlap, touch along edges or at vertices,
+# share vertices, and have collinear edges.
+hulls = st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=8).map(
+    convex_hull
+).filter(lambda hull: len(hull) >= 3)
+
+
+@PROPERTY
+@given(st.lists(hulls, min_size=2, max_size=6))
+def test_edge_line_overlap_test_matches_the_projection_test(polys):
+    for p in polys:
+        for q in polys:
+            assert _interiors_disjoint(p, q) == projection_interiors_disjoint(p, q)
+
+
 # ------------------------------------------------------ junction-tree core
 #
 # The sparse maximum spanning tree, the running-intersection identity, the
@@ -366,7 +396,7 @@ def spanning_trees(draw, fam):
 @given(st.one_of(families, split_families(), junction_families))
 def test_sparse_tree_matches_kruskal_over_all_pairs(fam):
     tree = maximum_spanning_tree_of(fam)
-    assert tree.edges == dense_maximum_spanning_tree(intersection_graph(fam))
+    assert tree.edges == dense_maximum_spanning_tree(fam)
 
 
 @PROPERTY
