@@ -3,6 +3,10 @@
 Nothing here is meant to scale: every routine enumerates (spanning trees,
 support subsets, tight-constraint bases, edge-to-biclique assignments) and
 refuses inputs beyond an explicit budget instead of degrading silently.
+Each question gets one exact test on data the oracle already holds: a
+rank test refuses a relaxation with no vertex before the vertex search,
+and whether some edges fit in one biclique is one 2-colouring with parity
+constraints.
 """
 
 from __future__ import annotations
@@ -10,13 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Optional
+from typing import Iterable, Optional
 
 from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
 from .errors import InputError, InvariantError, SizeGuardError
 from .formulate import BINARY, LinearFormulation, _integral
 from .jtree import CandidateTree, _preorder, _spanning_forest
-from .cover import is_biclique
 
 
 def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
@@ -65,6 +68,27 @@ def _insert(basis, row: list[int], p: int):
     out = [(q, _combine(row[p], b, -b[p], row)) if b[p] else (q, b) for q, b in basis]
     out.append((p, row))
     return out
+
+
+def _echelon(rows, m: int):
+    """Eliminate the rows in order on pivots among columns ``0..m-1``.
+
+    Returns the fully reduced basis of (pivot, row) pairs and the reduced
+    rows left with no pivot there but some other coefficient, or ``None``
+    when a row reduces to 0 = b with b nonzero.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    residual: list[list[int]] = []
+    for row in rows:
+        row = _reduce(basis, row)
+        p = next((k for k in range(m) if row[k]), None)
+        if p is not None:
+            basis = _insert(basis, row, p)
+        elif any(row[:-1]):
+            residual.append(row)
+        elif row[-1]:
+            return None
+    return basis, residual
 
 
 def _combine(s: int, x: list[int], t: int, y: list[int]) -> list[int]:
@@ -146,27 +170,19 @@ def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: in
     systems: dict[tuple, None] = {}
     for assignment in product((False, True), repeat=len(binaries)):
         z = [c for c, one in zip(binaries, assignment) if one]
-        basis: list[tuple[int, list[int]]] = []
-        residual = []
-        for row in fold(eqs, z):
-            row = _reduce(basis, row)
-            p = next((k for k in range(m) if row[k]), None)
-            if p is not None:
-                basis = _insert(basis, row, p)
-            elif any(row[m:w]):
-                residual.append(row)
-            elif row[w]:
-                break  # the equalities alone are inconsistent
-        else:
-            rows = _fourier_motzkin([_reduce(basis, row) for row in fold(ineqs, z)], m, max_rows)
-            if rows is None:
-                continue
-            system = [
-                (tuple((bits[k], a) for k, a in enumerate(row[m:w]) if a), row[w], is_eq)
-                for is_eq, group in ((True, residual), (False, rows))
-                for row in group
-            ]
-            systems[tuple(sorted(system))] = None
+        echelon = _echelon(fold(eqs, z), m)
+        if echelon is None:
+            continue  # the equalities alone are inconsistent
+        basis, residual = echelon
+        rows = _fourier_motzkin([_reduce(basis, row) for row in fold(ineqs, z)], m, max_rows)
+        if rows is None:
+            continue
+        system = [
+            (tuple((bits[k], a) for k, a in enumerate(row[m:w]) if a), row[w], is_eq)
+            for is_eq, group in ((True, residual), (False, rows))
+            for row in group
+        ]
+        systems[tuple(sorted(system))] = None
     return list(systems)
 
 
@@ -216,74 +232,28 @@ def support_validity(
     return True
 
 
-def _bound_propagation(f: LinearFormulation, passes: int = 25) -> bool:
-    """Certify boundedness by interval propagation over the rows.
-
-    Sufficient, not necessary; every formulation built here is certified
-    because simplex rows cap their nonnegative variables at one.
-    """
-    lo = {v.name: v.lower for v in f.variables}
-    hi = {v.name: v.upper for v in f.variables}
-
-    def extremum(terms, skip, minimize):
-        total = Fraction(0)
-        for var, coef in terms:
-            if var == skip:
-                continue
-            want_low = (coef > 0) == minimize
-            bound = lo[var] if want_low else hi[var]
-            if bound is None:
-                return None
-            total += coef * bound
-        return total
-
-    for _ in range(passes):
-        changed = False
-        for c in f.constraints:
-            for var, coef in c.terms:
-                for sense, minimize in (("<=", True), (">=", False)):
-                    if c.sense not in (sense, "="):
-                        continue
-                    rest = extremum(c.terms, var, minimize)
-                    if rest is None:
-                        continue
-                    cap = (c.rhs - rest) / coef
-                    if (coef > 0) == minimize:  # the row caps var from above
-                        if hi[var] is None or cap < hi[var]:
-                            hi[var] = cap
-                            changed = True
-                    elif lo[var] is None or cap > lo[var]:
-                        lo[var] = cap
-                        changed = True
-        if all(lo[n] is not None and hi[n] is not None for n in lo):
-            return True
-        if not changed:
-            return False
-    return all(lo[n] is not None and hi[n] is not None for n in lo)
-
-
 def _vertices(f: LinearFormulation, max_vars: int):
     """Yield every basic feasible point of the relaxation, repeats included.
 
-    A depth-first search over the inequality rows in index order extends a
-    fully reduced integer row-echelon basis that starts from the equalities;
-    a row dependent on the rows chosen before it prunes its whole subtree,
-    and a full basis gives its point straight from the pivots.
+    The relaxation has a vertex only if all its rows have rank n; below
+    that, a line lies in it (or it is empty), and this refuses.  A
+    depth-first search over the inequality rows in index order then extends
+    a fully reduced integer row-echelon basis that starts from the
+    equalities; a row dependent on the rows chosen before it prunes its
+    whole subtree, and a full basis gives its point straight from the
+    pivots.
     """
     n = len(f.variables)
     if n > max_vars:
         raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
-    if not _bound_propagation(f):
-        raise InputError("relaxation is not certifiably bounded; refusing to enumerate")
     eq_rows, ineq_rows = _compile(f)
-    basis: list[tuple[int, list[int]]] = []
-    for row in eq_rows:
-        row = _reduce(basis, row)
-        p = next((k for k in range(n) if row[k]), None)
-        if p is not None:
-            basis = _insert(basis, row, p)
-        elif row[n]:
-            return  # the equalities alone are inconsistent
+    rank = len(_echelon([row[:n] + [0] for row in eq_rows + ineq_rows], n)[0])
+    if rank < n:
+        raise InputError(f"rows of rank {rank} < {n}: the relaxation holds a line, no vertex")
+    echelon = _echelon(eq_rows, n)
+    if echelon is None:
+        return  # the equalities alone are inconsistent
+    basis = echelon[0]
     checks = [([(k, a) for k, a in enumerate(row[:n]) if a], row[n]) for row in ineq_rows]
 
     def search(start: int, basis):
@@ -313,7 +283,9 @@ def lp_vertices(f: LinearFormulation, max_vars: int = 12) -> list[tuple[Fraction
     depth first in index order; a row dependent on the rows already chosen
     prunes every basis that extends the choice.  The cost is one integer
     row reduction per node of the pruned search tree plus a feasibility
-    test per full basis.  The relaxation must be certifiably bounded.
+    test per full basis.  The relaxation must be pointed, its rows of rank
+    n, but may be unbounded; otherwise it has no vertex and ``InputError``
+    is raised.
     """
     return sorted(set(_vertices(f, max_vars)))
 
@@ -353,80 +325,64 @@ def brute_admits_junction_tree(
 ) -> Optional[CandidateTree]:
     """Exhaustive junction-tree search over all spanning trees.
 
-    Each tree is tested by the definition, on every path, and weighed by its
-    middle sets.  Besides deciding existence, this cross-checks two
-    structural facts on the way: every qualifying tree carries maximum
-    weight, and the maximum trees either all qualify or none does.
+    Each tree is tested by the definition, on every path, and weighed as
+    its tuple of edges by the sizes of their middle sets.  Besides deciding
+    existence, this cross-checks two structural facts on the way: every
+    qualifying tree carries maximum weight, and the maximum trees either
+    all qualify or none does.
     """
     d = len(family)
     if d > max_sets:
         raise SizeGuardError(f"{d} sets exceed the cap of {max_sets}")
-    best_weight = None
-    passing: list[tuple[int, CandidateTree]] = []
-    max_trees: list[CandidateTree] = []
-    for edges in _all_spanning_trees(d):
-        tree = CandidateTree(family, edges)
-        weight = tree.weight
-        if best_weight is None or weight > best_weight:
-            best_weight = weight
-            max_trees = []
-        if weight == best_weight:
-            max_trees.append(tree)
-        if _holds_on_every_path(family, edges):
-            passing.append((weight, tree))
+    sets = family.sets
+    middle = {(i, j): len(sets[i] & sets[j]) for i, j in combinations(range(d), 2)}
+    trees = [(sum(map(middle.__getitem__, edges)), edges) for edges in _all_spanning_trees(d)]
+    best = max(weight for weight, _ in trees)
+    passing = [(weight, edges) for weight, edges in trees if _holds_on_every_path(family, edges)]
     if passing:
-        if any(weight != best_weight for weight, _ in passing):
+        if any(weight != best for weight, _ in passing):
             raise InvariantError("a qualifying tree of non-maximum weight appeared")
-        if len(passing) != len(max_trees):
+        if len(passing) != sum(weight == best for weight, _ in trees):
             raise InvariantError("maximum trees disagree on the junction property")
-        return passing[0][1]
+        return CandidateTree(family, passing[0][1])
     return None
 
 
-def _bipartitions(edge_subset: list[tuple[int, int]]):
-    """All 2-colorings of the subset's vertices consistent with its edges."""
-    adj: dict[int, list[int]] = {}
+def _embeddable(g: ConflictGraph, edge_subset: Iterable[tuple[int, int]]) -> bool:
+    """Whether some biclique of ``g`` contains all the given edges; none gives false.
+
+    The edges' vertices are 2-coloured under parity constraints: the two
+    ends of each given edge take opposite colours, and two vertices ``g``
+    does not join take the same one.  Such a colouring makes its colour
+    classes a biclique holding the edges, and the sides of any such
+    biclique colour the vertices that way, so one search over the
+    constraints decides it.
+    """
+    partners: dict[int, int] = {}  # each vertex's mask of given-edge ends
     for u, v in edge_subset:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    color: dict[int, int] = {}
-    components = []
-    for start in sorted(adj):
-        if start in color:
+        partners[u] = partners.get(u, 0) | g.bit[v]
+        partners[v] = partners.get(v, 0) | g.bit[u]
+    side: dict[int, int] = {}
+    for start in partners:
+        if start in side:
             continue
-        comp = [start]
-        color[start] = 0
+        side[start] = 0
         stack = [start]
-        ok = True
         while stack:
             x = stack.pop()
-            for y in adj[x]:
-                if y not in color:
-                    color[y] = color[x] ^ 1
-                    comp.append(y)
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    ok = False
-        if not ok:
-            return
-        components.append(comp)
-    for flips in product((0, 1), repeat=len(components)):
-        side_a, side_b = set(), set()
-        for comp, flip in zip(components, flips):
-            for x in comp:
-                if color[x] ^ flip:
-                    side_b.add(x)
+            for y in partners:
+                if partners[x] & g.bit[y]:
+                    want = side[x] ^ 1
+                elif y != x and not g.adj[x] & g.bit[y]:
+                    want = side[x]
                 else:
-                    side_a.add(x)
-        yield side_a, side_b
-
-
-def _embeddable(g: ConflictGraph, edge_subset: list[tuple[int, int]]) -> bool:
-    """Whether some biclique of ``g`` contains all the given edges."""
-    for side_a, side_b in _bipartitions(edge_subset):
-        if is_biclique(g, side_a, side_b):
-            return True
-    return False
+                    continue
+                if y not in side:
+                    side[y] = want
+                    stack.append(y)
+                elif side[y] != want:
+                    return False
+    return bool(side)
 
 
 def min_biclique_cover_exact(g: ConflictGraph, upper: int, max_edges: int = 12) -> int:
@@ -439,30 +395,20 @@ def min_biclique_cover_exact(g: ConflictGraph, upper: int, max_edges: int = 12) 
     edges = sorted(g.edges)
     if len(edges) > max_edges:
         raise SizeGuardError(f"{len(edges)} edges exceed the cap of {max_edges}")
-    if not edges:
-        return 0
 
-    def search(pos: int, groups: list[list[tuple[int, int]]], budget: int) -> bool:
-        if len(groups) > budget:
-            return False
+    def search(pos: int, groups: tuple, budget: int) -> bool:
+        """Whether ``edges[pos:]`` join the groups, or new ones up to ``budget`` in all."""
         if pos == len(edges):
             return True
         edge = edges[pos]
-        for group in groups:
-            group.append(edge)
-            if _embeddable(g, group) and search(pos + 1, groups, budget):
-                group.pop()
+        for k, group in enumerate(groups):
+            grown = (*group, edge)
+            rest = (*groups[:k], grown, *groups[k + 1:])
+            if _embeddable(g, grown) and search(pos + 1, rest, budget):
                 return True
-            group.pop()
-        if len(groups) < budget:
-            groups.append([edge])
-            if search(pos + 1, groups, budget):
-                groups.pop()
-                return True
-            groups.pop()
-        return False
+        return len(groups) < budget and search(pos + 1, (*groups, (edge,)), budget)
 
-    for budget in range(1, upper + 1):
-        if search(0, [], budget):
+    for budget in range(upper + 1):
+        if search(0, (), budget):
             return budget
     raise InputError(f"no cover with at most {upper} bicliques exists")

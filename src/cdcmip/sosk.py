@@ -173,8 +173,9 @@ def exact_coordinate(value) -> Fraction:
     """Parse an exact rational from int, Fraction, or a decimal/fraction string.
 
     A numerator or denominator of more digits than Python prints
-    (``sys.get_int_max_str_digits()``) is an input error: neither JSON nor
-    LP output could hold it.
+    (``sys.get_int_max_str_digits()``, where 0 means no limit) is an input
+    error: neither JSON nor LP output could hold it.  So is a decimal
+    exponent past that limit or Python's default one, whichever is larger.
     """
     if isinstance(value, bool):
         raise InputError("booleans are not coordinates")
@@ -183,9 +184,11 @@ def exact_coordinate(value) -> Fraction:
         x = Fraction(value)
     elif isinstance(value, str):
         try:
-            # Fraction would expand 10**exponent, which a huge exponent never finishes.
+            # Fraction would expand 10**exponent, which a huge exponent never
+            # finishes; the cap holds even with no digit limit (a limit of 0).
             exponent = _EXPONENT.search(value)
-            if exponent and abs(int(exponent[1])) > limit:
+            cap = max(limit, sys.int_info.default_max_str_digits)
+            if exponent and abs(int(exponent[1])) > cap:
                 raise ValueError("decimal exponent is past the integer digit limit")
             x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

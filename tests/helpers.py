@@ -23,7 +23,7 @@ from cdcmip import (
     SizeGuardError,
     is_biclique,
 )
-from cdcmip import geom, jtree, oracle
+from cdcmip import geom, jtree
 from cdcmip.cdc import ground_set
 from cdcmip.formulate import BINARY
 from cdcmip.geom import PlanarPartition
@@ -73,6 +73,18 @@ def brute_is_biclique(edges, vertices, side_a, side_b) -> bool:
     if not a or not b or a & b or not (a | b) <= set(vertices):
         return False
     return all((min(u, v), max(u, v)) in edges for u in a for v in b)
+
+
+def brute_embeddable(edges, vertices, edge_subset) -> bool:
+    """Some split of the subset's vertices into two sides is a biclique crossing every given edge."""
+    ends = sorted({v for edge in edge_subset for v in edge})
+    for sides in product((0, 1), repeat=len(ends)):
+        a = {v for v, side in zip(ends, sides) if side == 0}
+        b = set(ends) - a
+        crossing = all((u in a) != (v in a) for u, v in edge_subset)
+        if crossing and brute_is_biclique(edges, vertices, a, b):
+            return True
+    return False
 
 
 def pairset_verify_cover(edges, vertices, cover) -> bool:
@@ -632,13 +644,15 @@ def _independent_rows(rows, n):
 
 
 def reference_lp_vertices(f, max_vars=12):
-    """``lp_vertices`` by solving every choice of tight inequality rows."""
+    """``lp_vertices`` by solving every choice of tight inequality rows.
+
+    A relaxation whose rows have rank below n holds a line and has no
+    vertex; like ``lp_vertices``, this refuses it.
+    """
     names = f.variable_names()
     n = len(names)
     if n > max_vars:
         raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
-    if not oracle._bound_propagation(f):
-        raise InputError("relaxation is not certifiably bounded; refusing to enumerate")
     index = {name: i for i, name in enumerate(names)}
     eq_rows = []
     ineq_rows = []  # a.x <= b
@@ -661,6 +675,8 @@ def reference_lp_vertices(f, max_vars=12):
             vec = [Fraction(0)] * n
             vec[i] = Fraction(1)
             ineq_rows.append((vec, v.upper))
+    if len(_independent_rows(eq_rows + ineq_rows, n)) < n:
+        raise InputError("relaxation holds a line, so it has no vertex; refusing to enumerate")
     independent_eqs = _independent_rows(eq_rows, n)
     vertices = set()
     for combo in combinations(range(len(ineq_rows)), n - len(independent_eqs)):

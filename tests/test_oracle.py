@@ -140,6 +140,42 @@ def test_lp_vertices_rejects_uncertified():
         lp_vertices(f)
 
 
+def test_lp_vertices_of_a_pointed_unbounded_relaxation():
+    # The ray x = y >= 0 is unbounded, but the rows have rank 2, so the
+    # relaxation has its apex as its one vertex.
+    f = LinearFormulation(metadata={})
+    f.add_variable("x", lower=Fraction(0))
+    f.add_variable("y", lower=Fraction(0))
+    f.add_constraint("tie", [("x", 1), ("y", -1)], "=", 0)
+    assert lp_vertices(f) == [(Fraction(0), Fraction(0))]
+
+
+def test_is_ideal_with_an_unbounded_continuous_variable():
+    f = LinearFormulation(metadata={})
+    f.add_variable("z", "binary", Fraction(0), Fraction(1))
+    f.add_variable("x")  # no bound either way
+    f.add_constraint("lift", [("x", 1), ("z", -1)], ">=", 0)
+    assert lp_vertices(f) == [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]
+    assert is_ideal(f)
+    f.add_constraint("mirror", [("x", 1), ("z", 1)], ">=", 1)
+    half = Fraction(1, 2)
+    assert lp_vertices(f) == [(0, 1), (half, half), (1, 1)]
+    assert not is_ideal(f)
+
+
+def test_lp_vertices_rejects_a_relaxation_holding_a_line():
+    # Rows of rank 1 in two variables: every point moves along x + y = c.
+    f = LinearFormulation(metadata={})
+    f.add_variable("x")
+    f.add_variable("y")
+    f.add_constraint("low", [("x", 1), ("y", 1)], ">=", 0)
+    f.add_constraint("high", [("x", 1), ("y", 1)], "<=", 1)
+    with pytest.raises(InputError, match="rank 1 < 2"):
+        lp_vertices(f)
+    with pytest.raises(InputError):
+        is_ideal(f)
+
+
 def test_lp_vertices_size_guard():
     fam = IndexSetFamily([list(range(1, 12))])
     with pytest.raises(SizeGuardError):

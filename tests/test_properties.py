@@ -47,11 +47,13 @@ from cdcmip import (
     support_validity,
     verify_cover,
 )
+from cdcmip import oracle
 from cdcmip.geom import PlanarPartition, _cross, _interiors_disjoint, dual_graph, partition_to_cdc
 from cdcmip.jtree import _cut_recursion
 from helpers import (
     all_points_partition_to_cdc,
     brute_conflict_edges,
+    brute_embeddable,
     brute_is_biclique,
     cut_test_is_junction_tree,
     dense_maximum_spanning_tree,
@@ -518,3 +520,24 @@ def test_support_validity_matches_per_support_elimination(model):
 def test_lp_vertices_match_every_basis_solve(model):
     f, _ = model
     assert outcome(lp_vertices, f) == outcome(reference_lp_vertices, f)
+
+
+@PROPERTY
+@given(st.data())
+def test_embeddable_matches_every_side_assignment(data):
+    # min_biclique_cover_exact reads embeddability only through _embeddable.
+    fam = data.draw(families.filter(lambda fam: brute_view(fam)[0]))
+    edges, ground = brute_view(fam)
+    # Half the subsets lie among the cross pairs of two sides, the second
+    # drawn among common neighbours of the first, so that they embed often;
+    # any subset may take one more edge from anywhere.
+    pool = sorted(edges)
+    if data.draw(st.booleans()):
+        side_a = data.draw(st.frozensets(st.sampled_from(sorted(ground)), min_size=1, max_size=3))
+        common = [v for v in ground if all((min(u, v), max(u, v)) in edges for u in side_a)]
+        side_b = data.draw(st.frozensets(st.sampled_from(common), max_size=3)) if common else ()
+        pool = sorted({(min(u, v), max(u, v)) for u in side_a for v in side_b}) or pool
+    picks = st.lists(st.sampled_from(pool), min_size=min(2, len(pool)), max_size=4, unique=True)
+    subset = data.draw(picks) + data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=1))
+    got = oracle._embeddable(conflict_graph(fam), subset)
+    assert got == brute_embeddable(edges, ground, subset)

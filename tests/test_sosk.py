@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from fractions import Fraction
@@ -213,3 +216,18 @@ def test_pwl_definition_rows():
         "lam_2": Fraction(-2),
         "lam_3": Fraction(-1),
     }
+
+
+def test_exact_coordinate_exponents_without_a_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0 switches the digit limit off
+    try:
+        assert sosk.exact_coordinate("1e5") == 100_000
+        assert sosk.exact_coordinate("-2.5e-3") == Fraction(-1, 400)
+        assert sosk.exact_coordinate("1e4300") == 10**4300
+        start = time.monotonic()
+        with pytest.raises(InputError, match="1e99999999"):
+            sosk.exact_coordinate("1e99999999")
+        assert time.monotonic() - start < 10
+    finally:
+        sys.set_int_max_str_digits(limit)
