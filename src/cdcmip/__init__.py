@@ -16,7 +16,6 @@ from .cover import (
     Biclique,
     BicliqueCover,
     heuristic_cover,
-    is_biclique,
     merge_cover,
     separation,
     verify_cover,

@@ -33,6 +33,13 @@ def read_json(text: str):
         raise InputError(f"invalid JSON: {exc}") from exc
 
 
+def _check_indices(items: Iterable) -> None:
+    """Raise ``InputError`` unless every item is a non-negative ``int`` (``bool`` is not)."""
+    for v in items:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise InputError(f"indices must be non-negative integers, got {v!r}")
+
+
 class IndexSetFamily:
     """An ordered family of nonempty index sets over non-negative integers.
 
@@ -52,9 +59,7 @@ class IndexSetFamily:
         members = []
         for raw in sets:
             items = tuple(raw)
-            for v in items:  # before hashing, which a list entry would fail
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    raise InputError(f"indices must be non-negative integers, got {v!r}")
+            _check_indices(items)  # before hashing, which a list entry would fail
             if not items:
                 raise InputError("member sets must be nonempty")
             members.append(frozenset(items))

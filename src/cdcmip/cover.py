@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Iterable, Sequence
 
-from .cdc import ConflictGraph, IndexSetFamily, conflict_graph, ground_set, read_json
+from .cdc import ConflictGraph, IndexSetFamily, _check_indices, conflict_graph, ground_set
+from .cdc import read_json
 from .errors import InputError, InvariantError, NoJunctionTreeError
 from .jtree import CandidateTree, _cut_recursion, maximum_spanning_tree_of
 
@@ -80,23 +79,11 @@ class BicliqueCover:
         out = []
         for item in items:
             sides = [item.get(key) if isinstance(item, dict) else None for key in ("a", "b")]
-            if not all(isinstance(s, list) and all(isinstance(v, int) for v in s) for s in sides):
+            if not all(isinstance(s, list) for s in sides):
                 raise InputError('each biclique needs "a" and "b" lists of integers')
+            _check_indices(sides[0] + sides[1])
             out.append(Biclique(frozenset(sides[0]), frozenset(sides[1])))
         return cls(out)
-
-
-def is_biclique(g: ConflictGraph, side_a: Iterable[int], side_b: Iterable[int]) -> bool:
-    """True iff the two sides are disjoint, nonempty, and fully cross-connected."""
-    a, b = frozenset(side_a), frozenset(side_b)
-    if not a or not b or a & b:
-        return False
-    if not (a <= g.vertices and b <= g.vertices):
-        return False
-    if len(a) > len(b):
-        a, b = b, a  # the test is symmetric; AND over the smaller side
-    mb = g.mask(b)
-    return reduce(and_, map(g.adj.__getitem__, a)) & mb == mb
 
 
 def _index_union(family: IndexSetFamily, vertices: Iterable[int]) -> frozenset[int]:
@@ -148,65 +135,71 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     return out[0] if out else []
 
 
-def merge_cover(bicliques: Sequence[Biclique], g: ConflictGraph) -> BicliqueCover:
+def _touched(holders: dict[int, list[int]], side: Iterable[int]) -> int:
+    """Mask of the member sets that hold some vertex of ``side``: bit i for set i."""
+    t = 0
+    for i in set().union(*map(holders.__getitem__, side)):
+        t |= 1 << i
+    return t
+
+
+def merge_cover(bicliques: Sequence[Biclique], family: IndexSetFamily) -> BicliqueCover:
     """Greedy single pass merging each biclique into the first compatible one.
 
     Both orientations of a union are tried before giving up and appending.
-
-    Each biclique (A, B) is held as the masks of its sides plus N(A), the
-    AND of the neighbour masks over A.  A union (A | A', B | B') is a
-    biclique iff N(A) & N(A') covers B | B'; since no vertex is its own
-    neighbour, that also makes the sides disjoint.  The test splits into
-    B' within N(A), B within N(A'), and each part being a biclique itself,
-    which is checked once per biclique.  A biclique with a side outside the
-    graph, or that is no biclique of ``g``, is kept but never merges.  Sides
-    are built as sets only when a merge succeeds.
+    Each side S is held as T(S), the mask of the member sets that hold one
+    of its vertices, read off ``family.holders``.  (A, B) is a biclique iff
+    both sides lie in the ground set and no member set touches both, i.e.
+    T(A) & T(B) is 0, which also makes the sides disjoint.  So the union
+    (A | A', B | B') is one iff T(A) & T(B') and T(A') & T(B) are 0, and
+    (A | B', B | A') iff T(A) & T(A') and T(B) & T(B') are.  A candidate
+    that is no biclique is kept but never merges.  What merged sides gain
+    grows in sets, and each merged ``Biclique`` is built once, at the end.
     """
-    merged: list[Biclique] = []
-    masks: list[tuple[int, int, int] | None] = []  # (m(A), m(B), N(A)) of a mergeable one
-    adj, vertices = g.adj, g.vertices
+    holders, ground = family.holders, family.holders.keys()
+    cover: list[Biclique] = []
+    masks: list[tuple[int, int] | None] = []  # (T(A), T(B)) of a mergeable one
+    grown: dict[int, tuple[set[int], set[int]]] = {}  # what sides A and B gain, by position
     for cand in bicliques:
         a2, b2 = cand.side_a, cand.side_b
-        mergeable = a2 <= vertices and b2 <= vertices
+        mergeable = ground >= a2 and ground >= b2
         if mergeable:
-            ma2, mb2 = g.mask(a2), g.mask(b2)
-            na2 = reduce(and_, map(adj.__getitem__, a2))
-            mergeable = na2 & mb2 == mb2
-        if not mergeable:
-            merged.append(cand)
-            masks.append(None)
-            continue
-        nb2 = reduce(and_, map(adj.__getitem__, b2))
-        for idx, acc in enumerate(masks):
+            ta2, tb2 = _touched(holders, a2), _touched(holders, b2)
+            mergeable = not ta2 & tb2
+        for idx, acc in enumerate(masks if mergeable else ()):
             if acc is None:
                 continue
-            ma, mb, na = acc
-            if na & mb2 == mb2 and na2 & mb == mb:
-                old = merged[idx]
-                merged[idx] = Biclique(old.side_a | a2, old.side_b | b2)
-                masks[idx] = (ma | ma2, mb | mb2, na & na2)
-                break
-            if na & ma2 == ma2 and nb2 & mb == mb:
-                old = merged[idx]
-                merged[idx] = Biclique(old.side_a | b2, old.side_b | a2)
-                masks[idx] = (ma | mb2, mb | ma2, na & nb2)
-                break
+            ta, tb = acc
+            if not (ta & tb2 or ta2 & tb):
+                add_a, add_b, masks[idx] = a2, b2, (ta | ta2, tb | tb2)
+            elif not (ta & ta2 or tb & tb2):
+                add_a, add_b, masks[idx] = b2, a2, (ta | tb2, tb | ta2)
+            else:
+                continue
+            gain_a, gain_b = grown.setdefault(idx, (set(), set()))
+            gain_a |= add_a
+            gain_b |= add_b
+            break
         else:
-            merged.append(cand)
-            masks.append((ma2, mb2, na2))
-    return BicliqueCover(merged)
+            cover.append(cand)
+            masks.append((ta2, tb2) if mergeable else None)
+    for idx, (gain_a, gain_b) in grown.items():
+        cover[idx] = Biclique(cover[idx].side_a | gain_a, cover[idx].side_b | gain_b)
+    return BicliqueCover(cover)
 
 
 def verify_cover(g: ConflictGraph, cover: BicliqueCover) -> bool:
     """True iff every member is a biclique of ``g`` and together they hit every edge.
 
     Each vertex collects the opposite sides of the bicliques it sits in as
-    one mask; the members being bicliques, that mask equals the vertex's
-    neighbour mask exactly when every edge at it is covered.
+    one mask, and the cover is exact when every vertex's mask equals its
+    neighbour mask.  That one comparison also rejects a member that is no
+    biclique: a cross pair that is no edge, or a vertex on both sides, sets
+    a bit its neighbour mask lacks.  Members must lie inside the graph.
     """
     covered = dict.fromkeys(g.order, 0)
     for b in cover:
-        if not is_biclique(g, b.side_a, b.side_b):
+        if not (b.side_a <= g.vertices and b.side_b <= g.vertices):
             return False
         ma, mb = g.mask(b.side_a), g.mask(b.side_b)
         for u in b.side_a:
@@ -232,9 +225,8 @@ def heuristic_cover(family: IndexSetFamily) -> BicliqueCover:
             f"family admits no junction tree: in its maximum spanning tree, {exc}; "
             "rewrite it with the transform module"
         ) from exc
-    g = conflict_graph(family)
-    cover = merge_cover(bicliques, g)
-    if not verify_cover(g, cover):
+    cover = merge_cover(bicliques, family)
+    if not verify_cover(conflict_graph(family), cover):
         raise InvariantError("heuristic produced a non-covering result")
     if len(cover) > max(len(family) - 1, 0):
         raise InvariantError("heuristic exceeded the tree-edge bound")

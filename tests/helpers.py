@@ -21,7 +21,6 @@ from cdcmip import (
     InputError,
     RedundantFamilyWarning,
     SizeGuardError,
-    is_biclique,
 )
 from cdcmip import geom, jtree
 from cdcmip.cdc import ground_set
@@ -234,7 +233,8 @@ def disconnected_index(family, tree):
 
 
 def reference_merge_cover(bicliques, g):
-    """Greedy merge building both unions as sets and testing each with ``is_biclique``."""
+    """Greedy merge building both unions as sets and testing each against ``g.edges``."""
+    edges, vertices = g.edges, g.vertices
     merged = []
     for cand in bicliques:
         for idx, acc in enumerate(merged):
@@ -242,7 +242,9 @@ def reference_merge_cover(bicliques, g):
                 (acc.side_a | cand.side_a, acc.side_b | cand.side_b),
                 (acc.side_a | cand.side_b, acc.side_b | cand.side_a),
             )
-            fused = next(((a, b) for a, b in pairs if is_biclique(g, a, b)), None)
+            fused = next(
+                ((a, b) for a, b in pairs if brute_is_biclique(edges, vertices, a, b)), None
+            )
             if fused is not None:
                 merged[idx] = Biclique(*fused)
                 break

@@ -15,7 +15,6 @@ from cdcmip import (
     NoJunctionTreeError,
     conflict_graph,
     heuristic_cover,
-    is_biclique,
     merge_cover,
     separation,
     verify_cover,
@@ -97,24 +96,58 @@ def test_separation_rejects_non_junction_trees_under_optimize():
     assert res.stdout == "rejected\n"
 
 
-def test_is_biclique(sos2_5):
-    g = conflict_graph(sos2_5)
-    assert is_biclique(g, {1, 2}, {4, 5})
-    assert not is_biclique(g, {1, 2}, {3})
-    assert not is_biclique(g, {1}, {1})
-
-
 def test_merge_cover(sos2_5, path3):
-    g = conflict_graph(sos2_5)
     base = [bc([1, 2], [4, 5]), bc([1], [3]), bc([3], [5])]
-    merged = merge_cover(base, g)
+    merged = merge_cover(base, sos2_5)
     assert list(merged) == [bc([1, 2], [4, 5]), bc([1, 5], [3])]
 
-    g3 = conflict_graph(path3)
     base3 = [bc([1, 2], [4, 5, 6, 7]), bc([3, 4], [6, 7])]
-    assert list(merge_cover(base3, g3)) == base3  # no legal merge
+    assert list(merge_cover(base3, path3)) == base3  # no legal merge
 
-    assert len(merge_cover([], g)) == 0
+    assert len(merge_cover([], sos2_5)) == 0
+
+
+def test_merge_keeps_non_bicliques_unmerged(sos2_5):
+    # {1} x {2} is a non-edge and 9 lies outside the ground set: both are
+    # kept in place and nothing merges into them.
+    base = [bc([1], [2]), bc([1], [9]), bc([1], [3]), bc([5], [3])]
+    assert list(merge_cover(base, sos2_5)) == [bc([1], [2]), bc([1], [9]), bc([1, 5], [3])]
+
+
+def _forbid_conflict_graph(monkeypatch):
+    """Make every binding of ``conflict_graph`` in the package fail."""
+    def forbidden(family):
+        raise AssertionError("a conflict graph was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cdcmip") and hasattr(module, "conflict_graph"):
+            monkeypatch.setattr(module, "conflict_graph", forbidden)
+
+
+def test_merging_reads_no_conflict_graph(monkeypatch):
+    from cdcmip.sosk import sosk_family
+
+    fams = (sosk_family(60, 3), star(40), random_junction_family(random.Random(3), 8, 14))
+    pieces = [separation(fam, admits_junction_tree(fam)) for fam in fams]
+    _forbid_conflict_graph(monkeypatch)
+    for fam, raw in zip(fams, pieces):
+        assert len(merge_cover(raw, fam)) <= len(raw)
+
+
+def test_heuristic_cover_builds_one_conflict_graph(monkeypatch):
+    from cdcmip import cover
+
+    built = []
+
+    def counted(family):
+        built.append(family)
+        return conflict_graph(family)
+
+    monkeypatch.setattr(cover, "conflict_graph", counted)
+    for fam in (IndexSetFamily([[1, 2], [2, 3], [3, 4], [4, 5]]), star(30)):
+        built.clear()
+        heuristic_cover(fam)
+        assert built == [fam]
 
 
 def test_merge_never_grows_and_preserves_covering():
@@ -127,7 +160,7 @@ def test_merge_never_grows_and_preserves_covering():
         raw = separation(fam, tree)
         assert len(raw) <= max(len(fam) - 1, 0)
         assert verify_cover(g, BicliqueCover(raw))
-        merged = merge_cover(raw, g)
+        merged = merge_cover(raw, fam)
         assert len(merged) <= len(raw)
         assert verify_cover(g, merged)
 
@@ -147,6 +180,17 @@ def test_verify_cover(sos2_5):
 def test_verify_rejects_non_edges(sos2_5):
     g = conflict_graph(sos2_5)
     assert not verify_cover(g, BicliqueCover([bc([1], [2])]))
+    # A complete cover plus one member with a non-edge cross pair (2, 3).
+    full = [bc([1, 2], [4, 5]), bc([1, 5], [3])]
+    assert verify_cover(g, BicliqueCover(full))
+    assert not verify_cover(g, BicliqueCover(full + [bc([1, 2], [3])]))
+
+
+def test_verify_rejects_vertices_outside_the_graph(sos2_5):
+    g = conflict_graph(sos2_5)
+    full = [bc([1, 2], [4, 5]), bc([1, 5], [3])]
+    assert not verify_cover(g, BicliqueCover(full + [bc([1], [9])]))
+    assert not verify_cover(g, BicliqueCover([bc([0], [3])] + full))
 
 
 def test_heuristic_cover(sos2_5, triangle):
@@ -228,6 +272,11 @@ def test_cover_json_roundtrip(sos2_5):
         '{"bicliques": [{"a": 1, "b": [2]}]}',
         '{"bicliques": [{"a": [1], "b": "2"}]}',
         '{"bicliques": [[1, 2]]}',
+        '{"bicliques": [{"a": [true], "b": [2]}]}',
+        '{"bicliques": [{"a": [1], "b": [false]}]}',
+        '{"bicliques": [{"a": [-1], "b": [2]}]}',
+        '{"bicliques": [{"a": [1.5], "b": [2]}]}',
+        '{"bicliques": [{"a": [[1]], "b": [2]}]}',
         '{"bicliques": [{"a": [%s], "b": [2]}]}' % ("1" * 5000),
     ],
 )

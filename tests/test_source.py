@@ -17,3 +17,53 @@ def test_no_assert_statements_in_the_package():
     ]
     assert len(list(SOURCE.glob("*.py"))) >= 10
     assert found == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; ``__future__`` imports excluded.
+
+    A name counts as read when it appears as a name anywhere in the module,
+    including inside a quoted annotation.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            read.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_unused_import_check_finds_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from operator import and_, or_\n"
+        "def f(x: 'Fraction') -> int:\n"
+        "    return or_(json.loads(x), 1)\n"
+        "from fractions import Fraction\n"
+    )
+    assert _unused_imports(source) == ["and_ (line 3)"]
+
+
+def test_no_unused_imports_in_the_package():
+    # A refactor that stops calling a helper can leave its import behind.
+    # `__init__.py` only re-exports, so it is exempt.
+    found = {
+        path.name: unused
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py" and (unused := _unused_imports(path.read_text()))
+    }
+    assert found == {}
