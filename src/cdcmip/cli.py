@@ -12,8 +12,10 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
+import shutil
 import sys
 import warnings
 from contextlib import suppress
@@ -72,6 +74,7 @@ BUILDERS = {
     "ext-jtree": lambda family: build_extended_jtree(family),
     "ext-disjoint": lambda family: build_extended_disjoint(family),
 }
+MAX_GROUND = 25  # default of every --max-ground flag
 
 
 def _dump(data) -> str:
@@ -162,6 +165,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_sosk(args) -> int:
+    if args.n > args.max_ground:
+        raise SizeGuardError(f"n = {args.n} exceeds --max-ground {args.max_ground}")
     if args.formulation == "kis":
         f = build_sosk_kis(args.n, args.k)
     else:
@@ -242,19 +247,24 @@ def cmd_geom(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # argparse makes a formatter per argument, and each would read the terminal
+    # width again; columns - 2 is the width it computes itself.
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="cdcmip",
         description="Analyze disjunctive constraints and emit MIP formulations.",
+        formatter_class=fmt,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    child = functools.partial(argparse.ArgumentParser, formatter_class=fmt)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=child)
 
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("input", help="family JSON file")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--max-sets", type=int, default=64)
-        p.add_argument("--max-ground", type=int, default=25)
+        p.add_argument("--max-ground", type=int, default=MAX_GROUND)
 
     p = sub.add_parser("analyze", help="report structural facts about a family")
     common(p)
@@ -289,6 +299,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover-out", help="also write the cover JSON here")
     p.add_argument("--bounds", action="store_true", help="print the bound comparison")
     p.add_argument("--out", help="write output here instead of stdout")
+    p.add_argument("--max-ground", type=int, default=MAX_GROUND)
     p.set_defaults(func=cmd_sosk)
 
     p = sub.add_parser("verify", help="run the exact oracles on a formulation")

@@ -1,12 +1,13 @@
 """Solver-agnostic MIP intermediate representation and every builder.
 
-All coefficients are exact rationals; floats never enter the IR.  Builders
-share one naming scheme (``lam_<v>`` for the primary simplex variables,
-``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>`` for
-per-set weights, ``z_<j>`` for binaries) so emitted files diff cleanly.
-The LP writer renders terminating rationals as exact decimals and scales
-any other row to integers, which keeps output byte-stable; a bound that
-does not terminate cannot be scaled and is an input error.
+Integral values are ``int``, others ``Fraction``; floats never enter the
+IR.  Builders share one naming scheme (``lam_<v>`` for the primary simplex
+variables, ``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>``
+for per-set weights, ``z_<j>`` for binaries) so emitted files diff cleanly.
+The LP writer prints integers as they are, renders terminating rationals as
+exact decimals and scales any other row to integers, which keeps output
+byte-stable; a bound that does not terminate cannot be scaled and is an
+input error.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ _SENSES = ("<=", "=", ">=")
 class Variable:
     name: str
     kind: str = CONTINUOUS
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
+    lower: int | Fraction | None = None
+    upper: int | Fraction | None = None
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, BINARY):
@@ -48,9 +49,9 @@ class Variable:
 @dataclass(frozen=True)
 class Constraint:
     name: str
-    terms: tuple[tuple[str, Fraction], ...]
+    terms: tuple[tuple[str, int | Fraction], ...]
     sense: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self):
         if self.sense not in _SENSES:
@@ -85,16 +86,17 @@ class LinearFormulation:
     def add_variable(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
         if name in self._names:
             raise InputError(f"duplicate variable name {name!r}")
-        self.variables.append(Variable(name, kind, lower, upper))
+        bounds = [b if b is None else _exact(b) for b in (lower, upper)]
+        self.variables.append(Variable(name, kind, *bounds))
         self._names.add(name)
         return name
 
     def add_constraint(self, name, terms, sense, rhs) -> None:
-        fixed = tuple((var, x) for var, coef in terms if (x := Fraction(coef)))
+        fixed = tuple((var, x) for var, c in terms if (x := c if type(c) is int else _exact(c)))
         for var, _ in fixed:
             if var not in self._names:
                 raise InputError(f"constraint {name!r} references unknown variable {var!r}")
-        self.constraints.append(Constraint(name, fixed, sense, Fraction(rhs)))
+        self.constraints.append(Constraint(name, fixed, sense, _exact(rhs)))
 
     def to_json(self) -> str:
         def frac(x):
@@ -126,6 +128,14 @@ class LinearFormulation:
         )
 
 
+def _exact(x) -> int | Fraction:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def family_digest(family: IndexSetFamily) -> str:
     payload = json.dumps([sorted(s) for s in family.sets]).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
@@ -140,13 +150,11 @@ def _new(builder: str, family: IndexSetFamily) -> tuple[LinearFormulation, dict[
 
 
 def _add_lambda_vars(f: LinearFormulation, indices, prefix="lam") -> dict[int, str]:
-    return {
-        v: f.add_variable(f"{prefix}_{v}", CONTINUOUS, lower=Fraction(0)) for v in sorted(indices)
-    }
+    return {v: f.add_variable(f"{prefix}_{v}", CONTINUOUS, lower=0) for v in sorted(indices)}
 
 
 def _add_binaries(f: LinearFormulation, count: int) -> list[str]:
-    return [f.add_variable(f"z_{i + 1}", BINARY, Fraction(0), Fraction(1)) for i in range(count)]
+    return [f.add_variable(f"z_{i + 1}", BINARY, 0, 1) for i in range(count)]
 
 
 def _per_set_weights(f, family, lam, binaries: int):
@@ -156,7 +164,7 @@ def _per_set_weights(f, family, lam, binaries: int):
     Returns the weights keyed by (set ordinal, index) and the binaries.
     """
     gam = {
-        (i, v): f.add_variable(f"gam_{i + 1}_{v}", CONTINUOUS, lower=Fraction(0))
+        (i, v): f.add_variable(f"gam_{i + 1}_{v}", CONTINUOUS, lower=0)
         for i, s in enumerate(family.sets)
         for v in sorted(s)
     }
@@ -321,8 +329,10 @@ _NAME_RE = re.compile(r"[^A-Za-z0-9_]")
 
 
 def _sanitize(name: str) -> str:
+    if name.isascii() and name.isidentifier():
+        return name
     out = _NAME_RE.sub("_", name)
-    if not out or out[0].isdigit() or out[0] == ".":
+    if not out or out[0].isdigit():
         out = "v_" + out
     return out
 
@@ -349,15 +359,15 @@ def _decimal_or_none(x: Fraction) -> Optional[str]:
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
-def _integral(values: list[Fraction]) -> list[int]:
+def _integral(values: list[int | Fraction]) -> list[int]:
     """The values times the least common multiple of their denominators."""
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values]
 
 
-def _render_row(values: list[Fraction]) -> Optional[list[str]]:
+def _render_row(values: list[int | Fraction]) -> Optional[list[str]]:
     """The values as exact decimals, each rendered once, or ``None`` if one does not terminate."""
-    out = [_decimal_or_none(x) for x in values]
+    out = [str(x) if type(x) is int else _decimal_or_none(x) for x in values]
     return None if None in out else out
 
 
@@ -383,13 +393,16 @@ def write_lp(f: LinearFormulation) -> str:
         *coefs, rhs = _render_row(values) or map(str, _integral(values))
         parts = []
         for (var, _), coef in zip(c.terms, coefs):
-            mag = coef.lstrip("-")
-            sign = "-" if coef.startswith("-") else "+"
-            piece = renamed[var] if mag == "1" else f"{mag} {renamed[var]}"
-            if not parts:
-                parts.append(piece if sign == "+" else f"- {piece}")
+            if coef == "1":
+                parts.append("+ " + renamed[var])
+            elif coef == "-1":
+                parts.append("- " + renamed[var])
+            elif coef[0] == "-":
+                parts.append(f"- {coef[1:]} {renamed[var]}")
             else:
-                parts.append(f"{sign} {piece}")
+                parts.append(f"+ {coef} {renamed[var]}")
+        if parts and parts[0][0] == "+":
+            parts[0] = parts[0][2:]
         body = " ".join(parts) if parts else "0 " + renamed[f.variables[0].name]
         lines.append(f" {_sanitize(c.name)}: {body} {c.sense} {rhs}")
     lines.append("Bounds")

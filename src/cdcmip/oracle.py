@@ -33,7 +33,7 @@ def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
     eqs: list[list[int]] = []
     ineqs: list[list[int]] = []
     for c in f.constraints:
-        vec = [Fraction(0)] * (n + 1)
+        vec = [0] * (n + 1)
         for var, coef in c.terms:
             vec[index[var]] += coef
         vec[n] = c.rhs
@@ -43,8 +43,8 @@ def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
     for i, v in enumerate(f.variables):
         for sign, bound in ((-1, v.lower), (1, v.upper)):
             if bound is not None:
-                vec = [Fraction(0)] * (n + 1)
-                vec[i], vec[n] = Fraction(sign), sign * bound
+                vec = [0] * (n + 1)
+                vec[i], vec[n] = sign, sign * bound
                 ineqs.append(_integral(vec))
     return eqs, ineqs
 

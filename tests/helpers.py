@@ -9,8 +9,12 @@ cut recursion that re-walks each part, and merging through set unions.
 
 from __future__ import annotations
 
+import json
+import math
 import random
+import re
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -417,6 +421,94 @@ def rows_match_up_to_scaling(parsed_rows, formulation) -> bool:
         if c.rhs * scale != rhs:
             return False
     return True
+
+
+# ---------------------------------------------------------------- writers
+#
+# The LP and JSON text with every value first made a Fraction, the route
+# the writers took before integral values were stored as ints.
+
+
+def _reference_name(name: str) -> str:
+    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
+    return "v_" + out if not out or out[0].isdigit() else out
+
+
+def _reference_decimal(x: Fraction):
+    """The exact decimal of ``x`` by decimal division, or None if it does not terminate."""
+    den = x.denominator
+    while den % 2 == 0:
+        den //= 2
+    while den % 5 == 0:
+        den //= 5
+    if den != 1:
+        return None
+    with localcontext() as ctx:
+        ctx.prec = len(str(x.numerator)) + 2 * x.denominator.bit_length() + 2
+        return format(Decimal(x.numerator) / Decimal(x.denominator), "f")
+
+
+def reference_write_lp(f) -> str:
+    renamed = {v.name: _reference_name(v.name) for v in f.variables}
+    if len(set(renamed.values())) != len(renamed):
+        raise InputError("sanitized name collision")
+    lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
+    for c in f.constraints:
+        values = [Fraction(a) for _, a in c.terms] + [Fraction(c.rhs)]
+        text = [_reference_decimal(x) for x in values]
+        if None in text:
+            scale = math.lcm(*(x.denominator for x in values))
+            text = [str(int(x * scale)) for x in values]
+        *coefs, rhs = text
+        parts = []
+        for (var, _), coef in zip(c.terms, coefs):
+            mag = coef.lstrip("-")
+            sign = "-" if coef.startswith("-") else "+"
+            piece = renamed[var] if mag == "1" else f"{mag} {renamed[var]}"
+            parts.append(f"{sign} {piece}")
+        body = " ".join(parts) if parts else "0 " + renamed[f.variables[0].name]
+        if body.startswith("+ "):
+            body = body[2:]
+        lines.append(f" {_reference_name(c.name)}: {body} {c.sense} {rhs}")
+    lines.append("Bounds")
+    for v in f.variables:
+        name = renamed[v.name]
+        lo, up = (b if b is None else _reference_decimal(Fraction(b)) for b in (v.lower, v.upper))
+        if (lo is None) != (v.lower is None) or (up is None) != (v.upper is None):
+            raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
+        if lo is None and up is None:
+            lines.append(f" {name} free")
+        elif up is None:
+            lines.append(f" {name} >= {lo}")
+        elif lo is None:
+            lines.append(f" {name} <= {up}")
+        else:
+            lines.append(f" {lo} <= {name} <= {up}")
+    binaries = [renamed[v.name] for v in f.variables if v.kind == BINARY]
+    if binaries:
+        lines += ["Binaries", *(f" {name}" for name in binaries)]
+    return "\n".join(lines + ["End"]) + "\n"
+
+
+def reference_to_json(f) -> str:
+    def text(x):
+        return None if x is None else str(Fraction(x))
+
+    variables = [
+        {"name": v.name, "kind": v.kind, "lower": text(v.lower), "upper": text(v.upper)}
+        for v in f.variables
+    ]
+    constraints = [
+        {
+            "name": c.name,
+            "terms": [[var, text(a)] for var, a in c.terms],
+            "sense": c.sense,
+            "rhs": text(c.rhs),
+        }
+        for c in f.constraints
+    ]
+    payload = {"variables": variables, "constraints": constraints, "metadata": f.metadata}
+    return json.dumps(payload, sort_keys=True)
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import cdcmip
-from cdcmip.cli import main
+from cdcmip import cli
+from cdcmip.cli import main, make_parser
 from conftest import triangle_strip
 
 SOS2_5 = '{"sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}'
@@ -240,6 +243,46 @@ def test_sosk_subcommand(tmp_path, capsys):
     assert code == 0
     assert out.count("\n z_") == 2
     assert "ours=2" in err and "kis_horvath=5" in err
+
+
+def test_sosk_size_guard_exits_3_before_building(capsys, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("built past the guard")
+
+    monkeypatch.setattr(cli, "build_sosk", refuse)
+    monkeypatch.setattr(cli, "build_sosk_kis", refuse)
+    for form in ("sosk", "kis"):
+        code, out, err = run(capsys, "sosk", "--n", "26", "--k", "2", "--formulation", form)
+        assert (code, out) == (3, "")
+        assert "--max-ground 25" in err and "26" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "sosk", "--n", "26", "--k", "2", "--max-ground", "26")
+    assert code == 0 and out.endswith("End\n")
+
+
+def test_formulate_help_wraps_at_columns_minus_two(capsys, monkeypatch):
+    texts = []
+    for columns in (60, 100):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["formulate", "--help"])
+        text = capsys.readouterr().out
+        # The same text as argparse's own formatter, which reads the width itself.
+        formulate = make_parser()._subparsers._group_actions[0].choices["formulate"]
+        formulate.formatter_class = argparse.HelpFormatter
+        assert text == formulate.format_help()
+        # Only the unbreakable --formulation choices run past the width.
+        assert max(len(line) for line in text.splitlines() if "{" not in line) <= columns - 2
+        texts.append(text)
+    assert "instead of\n" in texts[0] and "instead of stdout" in texts[1]
+
+
+def test_parser_reads_the_terminal_width_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    make_parser().parse_args(["sosk", "--n", "5", "--k", "2"])
+    assert len(calls) == 1
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -223,14 +223,19 @@ def test_write_lp_decimal_fractions():
 def test_write_lp_renders_each_value_once(monkeypatch):
     from cdcmip import formulate
 
-    f = build_sosk(40, 3)
+    # Breakpoints in halves and thirds: def_x terminates, def_y must be scaled.
+    f = build_pwl([(0, 0), ("1/2", "1/3"), (1, "3/2"), ("7/4", "2/3"), (3, 1)])
     render = formulate._decimal_or_none
     calls = []
     monkeypatch.setattr(formulate, "_decimal_or_none", lambda x: calls.append(x) or render(x))
-    write_lp(f)
+    text = write_lp(f)
+    assert " def_x: x - 0.5 lam_2 - lam_3" in text and " def_y: 6 y - 2 lam_2" in text
     printed = sum(len(c.terms) + 1 for c in f.constraints)
     printed += sum((v.lower is not None) + (v.upper is not None) for v in f.variables)
     assert 0 < len(calls) <= printed
+    # Integers are printed directly; only the true fractions are searched for a decimal.
+    values = [x for c in f.constraints for x in (*(a for _, a in c.terms), c.rhs)]
+    assert sorted(calls) == sorted(x for x in values if type(x) is not int)
 
 
 def test_write_lp_rejects_a_non_terminating_bound():

@@ -47,6 +47,7 @@ from cdcmip import (
     verify_cover,
 )
 from cdcmip import oracle
+from cdcmip.formulate import Constraint, Variable, write_lp
 from cdcmip.geom import PlanarPartition, _cross, _interiors_disjoint, dual_graph, partition_to_cdc
 from cdcmip.jtree import _cut_recursion
 from helpers import (
@@ -68,6 +69,8 @@ from helpers import (
     reference_lp_vertices,
     reference_merge_cover,
     reference_support_validity,
+    reference_to_json,
+    reference_write_lp,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -523,3 +526,69 @@ def test_embeddable_matches_every_side_assignment(data):
     subset = data.draw(picks) + data.draw(st.lists(st.sampled_from(sorted(edges)), max_size=1))
     got = oracle._embeddable(conflict_graph(fam), subset)
     assert got == brute_embeddable(edges, ground, subset)
+
+
+# ------------------------------------------------- integral values as ints
+#
+# The IR stores an integral value as an int and any other as a Fraction.
+# Whatever types a model is built from, the LP text, the JSON and the
+# oracles' integer rows must be those of the route that made every value a
+# Fraction first.
+
+lp_values = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**70), 2**70).filter(lambda x: abs(x) > 2**64),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-60, 60), st.sampled_from([2, 4, 5, 8, 20, 3, 6, 7, 12])),
+)
+# Names that the LP writer keeps, rewrites, prefixes, or maps onto each other.
+VAR_NAMES = ["x", "lam_1", "z_2", "a.b", "a_b", "1st", "y-1", "\u03bc", "_"]
+ROW_NAMES = ["r", "row.1", "2nd", "c_3"]
+
+
+@st.composite
+def mixed_models(draw):
+    """A formulation built from ints, Fractions and strings mixed."""
+    names = draw(st.lists(st.sampled_from(VAR_NAMES), min_size=1, max_size=5, unique=True))
+    f = LinearFormulation(metadata={"builder": "mixed"})
+    for name in names:
+        if draw(st.booleans()):
+            zero, one = draw(st.sampled_from([(0, 1), (Fraction(0), Fraction(1)), ("0", "1/1")]))
+            f.add_variable(name, "binary", zero, one)
+        else:
+            bound = st.one_of(st.none(), lp_values)
+            f.add_variable(name, "continuous", draw(bound), draw(bound))
+    for _ in range(draw(st.integers(1, 4))):
+        terms = draw(st.lists(st.tuples(st.sampled_from(names), lp_values), max_size=5))
+        sense = draw(st.sampled_from(["<=", "=", ">="]))
+        f.add_constraint(draw(st.sampled_from(ROW_NAMES)), terms, sense, draw(lp_values))
+    return f
+
+
+def as_fractions(f):
+    """The same model with every stored value a Fraction, as the IR used to hold it."""
+
+    def frac(x):
+        return None if x is None else Fraction(x)
+
+    variables = [Variable(v.name, v.kind, frac(v.lower), frac(v.upper)) for v in f.variables]
+    constraints = [
+        Constraint(c.name, tuple((v, Fraction(a)) for v, a in c.terms), c.sense, Fraction(c.rhs))
+        for c in f.constraints
+    ]
+    return LinearFormulation(variables, constraints, dict(f.metadata))
+
+
+@PROPERTY
+@given(mixed_models())
+def test_integral_values_are_ints_and_outputs_match_the_fraction_route(f):
+    values = [b for v in f.variables for b in (v.lower, v.upper) if b is not None]
+    values += [x for c in f.constraints for x in (*(a for _, a in c.terms), c.rhs)]
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
+    seed = as_fractions(f)
+    assert outcome(write_lp, f) == outcome(write_lp, seed) == outcome(reference_write_lp, f)
+    assert f.to_json() == seed.to_json() == reference_to_json(f)
+    # The oracles' integer rows do not depend on the value types either.
+    rows = oracle._compile(f)
+    assert rows == oracle._compile(seed)
+    assert all(type(x) is int for group in rows for row in group for x in row)

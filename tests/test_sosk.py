@@ -184,7 +184,7 @@ def test_bound_violations_raise_invariant_error(monkeypatch, capsys):
     monkeypatch.setattr(sosk, "_ceil_div", lambda a, b: 2)
     with pytest.raises(InvariantError, match="expected 7 < 6"):
         compare_bounds(100, 2)
-    assert main(["sosk", "--n", "100", "--k", "2", "--bounds"]) == 4
+    assert main(["sosk", "--n", "100", "--k", "2", "--bounds", "--max-ground", "100"]) == 4
     assert "internal error: expected 7 < 6" in capsys.readouterr().err
 
 
