@@ -232,6 +232,12 @@ def cmd_geom(args) -> int:
             partition = PlanarPartition.from_json(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
+    if len(partition) > args.max_sets:
+        raise SizeGuardError(f"{len(partition)} polygons exceed --max-sets {args.max_sets}")
+    # The pooled ground set, keyed by integer coordinates as partition_to_cdc keys it.
+    vertices = len({h for hs, _ in partition._shapes for h in hs})
+    if vertices > args.max_ground:
+        raise SizeGuardError(f"{vertices} distinct vertices exceed --max-ground {args.max_ground}")
     if args.action == "analyze":
         family, points = partition_to_cdc(partition)
         payload = {

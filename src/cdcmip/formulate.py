@@ -1,9 +1,10 @@
 """Solver-agnostic MIP intermediate representation and every builder.
 
 Integral values are ``int``, others ``Fraction``; floats never enter the
-IR.  Builders share one naming scheme (``lam_<v>`` for the primary simplex
-variables, ``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>``
-for per-set weights, ``z_<j>`` for binaries) so emitted files diff cleanly.
+IR (``add_variable`` and ``add_constraint`` reject them).  Builders share
+one naming scheme (``lam_<v>`` for the primary simplex variables,
+``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>`` for
+per-set weights, ``z_<j>`` for binaries) so emitted files diff cleanly.
 The LP writer prints integers as they are, renders terminating rationals as
 exact decimals and scales any other row to integers, which keeps output
 byte-stable; a bound that does not terminate cannot be scaled and is an
@@ -129,9 +130,15 @@ class LinearFormulation:
 
 
 def _exact(x) -> int | Fraction:
-    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``.
+
+    A float is an input error: its exact binary value is rarely the number
+    meant (``0.1`` would enter as a 55-digit decimal).
+    """
     if type(x) is int:
         return x
+    if isinstance(x, float):
+        raise InputError(f"exact value required (int, Fraction, or string), got float {x!r}")
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

@@ -1,15 +1,28 @@
 """Planar partition front end: polygons in, disjunctive constraint out.
 
-Coordinates are exact rationals throughout; adjacency and containment are
-decided by sign tests, never by tolerances.  A partition's polygons pool
-their vertices: each member set holds every pooled vertex lying in that
-polygon, boundary included, which is what makes shared edges translate
-into heavy intersection-graph edges.
+Coordinates are exact rationals; adjacency and containment are decided by
+sign tests, never by tolerances.  A partition's polygons pool their
+vertices: each member set holds every pooled vertex lying in that polygon,
+boundary included, which is what makes shared edges translate into heavy
+intersection-graph edges.
+
+The sign tests run on integers.  Each vertex is converted once into
+homogeneous coordinates ``h = (X, Y, W)``: ``W`` is the least common
+multiple of its own two denominators, so ``W > 0``, the triple is canonical
+and ``(X / W, Y / W)`` is the point.  Each edge ``(a, b)`` keeps the line
+``L = h(a) x h(b)``, and ``L . h(p)`` has the sign of the turn
+``a -> b -> p`` (it is that turn times three positive weights).  So every
+convexity, overlap and containment test is three integer products, edges
+are bucketed by their line divided by the gcd of its coefficients, pooled
+vertices are keyed by ``h``, and no ``Fraction`` arithmetic runs after
+parsing.  The integers are as long as a vertex's own digits: there is no
+partition-wide common denominator, whose length would grow with the number
+of points.
 
 No step tests all pairs.  Bounding boxes swept along one axis pick the
 polygon pairs that the overlap test sees and the pooled vertices that the
-containment test sees; edges bucketed by exact supporting line pick the
-pairs that can share a segment.  The sign tests still decide every case.
+containment test sees; edges bucketed by supporting line pick the pairs
+that can share a segment.  The sign tests still decide every case.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .cdc import IndexSetFamily, read_json
@@ -27,10 +41,30 @@ from .jtree import _spanning_forest, is_junction_tree, maximum_spanning_tree_of
 
 Point = tuple[Fraction, Fraction]
 Box = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+Hom = tuple[int, int, int]  # (X, Y, W) with W > 0: the point (X / W, Y / W)
+Line = tuple[int, int, int]  # (A, B, C): the points with A x + B y + C = 0
+Shape = tuple[tuple[Hom, ...], tuple[Line, ...]]  # vertices, then edge s's line
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _homogeneous(pt: Point) -> Hom:
+    x, y = pt
+    w = lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
+
+
+def _shape(poly: Sequence[Point]) -> Shape:
+    """The vertices in homogeneous coordinates and, per edge, the line ``h(a) x h(b)``.
+
+    Edge ``s`` runs from vertex ``s`` to the next one, and a point ``h`` is
+    left of it, on it or right of it as ``A X + B Y + C W`` is positive,
+    zero or negative.
+    """
+    hs = tuple(map(_homogeneous, poly))
+    lines = tuple(
+        (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
+        for (ax, ay, aw), (bx, by, bw) in zip(hs, hs[1:] + hs[:1])
+    )
+    return hs, lines
 
 
 class PlanarPartition:
@@ -40,12 +74,13 @@ class PlanarPartition:
     convex vertices (no repeats, no collinear triples).
     """
 
-    __slots__ = ("polygons",)
+    __slots__ = ("polygons", "_shapes")
 
     def __init__(self, polygons: Sequence[Sequence[Sequence]]):
         if isinstance(polygons, (str, bytes)) or not hasattr(polygons, "__iter__"):
             raise InputError("polygons must be a list of vertex lists")
         fixed: list[tuple[Point, ...]] = []
+        shapes: list[Shape] = []
         for poly in polygons:
             if isinstance(poly, (str, bytes)) or not hasattr(poly, "__iter__"):
                 raise InputError("each polygon must be a list of (x, y) vertices")
@@ -57,22 +92,26 @@ class PlanarPartition:
             pts = tuple(pts)
             if len(pts) < 3:
                 raise InputError("polygons need at least three vertices")
-            if len(set(pts)) != len(pts):
+            shape = _shape(pts)
+            hs, lines = shape
+            if len(set(hs)) != len(hs):
                 raise InputError("polygon repeats a vertex")
-            m = len(pts)
-            for i in range(m):
-                turn = _cross(pts[i], pts[(i + 1) % m], pts[(i + 2) % m])
+            # The turn at vertex s + 1 is the side of vertex s + 2 of edge s.
+            for (a, b, c), (x, y, w) in zip(lines, hs[2:] + hs[:2]):
+                turn = a * x + b * y + c * w
                 if turn == 0:
                     raise InputError("polygon has collinear consecutive vertices")
                 if turn < 0:
                     raise InputError("polygon must be convex and counterclockwise")
             fixed.append(pts)
+            shapes.append(shape)
         if not fixed:
             raise InputError("a partition needs at least one polygon")
         for i, j in _box_overlaps([_box(poly) for poly in fixed]):
-            if not _interiors_disjoint(fixed[i], fixed[j]):
+            if not _interiors_disjoint(shapes[i], shapes[j]):
                 raise InputError("polygon interiors overlap")
         self.polygons: tuple[tuple[Point, ...], ...] = tuple(fixed)
+        self._shapes: tuple[Shape, ...] = tuple(shapes)
 
     def __len__(self) -> int:
         return len(self.polygons)
@@ -141,7 +180,7 @@ def _box_overlaps(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
             yield min(i, j), max(i, j)
 
 
-def _interiors_disjoint(p: tuple[Point, ...], q: tuple[Point, ...]) -> bool:
+def _interiors_disjoint(p: Shape, q: Shape) -> bool:
     """Whether some edge of either polygon has the other on or beyond its line.
 
     The test is exact: two convex polygons with disjoint interiors are
@@ -151,16 +190,16 @@ def _interiors_disjoint(p: tuple[Point, ...], q: tuple[Point, ...]) -> bool:
     on or beyond the line of one of those edges.)  Touching is allowed.
     """
     return any(
-        all(_cross(a, b, pt) <= 0 for pt in other)
+        all(a * x + b * y + c * w <= 0 for x, y, w in other[0])
         for poly, other in ((p, q), (q, p))
-        for a, b in zip(poly, poly[1:] + poly[:1])
+        for a, b, c in poly[1]
     )
 
 
-def _contains(poly: tuple[Point, ...], pt: Point) -> bool:
+def _contains(shape: Shape, h: Hom) -> bool:
     """Boundary-inclusive membership in a counterclockwise convex polygon."""
-    m = len(poly)
-    return all(_cross(poly[i], poly[(i + 1) % m], pt) >= 0 for i in range(m))
+    x, y, w = h
+    return all(a * x + b * y + c * w >= 0 for a, b, c in shape[1])
 
 
 def partition_to_cdc(
@@ -169,43 +208,35 @@ def partition_to_cdc(
     """Index the pooled vertices and collect, per polygon, every one it contains.
 
     Indices are assigned in first-seen order scanning polygons and their
-    vertex lists; a vertex of one polygon that lies on another's boundary
-    joins that polygon's set as well.  A polygon holds its own vertices;
-    of the other points it tests only those in its bounding box, found by
-    bisection along the sweep axis.
+    vertex lists, keyed by homogeneous coordinates; a vertex of one polygon
+    that lies on another's boundary joins that polygon's set as well.  A
+    polygon holds its own vertices; of the other points it tests only those
+    in its bounding box, found by bisection along the sweep axis.
     """
-    index_of: dict[Point, int] = {}
+    index_of: dict[Hom, int] = {}
+    points: dict[int, Point] = {}
     owned = []
-    for poly in p.polygons:
-        owned.append({index_of.setdefault(pt, len(index_of) + 1) for pt in poly})
-    points = {i: pt for pt, i in index_of.items()}
+    for poly, (hs, _) in zip(p.polygons, p._shapes):
+        for pt, h in zip(poly, hs):
+            if h not in index_of:
+                index_of[h] = len(index_of) + 1
+                points[len(index_of)] = pt
+        owned.append({index_of[h] for h in hs})
     boxes = [_box(poly) for poly in p.polygons]
     axis = _sweep_axis(boxes)
-    ranked = sorted(points.items(), key=lambda item: item[1][axis])
-    keys = [pt[axis] for _, pt in ranked]
+    ranked = sorted(index_of.items(), key=lambda item: points[item[1]][axis])
+    keys = [points[i][axis] for _, i in ranked]
     sets = []
-    for poly, box, own in zip(p.polygons, boxes, owned):
+    for shape, box, own in zip(p._shapes, boxes, owned):
         lo, hi = box[axis]
         sets.append(
             sorted(
                 i
-                for i, pt in ranked[bisect_left(keys, lo) : bisect_right(keys, hi)]
-                if i in own or (_in_box(box, pt) and _contains(poly, pt))
+                for h, i in ranked[bisect_left(keys, lo) : bisect_right(keys, hi)]
+                if i in own or (_in_box(box, points[i]) and _contains(shape, h))
             )
         )
     return IndexSetFamily(sets), points
-
-
-def _supporting_line(a: Point, b: Point) -> tuple[tuple, int]:
-    """Exact key of the line through ``a`` and ``b``, and the axis it runs along.
-
-    The key is ``(slope, intercept)`` with the x axis, or ``(None, x)`` with
-    the y axis for a vertical line.
-    """
-    if a[0] == b[0]:
-        return (None, a[0]), 1
-    slope = (b[1] - a[1]) / (b[0] - a[0])
-    return (slope, a[1] - slope * a[0]), 0
 
 
 def dual_graph(p: PlanarPartition) -> frozenset[tuple[int, int]]:
@@ -214,16 +245,20 @@ def dual_graph(p: PlanarPartition) -> frozenset[tuple[int, int]]:
     Two edges share one exactly when they lie on one line and their
     intervals along it overlap in more than a point, so edges are bucketed
     by supporting line and each bucket is swept: O(E log E + output) for E
-    polygon edges.
+    polygon edges.  An edge's line divided by the gcd of its coefficients,
+    with the first nonzero one made positive, is the same integer triple for
+    every edge on that line; it is vertical when ``B = 0``, and then the
+    edge's interval is taken along y, else along x.
     """
-    lines: dict[tuple, list[tuple[Fraction, Fraction, int]]] = {}
-    for i, poly in enumerate(p.polygons):
-        m = len(poly)
-        for s in range(m):
-            a, b = poly[s], poly[(s + 1) % m]
-            key, axis = _supporting_line(a, b)
+    lines: dict[Line, list[tuple[Fraction, Fraction, int]]] = {}
+    for i, (poly, (_, edge_lines)) in enumerate(zip(p.polygons, p._shapes)):
+        for a, b, (la, lb, lc) in zip(poly, poly[1:] + poly[:1], edge_lines):
+            g = gcd(la, lb, lc)
+            if la < 0 or (la == 0 and lb < 0):
+                g = -g
+            axis = 0 if lb else 1
             lo, hi = sorted((a[axis], b[axis]))
-            lines.setdefault(key, []).append((lo, hi, i))
+            lines.setdefault((la // g, lb // g, lc // g), []).append((lo, hi, i))
     return frozenset(
         (min(i, j), max(i, j))
         for spans in lines.values()

@@ -26,7 +26,7 @@ from cdcmip import (
     RedundantFamilyWarning,
     SizeGuardError,
 )
-from cdcmip import geom, jtree
+from cdcmip import jtree
 from cdcmip.cdc import ground_set
 from cdcmip.formulate import BINARY
 from cdcmip.geom import PlanarPartition
@@ -121,22 +121,49 @@ def projection_interiors_disjoint(p, q) -> bool:
     return False
 
 
+def cross(o, a, b) -> Fraction:
+    """Twice the signed area of the triangle ``o, a, b`` in rational arithmetic.
+
+    Positive when ``o -> a -> b`` turns left, zero when the three are collinear.
+    """
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def contains(poly, pt) -> bool:
+    """Boundary-inclusive membership in a counterclockwise convex polygon, by ``cross``."""
+    m = len(poly)
+    return all(cross(poly[i], poly[(i + 1) % m], pt) >= 0 for i in range(m))
+
+
+def polygon_error(poly):
+    """The ``InputError`` message of one polygon's own checks, on ``Fraction`` points, or ``None``."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in poly]
+    m = len(pts)
+    if m < 3:
+        return "polygons need at least three vertices"
+    if len(set(pts)) != m:
+        return "polygon repeats a vertex"
+    for i in range(m):
+        turn = cross(pts[i], pts[(i + 1) % m], pts[(i + 2) % m])
+        if turn == 0:
+            return "polygon has collinear consecutive vertices"
+        if turn < 0:
+            return "polygon must be convex and counterclockwise"
+    return None
+
+
 def pairwise_partition_error(polygons):
     """The ``InputError`` message of an all-pairs validation, or ``None``.
 
-    Each polygon's own checks run as a one-polygon partition, which has no
-    pair to test; every pair of the checked polygons then goes through the
-    separating-axis test.
+    Each polygon's own checks run in ``Fraction`` arithmetic; every pair of
+    the checked polygons then goes through the separating-axis test.
     """
-    fixed = []
     for poly in polygons:
-        try:
-            fixed.append(PlanarPartition([poly]).polygons[0])
-        except InputError as exc:
-            return str(exc)
-    if not fixed:
+        if (error := polygon_error(poly)) is not None:
+            return error
+    if not polygons:
         return "a partition needs at least one polygon"
-    for p, q in combinations(fixed, 2):
+    for p, q in combinations(polygons, 2):
         if not projection_interiors_disjoint(p, q):
             return "polygon interiors overlap"
     return None
@@ -150,13 +177,13 @@ def all_points_partition_to_cdc(p: PlanarPartition):
             if pt not in index_of:
                 index_of[pt] = len(index_of) + 1
     points = {i: pt for pt, i in index_of.items()}
-    sets = [sorted(i for i, pt in points.items() if geom._contains(poly, pt)) for poly in p.polygons]
+    sets = [sorted(i for i, pt in points.items() if contains(poly, pt)) for poly in p.polygons]
     return sets, points
 
 
 def _segments_overlap(a, b, c, d) -> bool:
     """Collinear segments sharing more than a point."""
-    if geom._cross(a, b, c) != 0 or geom._cross(a, b, d) != 0:
+    if cross(a, b, c) != 0 or cross(a, b, d) != 0:
         return False
     axis = 0 if a[0] != b[0] else 1
     lo1, hi1 = sorted((a[axis], b[axis]))

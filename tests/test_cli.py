@@ -260,6 +260,33 @@ def test_sosk_size_guard_exits_3_before_building(capsys, monkeypatch):
     assert code == 0 and out.endswith("End\n")
 
 
+def test_geom_size_guards_exit_3_before_pooling(tmp_path, capsys, monkeypatch):
+    def refuse(partition):
+        raise AssertionError("pooled past the guard")
+
+    monkeypatch.setattr(cli, "partition_to_cdc", refuse)
+    monkeypatch.setattr(cli, "savings_report", refuse)
+    # Two triangles on four distinct vertices.
+    path = family_file(tmp_path, '{"polygons": [[[0, 0], [2, 0], [1, 1]], [[0, 0], [1, 1], [-1, 1]]]}')
+    for action in ("analyze", "savings"):
+        for flags, named in (
+            (["--max-sets", "1"], "--max-sets 1"),
+            (["--max-ground", "3"], "--max-ground 3"),
+            (["--max-sets", "1", "--max-ground", "1"], "--max-sets 1"),
+        ):
+            code, out, err = run(capsys, "geom", action, path, *flags)
+            assert (code, out) == (3, "")
+            assert named in err
+    monkeypatch.undo()
+    for action in ("analyze", "savings"):
+        code, _, _ = run(capsys, "geom", action, path, "--max-sets", "2", "--max-ground", "4")
+        assert code == 0
+    code, _, err = run(capsys, "geom", "analyze", strip_file(tmp_path, 24))
+    assert code == 3 and "26 distinct vertices exceed --max-ground 25" in err
+    code, _, _ = run(capsys, "geom", "analyze", strip_file(tmp_path, 23))
+    assert code == 0
+
+
 def test_formulate_help_wraps_at_columns_minus_two(capsys, monkeypatch):
     texts = []
     for columns in (60, 100):

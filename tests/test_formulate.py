@@ -288,6 +288,26 @@ def test_formulation_rejects_duplicate_and_unknown_names():
     assert [c.name for c in f.constraints] == ["row"]
 
 
+def test_formulation_rejects_floats():
+    from cdcmip import LinearFormulation
+
+    f = LinearFormulation()
+    f.add_variable("x")
+    for bad in (
+        lambda: f.add_constraint("r", [("x", 0.1)], "<=", 1),
+        lambda: f.add_constraint("r", [("x", 1)], "<=", 0.5),
+        lambda: f.add_constraint("r", [("x", 1.0)], "<=", 1),
+        lambda: f.add_variable("y", lower=0.5),
+        lambda: f.add_variable("y", upper=2.0),
+    ):
+        with pytest.raises(InputError, match="float"):
+            bad()
+    assert f.variable_names() == ["x"] and f.constraints == []
+    f.add_variable("y", lower=Fraction(1, 2), upper="3/2")
+    f.add_constraint("r", [("x", Fraction(1, 10)), ("y", "2")], "<=", 1)
+    assert "0.1 x + 2 y <= 1" in write_lp(f)
+
+
 def test_formulation_rejects_duplicate_names_at_construction():
     from cdcmip import LinearFormulation
     from cdcmip.formulate import Variable

@@ -172,3 +172,36 @@ def test_front_end_work_grows_linearly(monkeypatch, mirror):
     partition_to_cdc(part)
     assert dual_graph(part) == {(i, i + 1) for i in range(d - 1)}
     assert all(calls[name] <= 4 * d for name in calls), calls
+
+
+def test_no_fraction_arithmetic_after_parsing(monkeypatch):
+    # Every sign test and edge line runs on the integer coordinates made once
+    # per vertex; Fraction is only parsed and compared.
+    d = 200
+
+    def shear(x, y):
+        return Fraction(x, 3) + Fraction(y, 7), Fraction(y, 2) - Fraction(x, 12) + Fraction(5, 11)
+
+    polys = [
+        [tuple(map(str, shear(x, y))) for x, y in poly]
+        for poly in triangle_strip(d).polygons
+    ]
+    calls = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(a, b, name=name, op=getattr(Fraction, name)):
+            calls[name] += 1
+            return op(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) * 3 - 1 == Fraction(1, 2) and calls == {"__mul__": 1, "__sub__": 1}
+    calls.clear()
+    part = PlanarPartition(polys)
+    family, points = partition_to_cdc(part)
+    edges = dual_graph(part)
+    report = savings_report(part)
+    assert not calls, calls
+    monkeypatch.undo()
+    assert edges == {(i, i + 1) for i in range(d - 1)}
+    assert len(points) == d + 2 and [len(s) for s in family.sets] == [3] * d
+    assert (report.jtree_found, report.cont_saved) == (True, 2 * (d - 1))

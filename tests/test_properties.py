@@ -48,12 +48,13 @@ from cdcmip import (
 )
 from cdcmip import oracle
 from cdcmip.formulate import Constraint, Variable, write_lp
-from cdcmip.geom import PlanarPartition, _cross, _interiors_disjoint, dual_graph, partition_to_cdc
+from cdcmip.geom import PlanarPartition, _interiors_disjoint, _shape, dual_graph, partition_to_cdc
 from cdcmip.jtree import _cut_recursion
 from helpers import (
     all_points_partition_to_cdc,
     brute_conflict_edges,
     brute_embeddable,
+    cross,
     cut_test_is_junction_tree,
     dense_maximum_spanning_tree,
     disconnected_index,
@@ -279,6 +280,7 @@ def check_front_end(polys):
         assert str(exc) == want_error
         return
     assert want_error is None
+    assert part.polygons == tuple(tuple((Fraction(x), Fraction(y)) for x, y in poly) for poly in polys)
     assert dual_graph(part) == pairwise_dual_graph(part)
     fam, points = partition_to_cdc(part)
     want_sets, want_points = all_points_partition_to_cdc(part)
@@ -311,7 +313,7 @@ def convex_hull(points):
     def chain(seq):
         out = []
         for pt in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], pt) <= 0:
+            while len(out) >= 2 and cross(out[-2], out[-1], pt) <= 0:
                 out.pop()
             out.append(pt)
         return out[:-1]
@@ -326,12 +328,63 @@ hulls = st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=8).ma
 ).filter(lambda hull: len(hull) >= 3)
 
 
+def check_overlap_test(polys):
+    shapes = [_shape(p) for p in polys]
+    for p, sp in zip(polys, shapes):
+        for q, sq in zip(polys, shapes):
+            assert _interiors_disjoint(sp, sq) == projection_interiors_disjoint(p, q)
+
+
 @PROPERTY
 @given(st.lists(hulls, min_size=2, max_size=6))
 def test_edge_line_overlap_test_matches_the_projection_test(polys):
-    for p in polys:
-        for q in polys:
-            assert _interiors_disjoint(p, q) == projection_interiors_disjoint(p, q)
+    check_overlap_test(polys)
+
+
+# --------------------------------------------------- rational coordinates
+#
+# The same shapes with each axis scaled by its own 1/d and shifted by a
+# rational offset, negative or with a numerator near 2**70, so that x and y
+# have different denominators and vertices get different weights W.  A
+# positive scale per axis keeps orientation, and an affine map keeps the
+# overlaps, touches and collinear triples the lattice shapes have.
+
+offsets = st.one_of(
+    st.integers(-12, 12),
+    st.integers(2**70 - 3, 2**70 + 3),
+    st.integers(-(2**70) - 3, -(2**70) + 3),
+)
+
+
+@st.composite
+def rational_axes(draw):
+    dx, dy = draw(st.permutations([1, 2, 3, 7, 12]))[:2]
+    ox, oy = (Fraction(draw(offsets), draw(st.sampled_from([1, 2, 3, 7, 12]))) for _ in range(2))
+    return lambda pt: (Fraction(pt[0], dx) + ox, Fraction(pt[1], dy) + oy)
+
+
+@st.composite
+def rescaled(draw, shapes):
+    f = draw(rational_axes())
+    return [[f(pt) for pt in poly] for poly in draw(shapes)]
+
+
+@PROPERTY
+@given(rescaled(strips()))
+def test_front_end_matches_all_pairs_on_rational_sheared_strips(polys):
+    check_front_end(polys)
+
+
+@PROPERTY
+@given(rescaled(soups))
+def test_front_end_matches_all_pairs_on_rational_triangle_soups(polys):
+    check_front_end(polys)
+
+
+@PROPERTY
+@given(rescaled(st.lists(hulls, min_size=2, max_size=6)))
+def test_edge_line_overlap_test_matches_the_projection_test_on_rational_hulls(polys):
+    check_overlap_test(polys)
 
 
 # ------------------------------------------------------ junction-tree core
