@@ -7,6 +7,11 @@ LP text), deterministic for fixed inputs and flags.
 
 Exit codes: 0 ok, 2 input error, 3 size-guard trip, 4 internal invariant
 violation.
+
+`main` builds its parser on its first call and reuses it while the terminal
+width stays the same.  argparse keeps no state on a parser between
+`parse_args` calls, so the output is the same as a fresh parser's; only a
+process that calls `main` more than once saves anything.
 """
 
 from __future__ import annotations
@@ -181,6 +186,8 @@ def cmd_sosk(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random is not None and args.input:
+        raise InputError("pass a family JSON file or --random, not both")
     if args.random:
         return _verify_random(args)
     if not args.input:
@@ -198,8 +205,6 @@ def cmd_verify(args) -> int:
 
 
 def _verify_random(args) -> int:
-    if args.random < 0:
-        raise InputError(f"--random needs a count >= 0, got {args.random}")
     if args.max_sets < 1 or args.max_ground < 2:
         raise InputError("--random needs --max-sets >= 1 and --max-ground >= 2")
     rng = random.Random(args.seed)
@@ -252,10 +257,25 @@ def cmd_geom(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """Type of the size flags: a non-negative integer, refused at parse time."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"needs a count >= 0, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
+    return _build_parser(shutil.get_terminal_size().columns)
+
+
+def _build_parser(columns: int) -> argparse.ArgumentParser:
     # argparse makes a formatter per argument, and each would read the terminal
     # width again; columns - 2 is the width it computes itself.
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    fmt = functools.partial(argparse.HelpFormatter, width=columns - 2)
     parser = argparse.ArgumentParser(
         prog="cdcmip",
         description="Analyze disjunctive constraints and emit MIP formulations.",
@@ -269,18 +289,20 @@ def make_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", help="family JSON file")
         p.add_argument("--out", help="write output here instead of stdout")
-        p.add_argument("--max-sets", type=int, default=64)
-        p.add_argument("--max-ground", type=int, default=MAX_GROUND)
+        p.add_argument("--max-sets", type=_count, default=64)
+        p.add_argument("--max-ground", type=_count, default=MAX_GROUND)
 
     p = sub.add_parser("analyze", help="report structural facts about a family")
     common(p)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    # Each handler is looked up when called, as the builders are: `main` reuses
+    # the parser, and wrappers bound to this module later must still see it.
+    p.set_defaults(func=lambda args: cmd_analyze(args))
 
     p = sub.add_parser("cover", help="heuristic biclique cover of the conflict graph")
     common(p)
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_cover)
+    p.set_defaults(func=lambda args: cmd_cover(args))
 
     p = sub.add_parser("formulate", help="emit a MIP formulation")
     common(p)
@@ -291,12 +313,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("lp", "json"), default="lp")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_formulate)
+    p.set_defaults(func=lambda args: cmd_formulate(args))
 
     p = sub.add_parser("transform", help="rewrite a family to admit a junction tree")
     common(p)
     p.add_argument("--disjoint", action="store_true")
-    p.set_defaults(func=cmd_transform)
+    p.set_defaults(func=lambda args: cmd_transform(args))
 
     p = sub.add_parser("sosk", help="windowed-constraint constructions")
     p.add_argument("--n", type=int, required=True)
@@ -305,8 +327,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover-out", help="also write the cover JSON here")
     p.add_argument("--bounds", action="store_true", help="print the bound comparison")
     p.add_argument("--out", help="write output here instead of stdout")
-    p.add_argument("--max-ground", type=int, default=MAX_GROUND)
-    p.set_defaults(func=cmd_sosk)
+    p.add_argument("--max-ground", type=_count, default=MAX_GROUND)
+    p.set_defaults(func=lambda args: cmd_sosk(args))
 
     p = sub.add_parser("verify", help="run the exact oracles on a formulation")
     p.add_argument("input", nargs="?", help="family JSON file (omit with --random)")
@@ -316,21 +338,24 @@ def make_parser() -> argparse.ArgumentParser:
         choices=list(BUILDERS),
         default="ib",
     )
-    p.add_argument("--random", type=int, default=0, help="check N random families instead")
+    p.add_argument("--random", type=_count, help="check N random families instead")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: cmd_verify(args))
 
     p = sub.add_parser("geom", help="planar partition ingestion")
     p.add_argument("action", choices=("analyze", "savings"))
     common(p)
-    p.set_defaults(func=cmd_geom)
+    p.set_defaults(func=lambda args: cmd_geom(args))
 
     return parser
 
 
+# One parser per terminal width: `--help` still wraps at the width of the call.
+_parser = functools.lru_cache(maxsize=1)(_build_parser)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser(shutil.get_terminal_size().columns).parse_args(argv)
     try:
         return args.func(args)
     except NoJunctionTreeError as exc:

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import shutil
@@ -312,6 +313,99 @@ def test_parser_reads_the_terminal_width_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_main_builds_its_parser_once_per_width_and_not_at_import(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    # The fresh module replaces the package's `cli` attribute; put the old one back after.
+    monkeypatch.setattr(cdcmip, "cli", cli)
+    monkeypatch.delitem(sys.modules, "cdcmip.cli")
+    fresh = importlib.import_module("cdcmip.cli")
+    assert fresh is not cli and built == []
+    monkeypatch.setenv("COLUMNS", "80")
+    assert fresh.main(["sosk", "--n", "5", "--k", "2"]) == 0
+    assert len(built) == 8  # the root parser and its seven subcommands
+    built.clear()
+    assert fresh.main(["analyze", family_file(tmp_path, SOS2_5)]) == 0
+    assert built == []
+    monkeypatch.setenv("COLUMNS", "100")
+    assert fresh.main(["analyze", family_file(tmp_path, SOS2_5)]) == 0
+    assert len(built) == 8
+    capsys.readouterr()
+
+
+def test_reused_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    path = family_file(tmp_path, SOS2_5)
+    sequence = [
+        ["formulate", path, "--format", "json", "--verify"],
+        ["formulate", path],
+        ["sosk", "--n", "7", "--k", "3", "--bounds"],
+        ["sosk", "--n", "7", "--k", "3"],
+        ["formulate", path, "--format", "xml"],
+        ["formulate", path],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    together = [call(argv) for argv in sequence]
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 5)
+    alone = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        alone.append(call(argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 2, 0]
+    assert together[0][2] == "support_validity: pass\n"
+    assert "binaries: ours=" in together[2][2]
+    assert "invalid choice: 'xml'" in together[4][2]
+    for code, out, err in (together[1], together[3], together[5]):
+        assert out.endswith("End\n") and err == ""
+    assert together[1] == together[5]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "MISSING", "--max-sets", "-1"], "--max-sets"),
+        (["analyze", "MISSING", "--max-ground", "-1"], "--max-ground"),
+        (["sosk", "--n", "5", "--k", "2", "--max-ground", "-1"], "--max-ground"),
+        (["geom", "savings", "MISSING", "--max-sets", "-3"], "--max-sets"),
+        (["verify", "--random", "-2"], "--random"),
+    ],
+    ids=["analyze-max-sets", "analyze-max-ground", "sosk-max-ground", "geom-max-sets", "verify-random"],
+)
+def test_negative_size_flags_exit_2_at_parse_time(tmp_path, capsys, argv, flag):
+    # The input does not exist: a flag checked after reading would report that instead.
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    value = argv[argv.index(flag) + 1]
+    assert captured.err.endswith(f"error: argument {flag}: needs a count >= 0, got {value}\n")
+
+
+def test_verify_refuses_a_file_with_random(tmp_path, capsys):
+    path = family_file(tmp_path, SOS2_5)
+    for count in ("5", "0"):
+        code, out, err = run(capsys, "verify", "--random", count, path)
+        assert (code, out) == (2, "")
+        assert err == "error: pass a family JSON file or --random, not both\n"
+
+
 def test_verify_subcommand(tmp_path, capsys):
     code, out, _ = run(
         capsys, "verify", "--formulation", "ib", family_file(tmp_path, SOS2_5)
@@ -343,7 +437,6 @@ def test_verify_random(capsys):
         (["--max-ground", "4"], 0),
         (["--max-ground", "1"], 2),
         (["--max-sets", "0"], 2),
-        (["--random", "-2"], 2),
     ],
 )
 def test_verify_random_caps(capsys, flags, code):
