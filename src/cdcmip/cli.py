@@ -188,7 +188,7 @@ def cmd_sosk(args) -> int:
 def cmd_verify(args) -> int:
     if args.random is not None and args.input:
         raise InputError("pass a family JSON file or --random, not both")
-    if args.random:
+    if args.random is not None:
         return _verify_random(args)
     if not args.input:
         raise InputError("pass a family JSON file or use --random")

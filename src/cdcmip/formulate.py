@@ -1,14 +1,14 @@
 """Solver-agnostic MIP intermediate representation and every builder.
 
 Integral values are ``int``, others ``Fraction``; floats never enter the
-IR (``add_variable`` and ``add_constraint`` reject them).  Builders share
-one naming scheme (``lam_<v>`` for the primary simplex variables,
-``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>`` for
-per-set weights, ``z_<j>`` for binaries) so emitted files diff cleanly.
-The LP writer prints integers as they are, renders terminating rationals as
-exact decimals and scales any other row to integers, which keeps output
-byte-stable; a bound that does not terminate cannot be scaled and is an
-input error.
+IR (the constructor, ``add_variables`` and ``add_constraint`` reject
+them).  Builders share one naming scheme (``lam_<v>`` for the primary
+simplex variables, ``lamp_``/``lampp_`` for copy-index variables,
+``gam_<set>_<v>`` for per-set weights, ``z_<j>`` for binaries) so emitted
+files diff cleanly.  The LP writer prints an all-integer row or bound
+straight from its values, renders terminating rationals as exact decimals
+and scales any other row to integers, which keeps output byte-stable; a
+bound that does not terminate cannot be scaled and is an input error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .cdc import IndexSetFamily, conflict_graph, ground_set
@@ -67,9 +68,20 @@ class LinearFormulation:
     _names: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Refuses duplicate names, floats and rows naming unknown variables.
+
+        Values are stored as given: unlike ``add_constraint``, the
+        constructor does not turn ``Fraction(1)`` into ``1``.
+        """
         self._names = {v.name for v in self.variables}
         if len(self._names) != len(self.variables):
             raise InputError("variable names are not unique")
+        for v in self.variables:
+            _refuse_floats((v.lower, v.upper))
+        for c in self.constraints:
+            _refuse_floats(map(_COEF, c.terms))
+            self._check_known(c.name, c.terms)
+            _refuse_floats((c.rhs,))
 
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
@@ -85,19 +97,45 @@ class LinearFormulation:
         return {int(k): v for k, v in raw.items()}
 
     def add_variable(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
-        if name in self._names:
-            raise InputError(f"duplicate variable name {name!r}")
-        bounds = [b if b is None else _exact(b) for b in (lower, upper)]
-        self.variables.append(Variable(name, kind, *bounds))
-        self._names.add(name)
-        return name
+        return self.add_variables([name], kind, lower, upper)[0]
+
+    def add_variables(self, names, kind=CONTINUOUS, lower=None, upper=None) -> list[str]:
+        """Declares one variable per name, all of one kind and bounds; returns the names.
+
+        The checks run once per batch, in ``add_variable``'s order (names,
+        then bounds, then kind); a refused batch declares none of its names.
+        """
+        names = list(names)
+        fresh = set(names)
+        if len(fresh) != len(names) or not self._names.isdisjoint(fresh):
+            raise InputError(f"duplicate variable name {_first_repeat(names, self._names)!r}")
+        if not names:
+            return names
+        checked = Variable(names[0], kind, *[b if b is None else _exact(b) for b in (lower, upper)])
+        self.variables.append(checked)
+        # The rest are copies of the checked variable: the frozen __init__
+        # would repeat its checks and set each field through object.__setattr__.
+        fields, new = vars(checked), object.__new__
+        for name in names[1:]:
+            v = new(Variable)
+            vars(v).update(fields, name=name)
+            self.variables.append(v)
+        self._names |= fresh
+        return names
 
     def add_constraint(self, name, terms, sense, rhs) -> None:
-        fixed = tuple((var, x) for var, c in terms if (x := c if type(c) is int else _exact(c)))
-        for var, _ in fixed:
-            if var not in self._names:
-                raise InputError(f"constraint {name!r} references unknown variable {var!r}")
-        self.constraints.append(Constraint(name, fixed, sense, _exact(rhs)))
+        """Adds a row from ``(variable, value)`` tuples, dropping the zero terms."""
+        terms = tuple(terms)
+        coefs = tuple(map(_COEF, terms))
+        if not ({*map(type, coefs)} <= _INT and 0 not in coefs):
+            terms = tuple((var, x) for var, c in terms if (x := c if type(c) is int else _exact(c)))
+        self._check_known(name, terms)
+        self.constraints.append(Constraint(name, terms, sense, _exact(rhs)))
+
+    def _check_known(self, row, terms) -> None:
+        if not self._names.issuperset(map(_VAR, terms)):
+            var = next(var for var, _ in terms if var not in self._names)
+            raise InputError(f"constraint {row!r} references unknown variable {var!r}")
 
     def to_json(self) -> str:
         def frac(x):
@@ -129,6 +167,10 @@ class LinearFormulation:
         )
 
 
+_VAR, _COEF = itemgetter(0), itemgetter(1)
+_INT = {int}
+
+
 def _exact(x) -> int | Fraction:
     """``x`` as an ``int`` when it is integral, else as a ``Fraction``.
 
@@ -137,10 +179,15 @@ def _exact(x) -> int | Fraction:
     """
     if type(x) is int:
         return x
-    if isinstance(x, float):
-        raise InputError(f"exact value required (int, Fraction, or string), got float {x!r}")
+    _refuse_floats((x,))
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _refuse_floats(values) -> None:
+    for x in values:
+        if isinstance(x, float):
+            raise InputError(f"exact value required (int, Fraction, or string), got float {x!r}")
 
 
 def family_digest(family: IndexSetFamily) -> str:
@@ -157,11 +204,12 @@ def _new(builder: str, family: IndexSetFamily) -> tuple[LinearFormulation, dict[
 
 
 def _add_lambda_vars(f: LinearFormulation, indices, prefix="lam") -> dict[int, str]:
-    return {v: f.add_variable(f"{prefix}_{v}", CONTINUOUS, lower=0) for v in sorted(indices)}
+    indices = sorted(indices)
+    return dict(zip(indices, f.add_variables([f"{prefix}_{v}" for v in indices], lower=0)))
 
 
 def _add_binaries(f: LinearFormulation, count: int) -> list[str]:
-    return [f.add_variable(f"z_{i + 1}", BINARY, 0, 1) for i in range(count)]
+    return f.add_variables([f"z_{i + 1}" for i in range(count)], BINARY, 0, 1)
 
 
 def _per_set_weights(f, family, lam, binaries: int):
@@ -170,11 +218,8 @@ def _per_set_weights(f, family, lam, binaries: int):
     Each link row equates ``lam_<v>`` with the sum of the weights on ``v``.
     Returns the weights keyed by (set ordinal, index) and the binaries.
     """
-    gam = {
-        (i, v): f.add_variable(f"gam_{i + 1}_{v}", CONTINUOUS, lower=0)
-        for i, s in enumerate(family.sets)
-        for v in sorted(s)
-    }
+    keys = [(i, v) for i, s in enumerate(family.sets) for v in sorted(s)]
+    gam = dict(zip(keys, f.add_variables([f"gam_{i + 1}_{v}" for i, v in keys], lower=0)))
     z = _add_binaries(f, binaries)
     for v, name in lam.items():
         terms = [(name, 1)] + [(gam[(i, v)], -1) for i in family.holders[v]]
@@ -378,55 +423,87 @@ def _render_row(values: list[int | Fraction]) -> Optional[list[str]]:
     return None if None in out else out
 
 
+def _fraction_row(c: Constraint, renamed: dict[str, str]) -> tuple[list[str], str]:
+    """Terms and right-hand side of a row holding a ``Fraction``: decimals, else scaled."""
+    values = [coef for _, coef in c.terms] + [c.rhs]
+    *coefs, rhs = _render_row(values) or map(str, _integral(values))
+    parts = []
+    for (var, _), coef in zip(c.terms, coefs):
+        if coef == "1":
+            parts.append("+ " + renamed[var])
+        elif coef == "-1":
+            parts.append("- " + renamed[var])
+        elif coef[0] == "-":
+            parts.append(f"- {coef[1:]} {renamed[var]}")
+        else:
+            parts.append(f"+ {coef} {renamed[var]}")
+    return parts, rhs
+
+
+def _first_repeat(items, seen=()):
+    """The first item equal to an earlier one or to one of ``seen``."""
+    seen = set(seen)
+    return next(x for x in items if x in seen or seen.add(x))
+
+
 def write_lp(f: LinearFormulation) -> str:
     """Render the formulation in LP format, deterministically.
 
-    Rows keep declaration order; a row with any non-terminating coefficient
-    is scaled by the common denominator so the file stays exact.  A bound
-    cannot be scaled, so one that does not terminate is an input error.
+    Rows keep declaration order.  A row of integers is printed straight
+    from its values; a row holding a fraction prints exact decimals, or is
+    scaled by the common denominator when one does not terminate, so the
+    file stays exact.  A bound cannot be scaled, so one that does not
+    terminate is an input error.
     """
-    renamed = {}
-    used = set()
-    for v in f.variables:
-        clean = _sanitize(v.name)
-        if clean in used:
-            raise InputError(f"sanitized name collision on {clean!r}")
-        used.add(clean)
-        renamed[v.name] = clean
+    names = [v.name for v in f.variables]
+    clean = list(map(_sanitize, names))
+    if len(set(clean)) != len(clean):
+        raise InputError(f"sanitized name collision on {_first_repeat(clean)!r}")
+    renamed = dict(zip(names, clean))
+    plus = {name: "+ " + c for name, c in renamed.items()}
+    minus = {name: "- " + c for name, c in renamed.items()}
 
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
     for c in f.constraints:
-        values = [coef for _, coef in c.terms] + [c.rhs]
-        *coefs, rhs = _render_row(values) or map(str, _integral(values))
-        parts = []
-        for (var, _), coef in zip(c.terms, coefs):
-            if coef == "1":
-                parts.append("+ " + renamed[var])
-            elif coef == "-1":
-                parts.append("- " + renamed[var])
-            elif coef[0] == "-":
-                parts.append(f"- {coef[1:]} {renamed[var]}")
-            else:
-                parts.append(f"+ {coef} {renamed[var]}")
-        if parts and parts[0][0] == "+":
-            parts[0] = parts[0][2:]
-        body = " ".join(parts) if parts else "0 " + renamed[f.variables[0].name]
+        rhs = c.rhs
+        if type(rhs) is int and {*map(type, map(_COEF, c.terms))} <= _INT:
+            parts = [
+                plus[var] if a == 1
+                else minus[var] if a == -1
+                else f"- {-a} {renamed[var]}" if a < 0
+                else f"+ {a} {renamed[var]}"
+                for var, a in c.terms
+            ]
+        else:
+            parts, rhs = _fraction_row(c, renamed)
+        body = " ".join(parts)
+        if body[:1] == "+":
+            body = body[2:]
+        elif not body:
+            if not clean:
+                raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
+            body = "0 " + clean[0]
         lines.append(f" {_sanitize(c.name)}: {body} {c.sense} {rhs}")
     lines.append("Bounds")
-    for v in f.variables:
-        name = renamed[v.name]
-        bounds = _render_row([b for b in (v.lower, v.upper) if b is not None])
-        if bounds is None:
-            raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
-        if v.lower is None and v.upper is None:
+    for v, name in zip(f.variables, clean):
+        lower, upper = v.lower, v.upper
+        if type(lower) is int and upper is None:
+            lines.append(f" {name} >= {lower}")
+            continue
+        bounds = [b for b in (lower, upper) if b is not None]
+        if not {*map(type, bounds)} <= _INT:
+            bounds = _render_row(bounds)
+            if bounds is None:
+                raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
+        if lower is None and upper is None:
             lines.append(f" {name} free")
-        elif v.upper is None:
+        elif upper is None:
             lines.append(f" {name} >= {bounds[0]}")
-        elif v.lower is None:
+        elif lower is None:
             lines.append(f" {name} <= {bounds[0]}")
         else:
             lines.append(f" {bounds[0]} <= {name} <= {bounds[1]}")
-    binaries = [renamed[v.name] for v in f.variables if v.kind == BINARY]
+    binaries = [name for v, name in zip(f.variables, clean) if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")
         for name in binaries:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
 from .errors import InputError, InvariantError, SizeGuardError
 from .formulate import BINARY, LinearFormulation, _integral
-from .jtree import CandidateTree, _preorder, _spanning_forest
+from .jtree import CandidateTree, _preorder
 
 
 def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
@@ -299,10 +299,40 @@ def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
     return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
-def _all_spanning_trees(d: int):
-    for combo in combinations(combinations(range(d), 2), d - 1):
-        if len(_spanning_forest(d, combo)) == d - 1:
-            yield combo
+def _all_spanning_trees(d: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every spanning tree of the complete graph on ``0..d-1``, as sorted edge tuples.
+
+    The d^(d-2) trees are decoded from their Pruefer sequences, each as
+    the sorted positions of its edges in ``combinations(range(d), 2)``.
+    Sorting those lists gives the order in which ``combinations`` lists
+    the (d-1)-edge subsets.
+    """
+    if d < 2:
+        return [()]
+    pairs = list(combinations(range(d), 2))
+    index = [[0] * d for _ in range(d)]
+    for e, (a, b) in enumerate(pairs):
+        index[a][b] = index[b][a] = e
+    trees = []
+    for seq in product(range(d), repeat=d - 2):
+        degree = [1] * d
+        for v in seq:
+            degree[v] += 1
+        least = leaf = degree.index(1)
+        edges = []
+        for v in seq:
+            edges.append(index[leaf][v])
+            degree[v] -= 1
+            # Only v can have become a leaf; it is the next one if below the scan.
+            if degree[v] == 1 and v < least:
+                leaf = v
+            else:
+                least = leaf = degree.index(1, least + 1)
+        edges.append(index[leaf][d - 1])
+        edges.sort()
+        trees.append(edges)
+    trees.sort()
+    return [tuple(map(pairs.__getitem__, edges)) for edges in trees]
 
 
 def _holds_on_every_path(family: IndexSetFamily, edges) -> bool:

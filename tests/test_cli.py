@@ -430,6 +430,12 @@ def test_verify_random(capsys):
     assert payload["agreements"] == 15
 
 
+def test_verify_random_zero_prints_an_empty_report(capsys):
+    code, out, err = run(capsys, "verify", "--random", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"agreements": 0, "random_families": 0}
+
+
 @pytest.mark.parametrize(
     "flags, code",
     [

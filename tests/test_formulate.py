@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -322,3 +323,108 @@ def test_lambda_metadata(sos2_5):
     assert f.lambda_names() == {v: f"lam_{v}" for v in range(1, 6)}
     assert f.metadata["builder"] == "naive"
     assert len(f.metadata["family_digest"]) == 12
+
+
+def test_write_lp_refuses_an_empty_row_without_variables():
+    from cdcmip import LinearFormulation
+
+    f = LinearFormulation()
+    f.add_constraint("r", [], "<=", 1)
+    with pytest.raises(InputError, match="'r'"):
+        write_lp(f)
+    f.add_variable("x")
+    assert " r: 0 x <= 1" in write_lp(f)
+
+
+def test_formulation_constructor_checks_names_and_floats():
+    from cdcmip import LinearFormulation
+    from cdcmip.formulate import Constraint, Variable
+
+    x = Variable("x")
+    with pytest.raises(InputError, match="unknown variable 'y'"):
+        LinearFormulation([x], [Constraint("r", (("x", 1), ("y", 1)), "<=", 1)])
+    for bad in (
+        lambda: LinearFormulation([Variable("x", lower=0.5)]),
+        lambda: LinearFormulation([Variable("x", upper=2.0)]),
+        lambda: LinearFormulation([x], [Constraint("r", (("x", 0.5),), "<=", 1)]),
+        lambda: LinearFormulation([x], [Constraint("r", (("x", 1),), "<=", 1.0)]),
+    ):
+        with pytest.raises(InputError, match="float"):
+            bad()
+    # Values are kept as given: a Fraction-valued model stays one.
+    f = LinearFormulation(
+        [Variable("x", lower=Fraction(0))], [Constraint("r", (("x", Fraction(1)),), "<=", Fraction(2))]
+    )
+    assert type(f.variables[0].lower) is Fraction
+    assert f.constraints[0].terms == (("x", Fraction(1)),) and type(f.constraints[0].rhs) is Fraction
+    assert " r: x <= 2" in write_lp(f)
+
+
+def _refusal(declare):
+    with pytest.raises(InputError) as exc:
+        declare()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "names, kind, lower, upper",
+    [
+        (["a", "b", "a"], "continuous", 0, None),  # duplicate inside the batch
+        (["a", "x", "b"], "continuous", 0, None),  # clash with a declared name
+        (["a", "b"], "continuous", 0.5, None),  # float bound
+        (["a", "b"], "binary", 0, 2),  # binary not on [0, 1]
+        (["a", "b"], "integer", 0, None),  # unknown kind
+    ],
+    ids=["duplicate", "clash", "float", "binary-bounds", "kind"],
+)
+def test_batch_declaration_refuses_as_one_by_one(names, kind, lower, upper):
+    from cdcmip import LinearFormulation
+
+    one, batch = LinearFormulation(), LinearFormulation()
+    one.add_variable("x")
+    batch.add_variable("x")
+
+    def one_by_one():
+        for name in names:
+            one.add_variable(name, kind, lower, upper)
+
+    assert _refusal(one_by_one) == _refusal(lambda: batch.add_variables(names, kind, lower, upper))
+    assert batch.variable_names() == ["x"]  # a refused batch declares nothing
+
+
+def test_batch_declaration_matches_one_by_one():
+    from cdcmip import LinearFormulation
+
+    one, batch = LinearFormulation(), LinearFormulation()
+    for kind, lower, upper in (("continuous", 0, None), ("binary", "0", Fraction(1)), ("continuous", None, "1/2")):
+        names = [f"{kind}_{lower}_{i}" for i in range(3)]
+        assert batch.add_variables(names, kind, lower, upper) == names
+        for name in names:
+            one.add_variable(name, kind, lower, upper)
+    assert batch.variables == one.variables and batch.add_variables([]) == []
+    batch.add_variable("y")
+    with pytest.raises(InputError, match="duplicate variable name 'y'"):
+        batch.add_variable("y")
+
+
+@pytest.mark.parametrize("build", [build_naive, build_jeroslow_lowe, build_log_embedding, build_extended_jtree])
+def test_write_lp_prints_integer_models_without_the_fraction_route(monkeypatch, triangle, build):
+    from cdcmip import formulate
+
+    f = build(triangle)
+    expected = write_lp(formulate.LinearFormulation(
+        [replace(v, lower=_frac(v.lower), upper=_frac(v.upper)) for v in f.variables],
+        [replace(c, terms=tuple((v, Fraction(a)) for v, a in c.terms)) for c in f.constraints],
+        f.metadata,
+    ))
+
+    def refuse(values):
+        raise AssertionError(f"integer values {values} took the fraction route")
+
+    monkeypatch.setattr(formulate, "_render_row", refuse)
+    assert write_lp(f) == expected
+    assert write_lp(build_sosk(3, 2)) == GOLDEN_SOSK_3_2
+
+
+def _frac(x):
+    return None if x is None else Fraction(x)

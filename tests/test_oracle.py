@@ -30,6 +30,17 @@ from cdcmip.formulate import LinearFormulation
 from helpers import random_family
 
 
+def test_all_spanning_trees_match_the_acyclic_edge_subsets():
+    from itertools import combinations
+
+    from cdcmip.jtree import _spanning_forest
+
+    for d in range(1, 8):
+        subsets = combinations(combinations(range(d), 2), d - 1)
+        trees = [edges for edges in subsets if len(_spanning_forest(d, edges)) == d - 1]
+        assert oracle._all_spanning_trees(d) == trees and len(trees) == d ** max(d - 2, 0)
+
+
 def test_brute_admits(path3, triangle):
     t = brute_admits_junction_tree(path3)
     assert t is not None and is_junction_tree(path3, t)
