@@ -3,23 +3,23 @@
 Nothing here is meant to scale: every routine enumerates (spanning trees,
 support subsets, tight-constraint bases, edge-to-biclique assignments) and
 refuses inputs beyond an explicit budget instead of degrading silently.
-Each question gets one exact test on data the oracle already holds: a
-rank test refuses a relaxation with no vertex before the vertex search,
-and whether some edges fit in one biclique is one 2-colouring with parity
-constraints.
+Work shared by the enumerated cases is done once per call: one projection
+serves every binary assignment, and the tree decoder hands out parents.
+A rank test refuses a relaxation with no vertex before the vertex search,
+and edges fit in one biclique iff a parity-constrained 2-colouring exists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .cdc import ConflictGraph, IndexSetFamily, ground_set, is_feasible_set
+from .cdc import ConflictGraph, IndexSetFamily, ground_set
 from .errors import InputError, InvariantError, SizeGuardError
 from .formulate import BINARY, LinearFormulation, _integral
-from .jtree import CandidateTree, _preorder
+from .jtree import CandidateTree
 
 
 def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
@@ -102,87 +102,80 @@ def _primitive(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
-def _fourier_motzkin(rows: list[list[int]], m: int, max_rows: int) -> Optional[list[list[int]]]:
+def _fourier_motzkin(rows: list[list[int]], m: int, max_rows: int) -> Optional[list[tuple]]:
     """Eliminate columns ``0..m-1`` from primitive integer rows ``a.x <= b``.
 
     Exact Fourier-Motzkin elimination: the returned rows hold at a point of
-    the other columns iff some values of the eliminated ones complete it.
-    ``None`` when no point completes, because a row with no variables left
-    is violated.  Each round drops constant and repeated rows, then
-    eliminates the column held by the fewest rows, the first on a tie.
+    the other columns iff some values of the eliminated ones complete it;
+    ``None`` when a row with no variables left is violated.  Each round
+    eliminates the column held by the fewest rows, the first on a tie.  Its
+    distinct rows are counted as they are made, and past ``max_rows`` it
+    raises at once, even if a violated constant row later in the round
+    would have proved the system infeasible.
     """
     while True:
-        kept: list[list[int]] = []
-        seen = set()
+        kept: dict[tuple[int, ...], None] = {}
         for row in rows:
             if not any(row[:-1]):
                 if row[-1] < 0:
                     return None
-                continue
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                kept.append(row)
-        if len(kept) > max_rows:
-            raise SizeGuardError(
-                f"support_validity: eliminating the auxiliary variables reached "
-                f"{len(kept)} rows, over the budget of {max_rows}"
-            )
+            elif (key := tuple(row)) not in kept:
+                if len(kept) == max_rows:
+                    raise SizeGuardError(
+                        f"support_validity: eliminating the auxiliary variables reached "
+                        f"{max_rows + 1} rows, over the budget of {max_rows}")
+                kept[key] = None
         counts = [sum(1 for row in kept if row[k]) for k in range(m)]
         live = [k for k in range(m) if counts[k]]
         if not live:
-            return kept
+            return list(kept)
         k = min(live, key=lambda k: (counts[k], k))
-        rows = [r for r in kept if not r[k]]
         negative = [q for q in kept if q[k] < 0]
-        for p in kept:
-            if p[k] > 0:
-                rows.extend(_combine(-q[k], p, p[k], q) for q in negative)
+        rows = chain((r for r in kept if not r[k]),
+                     (_combine(-q[k], p, p[k], q) for p in kept if p[k] > 0 for q in negative))
 
 
 def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: int = 50_000):
     """One integer system over the primary variables per binary assignment.
 
-    ``position`` maps each primary variable to its bit.  The compiled rows
-    put the auxiliary variables first, by name, then the primary ones; an
-    assignment folds the binaries into the right-hand side.  Its equalities
-    are eliminated on auxiliary pivots, the auxiliaries are projected out,
-    and each remaining row is kept as (bit-coefficient pairs, rhs,
-    is_equality).  A primary point completes to a feasible point under the
-    assignment iff it satisfies every row.  Assignments no point completes
-    are left out, and equal systems are kept once.
+    ``position`` maps each primary variable to its bit.  With the columns
+    ordered auxiliary (by name), binary, primary, the auxiliaries are
+    eliminated on equality pivots and projected out once, binaries kept
+    symbolic: exact, as the pivots and eliminations depend only on auxiliary
+    coefficients and projection commutes with fixing the other columns.
+    Each assignment substitutes into the projected rows: a row with primary
+    terms left is kept as (bit-coefficient pairs, rhs, is_equality), one
+    without must hold or the assignment is dropped.  Equal systems are kept once.
     """
     index = {name: i for i, name in enumerate(f.variable_names())}
-    binaries = [index[v] for v in f.binary_names()]
+    binaries = f.binary_names()
     aux = sorted(v.name for v in f.variables if v.kind != BINARY and v.name not in position)
     primary = sorted(position, key=position.get)
-    cols = [index[v] for v in aux + primary]
+    cols = [index[v] for v in aux + binaries + primary] + [-1]
+    m, b = len(aux), len(binaries)
+    eqs, ineqs = ([_primitive([row[c] for c in cols]) for row in rows] for rows in _compile(f))
+    echelon = _echelon(eqs, m)  # None when the equalities alone are inconsistent
+    rows = echelon and _fourier_motzkin([_reduce(echelon[0], row) for row in ineqs], m, max_rows)
+    if rows is None:
+        return []
     bits = [position[v] for v in primary]
-    m, w = len(aux), len(cols)
-    eqs, ineqs = _compile(f)
-
-    def fold(rows, z):
-        return [
-            _primitive([row[c] for c in cols] + [row[-1] - sum(row[c] for c in z)])
-            for row in rows
-        ]
-
+    projected = [
+        ([(k, a) for k, a in enumerate(row[m:m + b]) if a],
+         [(bit, a) for bit, a in zip(bits, row[m + b:-1]) if a], row[-1], is_eq)
+        for is_eq, group in ((True, echelon[1]), (False, rows)) for row in group
+    ]
     systems: dict[tuple, None] = {}
-    for assignment in product((False, True), repeat=len(binaries)):
-        z = [c for c, one in zip(binaries, assignment) if one]
-        echelon = _echelon(fold(eqs, z), m)
-        if echelon is None:
-            continue  # the equalities alone are inconsistent
-        basis, residual = echelon
-        rows = _fourier_motzkin([_reduce(basis, row) for row in fold(ineqs, z)], m, max_rows)
-        if rows is None:
-            continue
-        system = [
-            (tuple((bits[k], a) for k, a in enumerate(row[m:w]) if a), row[w], is_eq)
-            for is_eq, group in ((True, residual), (False, rows))
-            for row in group
-        ]
-        systems[tuple(sorted(system))] = None
+    for z in product((0, 1), repeat=b):
+        system = set()
+        for zs, lam, rhs, is_eq in projected:
+            rhs -= sum(a for k, a in zs if z[k])
+            if lam:
+                g = gcd(rhs, *(a for _, a in lam))
+                system.add((tuple((bit, a // g) for bit, a in lam), rhs // g, is_eq))
+            elif rhs < 0 or is_eq and rhs:
+                break  # a violated row with no primary term left
+        else:
+            systems[tuple(sorted(system))] = None
     return list(systems)
 
 
@@ -196,21 +189,17 @@ def _admits_uniform(system, mask: int, r: int) -> bool:
 
 
 def support_validity(
-    f: LinearFormulation,
-    family: IndexSetFamily,
-    max_ground: int = 12,
-    max_binaries: int = 12,
+    f: LinearFormulation, family: IndexSetFamily, max_ground: int = 12, max_binaries: int = 12
 ) -> bool:
     """Whether the formulation realizes exactly the feasible supports.
 
     For every nonempty subset of the ground set, uniform mass on it must be
     completable to a feasible point (over some binary assignment and some
-    auxiliary values) exactly when the subset lies in a member set.
-    Each binary assignment is compiled once: its equalities are solved for
-    the auxiliary variables, and exact Fourier-Motzkin elimination projects
-    the auxiliaries out, keeping the primary variables symbolic.  A support
-    is then tested against each projected system by integer row sums.  Cost:
-    O(2^b) projections plus 2^|J|·2^b integer row tests.
+    auxiliary values) exactly when the subset lies in a member set.  One
+    exact projection of the auxiliaries, binaries kept symbolic, gives a
+    system per binary assignment by substitution, and a support is tested
+    against each system by integer row sums.  Cost: one projection, 2^b
+    substitutions and 2^|J|·2^b integer row tests.
     """
     j = sorted(ground_set(family))
     if len(j) > max_ground:
@@ -218,16 +207,15 @@ def support_validity(
     lam = f.lambda_names()
     if set(lam) != set(j):
         raise InputError("formulation's primary variables do not match the family")
-    binaries = f.binary_names()
-    if len(binaries) > max_binaries:
-        raise SizeGuardError(f"{len(binaries)} binaries exceed the cap of {max_binaries}")
+    if (b := len(f.binary_names())) > max_binaries:
+        raise SizeGuardError(f"{b} binaries exceed the cap of {max_binaries}")
     bit = {v: 1 << k for k, v in enumerate(j)}
     systems = _lambda_systems(f, {lam[v]: bit[v] for v in j})
+    members = [sum(bit[v] for v in s) for s in family.sets]
     for r in range(1, len(j) + 1):
-        for support in combinations(j, r):
-            mask = sum(bit[v] for v in support)
+        for mask in map(sum, combinations(bit.values(), r)):
             ok = any(_admits_uniform(system, mask, r) for system in systems)
-            if ok != is_feasible_set(family, support):
+            if ok != any(mask & s == mask for s in members):
                 return False
     return True
 
@@ -299,16 +287,16 @@ def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
     return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
-def _all_spanning_trees(d: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every spanning tree of the complete graph on ``0..d-1``, as sorted edge tuples.
+def _all_spanning_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], list[int]]]:
+    """Every spanning tree of the complete graph on ``0..d-1``: (sorted edges, parents).
 
-    The d^(d-2) trees are decoded from their Pruefer sequences, each as
-    the sorted positions of its edges in ``combinations(range(d), 2)``.
-    Sorting those lists gives the order in which ``combinations`` lists
-    the (d-1)-edge subsets.
+    The d^(d-2) trees are decoded from their Pruefer sequences; each step
+    joins a leaf to its parent, so the parents are rooted at d-1 (entry
+    -1).  Sorting the edges' positions in ``combinations(range(d), 2)``
+    gives the order in which ``combinations`` lists the (d-1)-edge subsets.
     """
     if d < 2:
-        return [()]
+        return [((), [-1] * d)]
     pairs = list(combinations(range(d), 2))
     index = [[0] * d for _ in range(d)]
     for e, (a, b) in enumerate(pairs):
@@ -320,8 +308,10 @@ def _all_spanning_trees(d: int) -> list[tuple[tuple[int, int], ...]]:
             degree[v] += 1
         least = leaf = degree.index(1)
         edges = []
+        up = [-1] * d
         for v in seq:
             edges.append(index[leaf][v])
+            up[leaf] = v
             degree[v] -= 1
             # Only v can have become a leaf; it is the next one if below the scan.
             if degree[v] == 1 and v < least:
@@ -329,24 +319,31 @@ def _all_spanning_trees(d: int) -> list[tuple[tuple[int, int], ...]]:
             else:
                 least = leaf = degree.index(1, least + 1)
         edges.append(index[leaf][d - 1])
+        up[leaf] = d - 1
         edges.sort()
-        trees.append(edges)
+        trees.append((edges, up))
     trees.sort()
-    return [tuple(map(pairs.__getitem__, edges)) for edges in trees]
+    return [(tuple(map(pairs.__getitem__, edges)), up) for edges, up in trees]
 
 
-def _holds_on_every_path(family: IndexSetFamily, edges) -> bool:
-    """The definition: two sets' shared indices lie in every set on their tree path."""
-    sets = family.sets
-    for root in range(len(sets)):
-        up = _preorder(edges, root)
-        del up[root]
-        for far, v in up.items():
-            shared = sets[root] & sets[far]
-            while v != root:
-                if not shared <= sets[v]:
-                    return False
-                v = up[v]
+def _holds_on_every_path(sets, shared, up: list[int]) -> bool:
+    """The definition: two sets' shared indices lie in every set on their tree path.
+
+    ``shared`` lists (i, j, sets[i] & sets[j]) for the pairs sharing an
+    index, as the empty set lies in every set.  On the parent array ``up``
+    the deeper end climbs until the two meet; each set climbed onto is tested.
+    """
+    depth = [0] * len(up)
+    for v, w in enumerate(up):
+        while w >= 0:
+            depth[v], w = depth[v] + 1, up[w]
+    for i, j, common in shared:
+        while i != j:
+            if depth[i] < depth[j]:
+                i, j = j, i
+            i = up[i]
+            if not common <= sets[i]:
+                return False
     return True
 
 
@@ -355,24 +352,26 @@ def brute_admits_junction_tree(
 ) -> Optional[CandidateTree]:
     """Exhaustive junction-tree search over all spanning trees.
 
-    Each tree is tested by the definition, on every path, and weighed as
-    its tuple of edges by the sizes of their middle sets.  Besides deciding
-    existence, this cross-checks two structural facts on the way: every
-    qualifying tree carries maximum weight, and the maximum trees either
-    all qualify or none does.
+    Each tree is tested by the definition, on every path between two sets
+    that share an index, and weighed as its tuple of edges by the sizes of
+    their middle sets.  Besides deciding existence, this cross-checks two
+    structural facts on the way: every qualifying tree carries maximum
+    weight, and the maximum trees either all qualify or none does.
     """
     d = len(family)
     if d > max_sets:
         raise SizeGuardError(f"{d} sets exceed the cap of {max_sets}")
     sets = family.sets
-    middle = {(i, j): len(sets[i] & sets[j]) for i, j in combinations(range(d), 2)}
-    trees = [(sum(map(middle.__getitem__, edges)), edges) for edges in _all_spanning_trees(d)]
-    best = max(weight for weight, _ in trees)
-    passing = [(weight, edges) for weight, edges in trees if _holds_on_every_path(family, edges)]
+    common = {(i, j): sets[i] & sets[j] for i, j in combinations(range(d), 2)}
+    middle = {pair: len(s) for pair, s in common.items()}
+    shared = [(i, j, s) for (i, j), s in common.items() if s]
+    trees = [(sum(map(middle.__getitem__, e)), e, up) for e, up in _all_spanning_trees(d)]
+    best = max(weight for weight, _, _ in trees)
+    passing = [(w, edges) for w, edges, up in trees if _holds_on_every_path(sets, shared, up)]
     if passing:
         if any(weight != best for weight, _ in passing):
             raise InvariantError("a qualifying tree of non-maximum weight appeared")
-        if len(passing) != sum(weight == best for weight, _ in trees):
+        if len(passing) != sum(weight == best for weight, _, _ in trees):
             raise InvariantError("maximum trees disagree on the junction property")
         return CandidateTree(family, passing[0][1])
     return None

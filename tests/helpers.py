@@ -253,6 +253,22 @@ def cut_test_is_junction_tree(family, tree) -> bool:
     return True
 
 
+def per_root_holds_on_every_path(family, edges) -> bool:
+    """The definition, rooting the tree once per set: two sets' shared indices
+    lie in every set on their tree path."""
+    sets = family.sets
+    for root in range(len(sets)):
+        up = jtree._preorder(edges, root)
+        del up[root]
+        for far, v in up.items():
+            shared = sets[root] & sets[far]
+            while v != root:
+                if not shared <= sets[v]:
+                    return False
+                v = up[v]
+    return True
+
+
 def disconnected_index(family, tree):
     """The smallest index whose holders are not connected by tree edges between holders."""
     for v in sorted(ground_set(family)):

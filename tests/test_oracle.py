@@ -1,6 +1,11 @@
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,8 @@ from cdcmip import (
     admits_junction_tree,
     brute_admits_junction_tree,
     build_ib_from_cover,
+    build_jeroslow_lowe,
+    build_log_embedding,
     build_naive,
     build_sosk,
     build_sosk_kis,
@@ -23,7 +30,7 @@ from cdcmip import (
     min_biclique_cover_exact,
     support_validity,
 )
-from cdcmip import oracle
+from cdcmip import jtree, oracle
 from cdcmip.cli import main
 from cdcmip.errors import InputError
 from cdcmip.formulate import LinearFormulation
@@ -38,7 +45,11 @@ def test_all_spanning_trees_match_the_acyclic_edge_subsets():
     for d in range(1, 8):
         subsets = combinations(combinations(range(d), 2), d - 1)
         trees = [edges for edges in subsets if len(_spanning_forest(d, edges)) == d - 1]
-        assert oracle._all_spanning_trees(d) == trees and len(trees) == d ** max(d - 2, 0)
+        decoded = oracle._all_spanning_trees(d)
+        assert [edges for edges, _ in decoded] == trees and len(trees) == d ** max(d - 2, 0)
+        for edges, up in decoded:
+            # the parent array is the tree rooted at d - 1
+            assert up[d - 1] == -1 and {tuple(sorted((v, up[v]))) for v in range(d - 1)} == set(edges)
 
 
 def test_brute_admits(path3, triangle):
@@ -120,6 +131,81 @@ def test_elimination_budget_exits_3(sos2_5, tmp_path, monkeypatch, capsys):
     code = main(["formulate", str(path), "--formulation", "ext-disjoint", "--verify"])
     assert code == 3
     assert "over the budget of 10" in capsys.readouterr().err
+
+
+def test_support_validity_projects_once_per_call(monkeypatch, sos2_5, triangle):
+    calls = []
+    project = oracle._fourier_motzkin
+    monkeypatch.setattr(oracle, "_fourier_motzkin", lambda *args: calls.append(1) or project(*args))
+    for fam in (sos2_5, triangle):
+        for build in (build_naive, build_jeroslow_lowe, build_log_embedding,
+                      build_extended_jtree, build_extended_disjoint):
+            calls.clear()
+            assert support_validity(build(fam), fam)
+            assert len(calls) == 1
+
+
+def test_brute_admits_roots_no_tree(monkeypatch, path3, triangle):
+    calls = []
+    preorder = jtree._preorder
+    for module in (jtree, oracle):  # an import by name would bind its own copy in oracle
+        monkeypatch.setattr(
+            module, "_preorder", lambda *args: calls.append(1) or preorder(*args), raising=False
+        )
+    rng = random.Random(5)
+    for fam in [path3, triangle] + [random_family(rng, max_sets=6, max_ground=8) for _ in range(10)]:
+        brute_admits_junction_tree(fam)
+    assert calls == []
+
+
+# Eight sets over nine indices.  Projecting their log model (33 variables,
+# 3 binaries) reaches a round of about 34,450 rows, under the 50,000-row
+# budget, whose eliminated column pairs 21,062 rows with 8,011: about 168.7
+# million combinations.
+WIDE_ROUND = {"sets": [[1], [1, 2, 8, 9], [1, 3, 9], [3, 6, 8], [3, 6, 8, 9], [4, 8],
+                       [5, 6, 8, 9], [9]]}
+
+
+def run_capped(code: str, *args: str):
+    """Run ``code`` in a fresh Python whose address space is capped at 1 GB."""
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", cap + code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_elimination_budget_holds_inside_a_round():
+    res = run_capped(
+        "import json, sys, warnings\n"
+        "from cdcmip import IndexSetFamily, SizeGuardError, build_log_embedding, support_validity\n"
+        "warnings.simplefilter('ignore')\n"
+        "fam = IndexSetFamily(json.loads(sys.argv[1])['sets'])\n"
+        "try:\n"
+        "    support_validity(build_log_embedding(fam), fam)\n"
+        "except SizeGuardError as e:\n"
+        "    print(e)\n",
+        json.dumps(WIDE_ROUND),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (
+        "support_validity: eliminating the auxiliary variables reached 50001 rows, "
+        "over the budget of 50000\n"
+    )
+
+
+def test_cli_verify_exits_3_on_a_wide_round(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(WIDE_ROUND))
+    res = run_capped(
+        "import sys, warnings\n"
+        "from cdcmip.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        "verify", str(path), "--formulation", "log",
+    )
+    assert res.returncode == 3, res.stderr
+    assert "over the budget of 50000" in res.stderr
 
 
 def test_lp_vertices_simplex():
@@ -235,8 +321,6 @@ def test_min_biclique_cover_guard(path3):
 
 
 def test_every_builder_valid_on_random_families():
-    from cdcmip import build_jeroslow_lowe, build_log_embedding
-
     rng = random.Random(71)
     count = 0
     while count < 8:

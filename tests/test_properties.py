@@ -12,6 +12,7 @@ import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,7 @@ from helpers import (
     pairwise_dual_graph,
     pairwise_has_containment,
     pairwise_partition_error,
+    per_root_holds_on_every_path,
     projection_interiors_disjoint,
     quiet_family,
     random_family,
@@ -558,6 +560,20 @@ def test_support_validity_matches_per_support_elimination(model):
 def test_lp_vertices_match_every_basis_solve(model):
     f, _ = model
     assert outcome(lp_vertices, f) == outcome(reference_lp_vertices, f)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(families)
+def test_parent_array_path_test_matches_the_per_root_walk(fam):
+    # brute_admits_junction_tree reads the definition only through the
+    # parent arrays the Pruefer decode hands out.
+    sets = fam.sets
+    shared = [(i, j, sets[i] & sets[j]) for i, j in combinations(range(len(sets)), 2)]
+    shared = [pair for pair in shared if pair[2]]
+    for edges, up in oracle._all_spanning_trees(len(fam)):
+        assert oracle._holds_on_every_path(sets, shared, up) == per_root_holds_on_every_path(
+            fam, edges
+        )
 
 
 @PROPERTY

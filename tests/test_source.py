@@ -67,3 +67,54 @@ def test_no_unused_imports_in_the_package():
         if path.name != "__init__.py" and (unused := _unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def _uncalled_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions and classes no code in the package reads.
+
+    A read is a name or attribute load anywhere in the package outside the
+    helper's own definition, so a helper that only calls itself, or is only
+    imported, counts as uncalled.
+    """
+    defined: dict[tuple[str, str], ast.AST] = {}
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            ):
+                defined[module, node.name] = node
+    inside = {id(n): key for key, node in defined.items() for n in ast.walk(node)}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if inside.get(id(node), (None, None))[1] != name:
+                read.add(name)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_uncalled_helper_check_finds_a_leftover():
+    sources = {
+        "a.py": (
+            "def _used(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Kept: pass\n"
+            "def _only_imported(): pass\n"
+            "def public(): return _used() + len([_Kept])\n"
+        ),
+        "b.py": "from .a import _only_imported\nfrom . import a\ndef g(): return a._used()\n",
+    }
+    assert _uncalled_private_helpers(sources) == ["a.py:_only_imported", "a.py:_recursive"]
+
+
+def test_no_uncalled_private_helpers():
+    # A refactor that replaces a helper can leave the old one behind as a
+    # second code path nothing takes.
+    sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
+    assert _uncalled_private_helpers(sources) == []
