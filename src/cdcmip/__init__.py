@@ -18,6 +18,7 @@ from .cover import (
     heuristic_cover,
     merge_cover,
     separation,
+    tree_cover,
     verify_cover,
 )
 from .errors import (

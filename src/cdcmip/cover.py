@@ -4,7 +4,9 @@ Cutting any edge of a junction tree yields a biclique of the conflict graph:
 take the index unions of the two sides and strip the edge's middle set.
 Recursing on both sides covers every conflict edge with at most one biclique
 per tree edge; a greedy second pass then merges compatible bicliques to
-shrink the cover.
+shrink the cover.  ``tree_cover`` runs both passes along a given junction
+tree and checks the result; every cover the package builds from a tree,
+``heuristic_cover`` and both extended formulations, goes through it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cdc import ConflictGraph, IndexSetFamily, _check_indices, conflict_graph, ground_set
+from .cdc import ConflictGraph, IndexSetFamily, _check_indices, conflict_graph
 from .cdc import read_json
 from .errors import InputError, InvariantError, NoJunctionTreeError
 from .jtree import CandidateTree, _cut_recursion, maximum_spanning_tree_of
@@ -209,49 +211,32 @@ def verify_cover(g: ConflictGraph, cover: BicliqueCover) -> bool:
     return covered == g.adj
 
 
+def tree_cover(family: IndexSetFamily, tree: CandidateTree) -> BicliqueCover:
+    """Separation along ``tree``, then greedy merging.
+
+    Raises :class:`NoJunctionTreeError` when ``tree`` is not a junction
+    tree of the family.  The result always verifies against the conflict
+    graph and never exceeds one biclique per tree edge.
+    """
+    cover = merge_cover(separation(family, tree), family)
+    if not verify_cover(conflict_graph(family), cover):
+        raise InvariantError("tree cover produced a non-covering result")
+    if len(cover) > max(len(family) - 1, 0):
+        raise InvariantError("tree cover exceeded the tree-edge bound")
+    return cover
+
+
 def heuristic_cover(family: IndexSetFamily) -> BicliqueCover:
-    """Separation along a maximum spanning tree, then greedy merging.
+    """``tree_cover`` along a maximum spanning tree.
 
     Raises :class:`NoJunctionTreeError` when the family does not admit a
     junction tree: a maximum spanning tree is one exactly when the family
-    admits one, and separation rejects it otherwise.  The result always
-    verifies against the conflict graph and never exceeds one biclique per
-    tree edge.
+    admits one, and separation rejects it otherwise.
     """
     try:
-        bicliques = separation(family, maximum_spanning_tree_of(family))
+        return tree_cover(family, maximum_spanning_tree_of(family))
     except NoJunctionTreeError as exc:
         raise NoJunctionTreeError(
             f"family admits no junction tree: in its maximum spanning tree, {exc}; "
             "rewrite it with the transform module"
         ) from exc
-    cover = merge_cover(bicliques, family)
-    if not verify_cover(conflict_graph(family), cover):
-        raise InvariantError("heuristic produced a non-covering result")
-    if len(cover) > max(len(family) - 1, 0):
-        raise InvariantError("heuristic exceeded the tree-edge bound")
-    return cover
-
-
-def disjoint_level_cover(family: IndexSetFamily, tree: CandidateTree) -> BicliqueCover:
-    """Separation with all same-depth bicliques fused into one.
-
-    Only valid when the member sets are pairwise disjoint: the conflict
-    graph is then complete multipartite, so bicliques produced at the same
-    recursion depth can always be combined side-wise.
-    """
-    if sum(len(s) for s in family.sets) != len(ground_set(family)):
-        raise InputError("level merging needs pairwise disjoint member sets")
-    splits = _cut_recursion(tree)
-    depth = [0] * len(splits)
-    level_sides: list[tuple[set[int], set[int]]] = []
-    for key, (_, left, right, left_sub, right_sub) in enumerate(splits):
-        for sub in (left_sub, right_sub):
-            if sub is not None:
-                depth[sub] = depth[key] + 1
-        if depth[key] == len(level_sides):
-            level_sides.append((set(), set()))
-        side_a, side_b = level_sides[depth[key]]
-        side_a |= _index_union(family, left)
-        side_b |= _index_union(family, right)
-    return BicliqueCover(Biclique(frozenset(a), frozenset(b)) for a, b in level_sides)

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .cdc import IndexSetFamily, conflict_graph, ground_set
-from .cover import BicliqueCover, disjoint_level_cover, heuristic_cover, verify_cover
+from .cover import BicliqueCover, tree_cover, verify_cover
 from .errors import InputError, InvariantError
 from .sosk import exact_coordinate, sosk_cover, sosk_family
 from .transform import build_equivalent_family
@@ -329,24 +329,27 @@ def build_sosk_kis(n: int, k: int) -> LinearFormulation:
 
 
 def build_extended_jtree(family: IndexSetFamily) -> LinearFormulation:
-    """Rewrites the family along a spanning tree, then covers the rewrite.
+    """Rewrites the family along a spanning tree, then covers the rewrite along that tree.
 
     Auxiliary continuous cost equals the copy count beyond tree overlap.
     """
     res = build_equivalent_family(family, disjoint=False)
-    f = _cover_model("extended_jtree", family, heuristic_cover(res.family_prime), res, "lamp")
+    f = _cover_model("extended_jtree", family, tree_cover(res.family_prime, res.tree), res, "lamp")
     f.metadata["aux_continuous"] = res.extra_continuous
     return f
 
 
 def build_extended_disjoint(family: IndexSetFamily) -> LinearFormulation:
-    """Private copies per set and a level-merged cover; exactly ceil(log2 d) binaries."""
+    """Private copies per set, covered along the rewrite's path tree; exactly ceil(log2 d) binaries.
+
+    The copies make the member sets pairwise disjoint, so the conflict graph
+    is complete multipartite and merging fuses the path's tree cuts level by
+    level into ceil(log2 d) bicliques.  That count is checked.
+    """
     res = build_equivalent_family(family, disjoint=True)
-    cover = disjoint_level_cover(res.family_prime, res.tree)
-    if not verify_cover(conflict_graph(res.family_prime), cover):
-        raise InvariantError("level-merged cover failed verification")
+    cover = tree_cover(res.family_prime, res.tree)
     if len(cover) != (len(family) - 1).bit_length():
-        raise InvariantError("level-merged cover missed the logarithmic count")
+        raise InvariantError("disjoint rewrite's tree cover missed the logarithmic count")
     f = _cover_model("extended_disjoint", family, cover, res, "lampp")
     f.metadata["aux_continuous"] = len(ground_set(res.family_prime))
     return f
@@ -449,22 +452,26 @@ def _first_repeat(items, seen=()):
 def write_lp(f: LinearFormulation) -> str:
     """Render the formulation in LP format, deterministically.
 
-    Rows keep declaration order.  A row of integers is printed straight
-    from its values; a row holding a fraction prints exact decimals, or is
-    scaled by the common denominator when one does not terminate, so the
-    file stays exact.  A bound cannot be scaled, so one that does not
-    terminate is an input error.
+    Rows keep declaration order, and their sanitized names must be unique
+    and differ from the objective's ``obj``.  A row of integers is printed
+    straight from its values; a row holding a fraction prints exact
+    decimals, or is scaled by the common denominator when one does not
+    terminate, so the file stays exact.  A bound cannot be scaled, so one
+    that does not terminate is an input error.
     """
     names = [v.name for v in f.variables]
     clean = list(map(_sanitize, names))
     if len(set(clean)) != len(clean):
         raise InputError(f"sanitized name collision on {_first_repeat(clean)!r}")
     renamed = dict(zip(names, clean))
+    rows = [_sanitize(c.name) for c in f.constraints]
+    if len({*rows, "obj"}) != len(rows) + 1:
+        raise InputError(f"sanitized row name collision on {_first_repeat(rows, ('obj',))!r}")
     plus = {name: "+ " + c for name, c in renamed.items()}
     minus = {name: "- " + c for name, c in renamed.items()}
 
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
-    for c in f.constraints:
+    for c, row in zip(f.constraints, rows):
         rhs = c.rhs
         if type(rhs) is int and {*map(type, map(_COEF, c.terms))} <= _INT:
             parts = [
@@ -483,7 +490,7 @@ def write_lp(f: LinearFormulation) -> str:
             if not clean:
                 raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
             body = "0 " + clean[0]
-        lines.append(f" {_sanitize(c.name)}: {body} {c.sense} {rhs}")
+        lines.append(f" {row}: {body} {c.sense} {rhs}")
     lines.append("Bounds")
     for v, name in zip(f.variables, clean):
         lower, upper = v.lower, v.upper

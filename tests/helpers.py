@@ -4,7 +4,8 @@ Everything here recomputes results from definitions (powerset scans, direct
 formula evaluation, all-pairs scans, text parsing) so the production code is checked against
 a second, simpler route.  The junction-tree references are the routes the
 library used to take: Kruskal over all pairs, the per-edge cut test, the
-cut recursion that re-walks each part, and merging through set unions.
+cut recursion that re-walks each part, merging through set unions, and
+the level cover that fused the same-depth cuts of a disjoint rewrite.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from cdcmip import (
     InputError,
     RedundantFamilyWarning,
     SizeGuardError,
+    tree_cover,
 )
 from cdcmip import jtree
 from cdcmip.cdc import ground_set
@@ -328,6 +330,36 @@ def reference_cut_recursion(tree):
     return build(set(range(tree.size)), list(tree.edges))
 
 
+def reference_level_cover(family, tree):
+    """Tree-cut bicliques with all same-depth ones fused into one.
+
+    Only valid when the member sets are pairwise disjoint: the conflict
+    graph is then complete multipartite, so bicliques produced at the same
+    recursion depth can always be combined side-wise.
+    """
+    if sum(len(s) for s in family.sets) != len(ground_set(family)):
+        raise ValueError("level merging needs pairwise disjoint member sets")
+    splits = jtree._cut_recursion(tree)
+    depth = [0] * len(splits)
+    level_sides: list[tuple[set[int], set[int]]] = []
+    for key, (_, left, right, left_sub, right_sub) in enumerate(splits):
+        for sub in (left_sub, right_sub):
+            if sub is not None:
+                depth[sub] = depth[key] + 1
+        if depth[key] == len(level_sides):
+            level_sides.append((set(), set()))
+        side_a, side_b = level_sides[depth[key]]
+        side_a.update(*map(family.sets.__getitem__, left))
+        side_b.update(*map(family.sets.__getitem__, right))
+    return BicliqueCover(Biclique(frozenset(a), frozenset(b)) for a, b in level_sides)
+
+
+def padded_tree_cover(family, tree):
+    """``tree_cover`` with its first member repeated: still a valid cover, one member too many."""
+    members = list(tree_cover(family, tree))
+    return BicliqueCover(members + members[:1])
+
+
 def random_family(rng: random.Random, max_sets=6, max_ground=10) -> IndexSetFamily:
     d = rng.randint(1, max_sets)
     n = rng.randint(max(d, 2), max_ground)
@@ -495,8 +527,11 @@ def reference_write_lp(f) -> str:
     renamed = {v.name: _reference_name(v.name) for v in f.variables}
     if len(set(renamed.values())) != len(renamed):
         raise InputError("sanitized name collision")
+    rows = [_reference_name(c.name) for c in f.constraints]
+    if "obj" in rows or len(set(rows)) != len(rows):
+        raise InputError("sanitized row name collision")
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
-    for c in f.constraints:
+    for c, row in zip(f.constraints, rows):
         values = [Fraction(a) for _, a in c.terms] + [Fraction(c.rhs)]
         text = [_reference_decimal(x) for x in values]
         if None in text:
@@ -512,7 +547,7 @@ def reference_write_lp(f) -> str:
         body = " ".join(parts) if parts else "0 " + renamed[f.variables[0].name]
         if body.startswith("+ "):
             body = body[2:]
-        lines.append(f" {_reference_name(c.name)}: {body} {c.sense} {rhs}")
+        lines.append(f" {row}: {body} {c.sense} {rhs}")
     lines.append("Bounds")
     for v in f.variables:
         name = renamed[v.name]

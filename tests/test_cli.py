@@ -239,6 +239,15 @@ def test_formulate_triangle_ib_fails_with_hint(tmp_path, capsys):
     assert code == 0 and "Binaries" in out
 
 
+def test_formulate_exits_4_when_the_disjoint_cover_misses_its_count(tmp_path, capsys, monkeypatch):
+    from cdcmip import formulate
+    from helpers import padded_tree_cover
+
+    monkeypatch.setattr(formulate, "tree_cover", padded_tree_cover)
+    code = main(["formulate", family_file(tmp_path, TRIANGLE), "--formulation", "ext-disjoint"])
+    assert code == 4 and "logarithmic count" in capsys.readouterr().err
+
+
 def test_sosk_subcommand(tmp_path, capsys):
     code, out, err = run(capsys, "sosk", "--n", "5", "--k", "2", "--bounds")
     assert code == 0

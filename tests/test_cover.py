@@ -12,11 +12,13 @@ from cdcmip import (
     BicliqueCover,
     IndexSetFamily,
     InputError,
+    InvariantError,
     NoJunctionTreeError,
     conflict_graph,
     heuristic_cover,
     merge_cover,
     separation,
+    tree_cover,
     verify_cover,
 )
 from cdcmip.jtree import CandidateTree, admits_junction_tree, is_junction_tree
@@ -208,6 +210,38 @@ def test_heuristic_bound_randomized():
         cover = heuristic_cover(fam)
         assert verify_cover(conflict_graph(fam), cover)
         assert len(cover) <= max(len(fam) - 1, 0)
+
+
+def test_tree_cover_rejects_a_tree_that_is_no_junction_tree(sos2_5):
+    # {1, 2} and {2, 3} share 2, but the path between them runs through {3, 4}.
+    tree = CandidateTree(sos2_5, [(0, 2), (2, 1), (1, 3)])
+    assert not is_junction_tree(sos2_5, tree)
+    with pytest.raises(NoJunctionTreeError, match="index 2"):
+        tree_cover(sos2_5, tree)
+
+
+def test_tree_cover_guards_coverage(monkeypatch, sos2_5):
+    from cdcmip import cover
+
+    real = cover.merge_cover
+    monkeypatch.setattr(cover, "merge_cover", lambda b, fam: BicliqueCover(real(b, fam)[1:]))
+    with pytest.raises(InvariantError, match="non-covering"):
+        tree_cover(sos2_5, admits_junction_tree(sos2_5))
+
+
+def test_tree_cover_guards_the_tree_edge_bound(monkeypatch, sos2_5):
+    from cdcmip import cover
+
+    real = cover.merge_cover
+
+    def padded(bicliques, fam):
+        # Still a valid cover: the repeats are bicliques and cover nothing new.
+        members = list(real(bicliques, fam))
+        return BicliqueCover(members + members[:1] * (len(fam) - len(members)))
+
+    monkeypatch.setattr(cover, "merge_cover", padded)
+    with pytest.raises(InvariantError, match="tree-edge bound"):
+        tree_cover(sos2_5, admits_junction_tree(sos2_5))
 
 
 def star(d):

@@ -7,6 +7,7 @@ from cdcmip import (
     BicliqueCover,
     IndexSetFamily,
     InputError,
+    InvariantError,
     build_extended_disjoint,
     build_extended_jtree,
     build_ib_from_cover,
@@ -20,7 +21,7 @@ from cdcmip import (
     write_lp,
 )
 from cdcmip.cover import Biclique
-from helpers import parse_lp, rows_match_up_to_scaling
+from helpers import padded_tree_cover, parse_lp, rows_match_up_to_scaling
 
 SOS2_3 = [[1, 2], [2, 3]]
 
@@ -152,6 +153,33 @@ def test_build_extended_disjoint(triangle):
     assert single.binary_names() == []
 
 
+def test_build_extended_disjoint_checks_the_logarithmic_count(monkeypatch, triangle):
+    from cdcmip import formulate
+
+    monkeypatch.setattr(formulate, "tree_cover", padded_tree_cover)
+    with pytest.raises(InvariantError, match="logarithmic count"):
+        build_extended_disjoint(triangle)
+
+
+def test_build_extended_jtree_builds_one_spanning_tree(monkeypatch, triangle, sos2_5):
+    from cdcmip import cover, jtree, transform
+
+    calls = []
+
+    def counted(family):
+        calls.append(family)
+        return jtree.maximum_spanning_tree_of(family)
+
+    # The rewrite takes one tree of the original family, and its cover
+    # runs along that tree's image rather than a second tree of the rewrite.
+    for module in (transform, cover):
+        monkeypatch.setattr(module, "maximum_spanning_tree_of", counted)
+    for fam in (triangle, sos2_5):
+        calls.clear()
+        build_extended_jtree(fam)
+        assert calls == [fam]
+
+
 GOLDEN_SOSK_3_2 = """\\ sosk
 Minimize
  obj:
@@ -271,6 +299,24 @@ def test_write_lp_rejects_sanitized_collisions():
     f.add_variable("a_b")
     with pytest.raises(InputError):
         write_lp(f)
+
+
+def test_write_lp_rejects_colliding_row_names():
+    from cdcmip import LinearFormulation
+
+    def rows(*row_names):
+        f = LinearFormulation()
+        f.add_variable("x")
+        for name in row_names:
+            f.add_constraint(name, [("x", 1)], "<=", 1)
+        return f
+
+    with pytest.raises(InputError, match="'r_1'"):
+        write_lp(rows("r-1", "r_1", "r_1"))
+    # The objective's label is taken before any row is written.
+    with pytest.raises(InputError, match="'obj'"):
+        write_lp(rows("obj"))
+    assert " obj_: x <= 1" in write_lp(rows("obj_"))
 
 
 def test_formulation_rejects_duplicate_and_unknown_names():

@@ -27,6 +27,7 @@ from cdcmip import (
     RedundantFamilyWarning,
     SizeGuardError,
     admits_junction_tree,
+    build_equivalent_family,
     build_extended_disjoint,
     build_extended_jtree,
     build_ib_from_cover,
@@ -45,6 +46,7 @@ from cdcmip import (
     separation,
     sosk_family,
     support_validity,
+    tree_cover,
     verify_cover,
 )
 from cdcmip import oracle
@@ -69,6 +71,7 @@ from helpers import (
     random_family,
     random_junction_family,
     reference_cut_recursion,
+    reference_level_cover,
     reference_lp_vertices,
     reference_merge_cover,
     reference_support_validity,
@@ -485,6 +488,30 @@ def test_mask_merge_matches_set_unions(fam, data):
             b = data.draw(st.frozensets(st.sampled_from(rest), min_size=1, max_size=3))
         bicliques.append(Biclique(a, b) if data.draw(st.booleans()) else Biclique(b, a))
     assert merge_cover(bicliques, fam) == reference_merge_cover(bicliques, g)
+
+
+random_families = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_family(random.Random(seed), max_sets=12, max_ground=15)
+)
+
+
+def assert_level_cover(fam):
+    """``tree_cover`` of the disjoint rewrite is the level cover, with ceil(log2 d) members."""
+    res = build_equivalent_family(fam, disjoint=True)
+    cover = tree_cover(res.family_prime, res.tree)
+    assert cover == reference_level_cover(res.family_prime, res.tree)
+    assert len(cover) == (len(fam) - 1).bit_length()
+
+
+@PROPERTY
+@given(st.one_of(families, random_families))
+def test_tree_cover_of_a_disjoint_rewrite_is_the_level_cover(fam):
+    assert_level_cover(fam)
+
+
+def test_tree_cover_of_disjoint_pairs_is_the_level_cover():
+    for d in range(2, 200):
+        assert_level_cover(IndexSetFamily([[2 * i, 2 * i + 1] for i in range(d)]))
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,6 +1,7 @@
 """Source checks that hold for the whole package, at no cost at run time."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "cdcmip"
@@ -118,3 +119,45 @@ def test_no_uncalled_private_helpers():
     # second code path nothing takes.
     sources = {path.name: path.read_text() for path in sorted(SOURCE.glob("*.py"))}
     assert _uncalled_private_helpers(sources) == []
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports whose top-level module is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{module} (line {node.lineno})"
+            for module in modules
+            if module.partition(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_stdlib_import_check_finds_a_third_party_module():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import cdc\n"
+        "from .cover import tree_cover\n"
+        "def f():\n"
+        "    from scipy.optimize import linprog\n"
+        "    return linprog\n"
+    )
+    assert _non_stdlib_imports(source) == ["numpy (line 2)", "scipy.optimize (line 6)"]
+
+
+def test_the_runtime_is_standard_library_only():
+    # Tests, benchmarks and extras may use numpy, scipy and hypothesis; the
+    # package itself must import and run without them.
+    found = {
+        path.name: outside
+        for path in sorted(SOURCE.glob("*.py"))
+        if (outside := _non_stdlib_imports(path.read_text()))
+    }
+    assert found == {}
