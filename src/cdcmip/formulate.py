@@ -25,7 +25,7 @@ from typing import Optional
 from .cdc import IndexSetFamily, conflict_graph, ground_set
 from .cover import BicliqueCover, tree_cover, verify_cover
 from .errors import InputError, InvariantError
-from .sosk import exact_coordinate, sosk_cover, sosk_family
+from .sosk import exact_point, sosk_cover, sosk_family
 from .transform import build_equivalent_family
 
 CONTINUOUS = "continuous"
@@ -358,13 +358,13 @@ def build_extended_disjoint(family: IndexSetFamily) -> LinearFormulation:
 def build_pwl(breakpoints) -> LinearFormulation:
     """Formulation of a univariate piecewise-linear function given its breakpoints.
 
-    Accepts (x, y) pairs with exact coordinates (int, Fraction, or string);
-    x values must be strictly increasing.  The graph of the function is the
-    set of convex combinations of at most two consecutive breakpoints, so
-    the windowed cover with k = 2 supplies the binaries on top of the usual
-    convex combination rows.
+    Accepts (x, y) lists or tuples with exact coordinates (int, Fraction, or
+    string); x values must be strictly increasing.  The graph of the
+    function is the set of convex combinations of at most two consecutive
+    breakpoints, so the windowed cover with k = 2 supplies the binaries on
+    top of the usual convex combination rows.
     """
-    pts = [(exact_coordinate(x), exact_coordinate(y)) for x, y in breakpoints]
+    pts = [exact_point(pt) for pt in breakpoints]
     if len(pts) < 2:
         raise InputError("need at least two breakpoints")
     if any(a >= b for (a, _), (b, _) in zip(pts, pts[1:])):

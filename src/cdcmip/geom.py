@@ -19,6 +19,16 @@ parsing.  The integers are as long as a vertex's own digits: there is no
 partition-wide common denominator, whose length would grow with the number
 of points.
 
+Order questions run on integers too.  The constructor sorts the distinct x
+values and the distinct y values once, keyed by their canonical
+``(numerator, denominator)`` so that equal values share one rank however
+they were spelled, and stores each vertex's x rank and y rank beside its
+homogeneous coordinates.  Ranks keep order and equality, so bounding boxes,
+sweeps, bisections and span ends compare ``int``s with the outcomes the
+values themselves would give: that one sort per axis is the only place a
+``Fraction`` is compared, and no ``Fraction`` arithmetic or comparison runs
+after construction.
+
 No step tests all pairs.  Bounding boxes swept along one axis pick the
 polygon pairs that the overlap test sees and the pooled vertices that the
 containment test sees; edges bucketed by supporting line pick the pairs
@@ -36,11 +46,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .cdc import IndexSetFamily, read_json
 from .errors import DisconnectedPartitionError, InputError, InvariantError
-from .sosk import exact_coordinate
+from .sosk import exact_point
 from .jtree import _spanning_forest, is_junction_tree, maximum_spanning_tree_of
 
 Point = tuple[Fraction, Fraction]
-Box = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+Ranks = tuple[tuple[int, ...], tuple[int, ...]]  # a polygon's vertex x ranks, then y ranks
+Box = tuple[tuple[int, int], tuple[int, int]]  # ((xlo, xhi), (ylo, yhi)), closed, in ranks
+Span = tuple[int, int, int]  # (lo, hi, tag): an interval's end ranks along one axis
 Hom = tuple[int, int, int]  # (X, Y, W) with W > 0: the point (X / W, Y / W)
 Line = tuple[int, int, int]  # (A, B, C): the points with A x + B y + C = 0
 Shape = tuple[tuple[Hom, ...], tuple[Line, ...]]  # vertices, then edge s's line
@@ -71,10 +83,13 @@ class PlanarPartition:
     """Convex polygons with pairwise disjoint interiors.
 
     Each polygon is a counterclockwise list of at least three strictly
-    convex vertices (no repeats, no collinear triples).
+    convex vertices (no repeats, no collinear triples).  Besides the exact
+    points, a partition keeps per polygon its integer shape, its vertices'
+    coordinate ranks, and its bounding box in ranks, together with the
+    sweep axis of those boxes.
     """
 
-    __slots__ = ("polygons", "_shapes")
+    __slots__ = ("polygons", "_shapes", "_ranks", "_boxes", "_axis")
 
     def __init__(self, polygons: Sequence[Sequence[Sequence]]):
         if isinstance(polygons, (str, bytes)) or not hasattr(polygons, "__iter__"):
@@ -84,12 +99,7 @@ class PlanarPartition:
         for poly in polygons:
             if isinstance(poly, (str, bytes)) or not hasattr(poly, "__iter__"):
                 raise InputError("each polygon must be a list of (x, y) vertices")
-            pts = []
-            for pt in poly:
-                if isinstance(pt, (str, bytes)) or not hasattr(pt, "__len__") or len(pt) != 2:
-                    raise InputError("each vertex must be an (x, y) pair")
-                pts.append((exact_coordinate(pt[0]), exact_coordinate(pt[1])))
-            pts = tuple(pts)
+            pts = tuple(map(exact_point, poly))
             if len(pts) < 3:
                 raise InputError("polygons need at least three vertices")
             shape = _shape(pts)
@@ -107,11 +117,17 @@ class PlanarPartition:
             shapes.append(shape)
         if not fixed:
             raise InputError("a partition needs at least one polygon")
-        for i, j in _box_overlaps([_box(poly) for poly in fixed]):
+        ranks = _rank(fixed)
+        boxes = tuple(((min(xs), max(xs)), (min(ys), max(ys))) for xs, ys in ranks)
+        axis = _sweep_axis(boxes)
+        for i, j in _box_overlaps(boxes, axis):
             if not _interiors_disjoint(shapes[i], shapes[j]):
                 raise InputError("polygon interiors overlap")
         self.polygons: tuple[tuple[Point, ...], ...] = tuple(fixed)
         self._shapes: tuple[Shape, ...] = tuple(shapes)
+        self._ranks: tuple[Ranks, ...] = ranks
+        self._boxes: tuple[Box, ...] = boxes
+        self._axis: int = axis
 
     def __len__(self) -> int:
         return len(self.polygons)
@@ -124,16 +140,28 @@ class PlanarPartition:
         return cls(data["polygons"])
 
 
-def _box(poly: tuple[Point, ...]) -> Box:
-    """``((xmin, xmax), (ymin, ymax))``: the closed bounding box."""
-    xs = [x for x, _ in poly]
-    ys = [y for _, y in poly]
-    return (min(xs), max(xs)), (min(ys), max(ys))
+def _rank(polygons: Sequence[tuple[Point, ...]]) -> tuple[Ranks, ...]:
+    """Per polygon, its vertices' ranks among the partition's distinct x and y values.
+
+    Values are keyed by ``(numerator, denominator)``, which a ``Fraction``
+    keeps in lowest terms, so equal values get one rank without a
+    ``Fraction`` comparison; sorting the distinct values is the only one.
+    """
+    ranks = []
+    for axis in (0, 1):
+        keyed = [[(pt[axis].numerator, pt[axis].denominator) for pt in poly] for poly in polygons]
+        values = {
+            key: pt[axis] for poly, keys in zip(polygons, keyed) for pt, key in zip(poly, keys)
+        }
+        rank = {key: r for r, key in enumerate(sorted(values, key=values.__getitem__))}
+        ranks.append([tuple(map(rank.__getitem__, keys)) for keys in keyed])
+    return tuple(zip(*ranks))
 
 
-def _in_box(box: Box, pt: Point) -> bool:
+def _in_box(box: Box, at: tuple[int, int]) -> bool:
+    """Whether the point of ranks ``at`` lies in the closed box."""
     (xlo, xhi), (ylo, yhi) = box
-    return xlo <= pt[0] <= xhi and ylo <= pt[1] <= yhi
+    return xlo <= at[0] <= xhi and ylo <= at[1] <= yhi
 
 
 def _sweep_axis(boxes: Sequence[Box]) -> int:
@@ -151,7 +179,7 @@ def _sweep_axis(boxes: Sequence[Box]) -> int:
     return 0 if separated[0] >= separated[1] else 1
 
 
-def _overlaps(spans: Iterable[tuple[Fraction, Fraction, int]]) -> Iterator[tuple[int, int]]:
+def _overlaps(spans: Iterable[Span]) -> Iterator[tuple[int, int]]:
     """Tag pairs of the spans ``(lo, hi, tag)`` whose open intervals meet.
 
     Spans are taken in order of their low end, and each is paired with the
@@ -166,13 +194,13 @@ def _overlaps(spans: Iterable[tuple[Fraction, Fraction, int]]) -> Iterator[tuple
             yield a, b
 
 
-def _box_overlaps(boxes: Sequence[Box]) -> Iterator[tuple[int, int]]:
+def _box_overlaps(boxes: Sequence[Box], axis: int) -> Iterator[tuple[int, int]]:
     """Ordinal pairs ``(i, j)``, ``i < j``, whose boxes meet in open interiors.
 
     Only these pairs can overlap: a coordinate axis that separates two boxes
-    is itself a separating axis of the polygons inside them.
+    is itself a separating axis of the polygons inside them.  The boxes are
+    swept along ``axis``.
     """
-    axis = _sweep_axis(boxes)
     other = 1 - axis
     for i, j in _overlaps((box[axis][0], box[axis][1], i) for i, box in enumerate(boxes)):
         (lo_i, hi_i), (lo_j, hi_j) = boxes[i][other], boxes[j][other]
@@ -211,29 +239,31 @@ def partition_to_cdc(
     vertex lists, keyed by homogeneous coordinates; a vertex of one polygon
     that lies on another's boundary joins that polygon's set as well.  A
     polygon holds its own vertices; of the other points it tests only those
-    in its bounding box, found by bisection along the sweep axis.
+    in its bounding box, found by bisection along the sweep axis.  Boxes,
+    axis and bisection keys are the partition's coordinate ranks.
     """
     index_of: dict[Hom, int] = {}
     points: dict[int, Point] = {}
+    at: list[tuple[int, int]] = [(-1, -1)]  # at[i]: the ranks of pooled vertex i, from 1
     owned = []
-    for poly, (hs, _) in zip(p.polygons, p._shapes):
-        for pt, h in zip(poly, hs):
+    for poly, (hs, _), (xs, ys) in zip(p.polygons, p._shapes, p._ranks):
+        for pt, h, here in zip(poly, hs, zip(xs, ys)):
             if h not in index_of:
-                index_of[h] = len(index_of) + 1
-                points[len(index_of)] = pt
+                index_of[h] = len(at)
+                points[len(at)] = pt
+                at.append(here)
         owned.append({index_of[h] for h in hs})
-    boxes = [_box(poly) for poly in p.polygons]
-    axis = _sweep_axis(boxes)
-    ranked = sorted(index_of.items(), key=lambda item: points[item[1]][axis])
-    keys = [points[i][axis] for _, i in ranked]
+    axis = p._axis
+    ranked = sorted(index_of.items(), key=lambda item: at[item[1]][axis])
+    keys = [at[i][axis] for _, i in ranked]
     sets = []
-    for shape, box, own in zip(p._shapes, boxes, owned):
+    for shape, box, own in zip(p._shapes, p._boxes, owned):
         lo, hi = box[axis]
         sets.append(
             sorted(
                 i
                 for h, i in ranked[bisect_left(keys, lo) : bisect_right(keys, hi)]
-                if i in own or (_in_box(box, points[i]) and _contains(shape, h))
+                if i in own or (_in_box(box, at[i]) and _contains(shape, h))
             )
         )
     return IndexSetFamily(sets), points
@@ -248,17 +278,18 @@ def dual_graph(p: PlanarPartition) -> frozenset[tuple[int, int]]:
     polygon edges.  An edge's line divided by the gcd of its coefficients,
     with the first nonzero one made positive, is the same integer triple for
     every edge on that line; it is vertical when ``B = 0``, and then the
-    edge's interval is taken along y, else along x.
+    edge's interval is taken along y, else along x, as the ranks of its ends.
     """
-    lines: dict[Line, list[tuple[Fraction, Fraction, int]]] = {}
-    for i, (poly, (_, edge_lines)) in enumerate(zip(p.polygons, p._shapes)):
-        for a, b, (la, lb, lc) in zip(poly, poly[1:] + poly[:1], edge_lines):
+    lines: dict[Line, list[Span]] = {}
+    for i, ((_, edge_lines), (xs, ys)) in enumerate(zip(p._shapes, p._ranks)):
+        for s, (la, lb, lc) in enumerate(edge_lines):
             g = gcd(la, lb, lc)
             if la < 0 or (la == 0 and lb < 0):
                 g = -g
-            axis = 0 if lb else 1
-            lo, hi = sorted((a[axis], b[axis]))
-            lines.setdefault((la // g, lb // g, lc // g), []).append((lo, hi, i))
+            ends = xs if lb else ys
+            a, b = ends[s], ends[(s + 1) % len(ends)]
+            span = (a, b, i) if a < b else (b, a, i)
+            lines.setdefault((la // g, lb // g, lc // g), []).append(span)
     return frozenset(
         (min(i, j), max(i, j))
         for spans in lines.values()

@@ -5,6 +5,7 @@ support subsets, tight-constraint bases, edge-to-biclique assignments) and
 refuses inputs beyond an explicit budget instead of degrading silently.
 Work shared by the enumerated cases is done once per call: one projection
 serves every binary assignment, and the tree decoder hands out parents.
+The trees themselves are decoded once per set count and shared by calls.
 A rank test refuses a relaxation with no vertex before the vertex search,
 and edges fit in one biclique iff a parity-constrained 2-colouring exists.
 """
@@ -12,6 +13,7 @@ and edges fit in one biclique iff a parity-constrained 2-colouring exists.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import gcd, lcm
 from typing import Iterable, Optional
@@ -287,16 +289,19 @@ def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
     return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
-def _all_spanning_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], list[int]]]:
+@lru_cache(maxsize=4)
+def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """Every spanning tree of the complete graph on ``0..d-1``: (sorted edges, parents).
 
     The d^(d-2) trees are decoded from their Pruefer sequences; each step
     joins a leaf to its parent, so the parents are rooted at d-1 (entry
     -1).  Sorting the edges' positions in ``combinations(range(d), 2)``
     gives the order in which ``combinations`` lists the (d-1)-edge subsets.
+    The trees depend on d alone, so the answers for the last few d are
+    kept, as tuples that no caller can change under another.
     """
     if d < 2:
-        return [((), [-1] * d)]
+        return (((), (-1,) * d),)
     pairs = list(combinations(range(d), 2))
     index = [[0] * d for _ in range(d)]
     for e, (a, b) in enumerate(pairs):
@@ -321,12 +326,12 @@ def _all_spanning_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], list[
         edges.append(index[leaf][d - 1])
         up[leaf] = d - 1
         edges.sort()
-        trees.append((edges, up))
+        trees.append((edges, tuple(up)))
     trees.sort()
-    return [(tuple(map(pairs.__getitem__, edges)), up) for edges, up in trees]
+    return tuple((tuple(map(pairs.__getitem__, edges)), up) for edges, up in trees)
 
 
-def _holds_on_every_path(sets, shared, up: list[int]) -> bool:
+def _holds_on_every_path(sets, shared, up: tuple[int, ...]) -> bool:
     """The definition: two sets' shared indices lie in every set on their tree path.
 
     ``shared`` lists (i, j, sets[i] & sets[j]) for the pairs sharing an

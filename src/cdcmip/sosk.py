@@ -203,3 +203,12 @@ def exact_coordinate(value) -> Fraction:
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
         raise InputError(f"a coordinate has more than {limit} digits, past the integer digit limit")
     return x
+
+
+def exact_point(value) -> tuple[Fraction, Fraction]:
+    """Parse an exact point: a list or tuple of exactly two ``exact_coordinate`` values."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"a point must be an (x, y) list or tuple, got {type(value).__name__}")
+    if len(value) != 2:
+        raise InputError(f"a point must have two coordinates, got {len(value)}")
+    return exact_coordinate(value[0]), exact_coordinate(value[1])

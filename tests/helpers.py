@@ -157,9 +157,11 @@ def polygon_error(poly):
 def pairwise_partition_error(polygons):
     """The ``InputError`` message of an all-pairs validation, or ``None``.
 
-    Each polygon's own checks run in ``Fraction`` arithmetic; every pair of
-    the checked polygons then goes through the separating-axis test.
+    Coordinates may be spelled any way ``Fraction`` parses.  Each polygon's
+    own checks run in ``Fraction`` arithmetic; every pair of the checked
+    polygons then goes through the separating-axis test.
     """
+    polygons = [[(Fraction(x), Fraction(y)) for x, y in poly] for poly in polygons]
     for poly in polygons:
         if (error := polygon_error(poly)) is not None:
             return error

@@ -488,6 +488,15 @@ def test_geom_analyze(tmp_path, capsys):
     assert len(payload["sets"]) == 2
 
 
+def test_geom_vertex_objects_exit_2(tmp_path, capsys):
+    objects = '{"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 0, "y": 1}'
+    for vertices in (objects, "[0, 0], [1, 0, 0], [0, 1]"):
+        path = family_file(tmp_path, f'{{"polygons": [[{vertices}]]}}')
+        for action in ("analyze", "savings"):
+            code, out, err = run(capsys, "geom", action, path)
+            assert code == 2 and out == "" and "point" in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore::cdcmip.RedundantFamilyWarning")
 def test_verify_reports_a_model_that_is_not_ideal(tmp_path, capsys):
     code, out, _ = run(

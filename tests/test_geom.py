@@ -38,6 +38,13 @@ def test_partition_validation():
         PlanarPartition([[(0.5, 0), (1, 0), (1, 1)]])  # float coordinate
 
 
+def test_partition_vertices_are_lists_or_tuples_of_two():
+    for vertex in ({"x": 1, "y": 0}, (1, 0, 0), (1,), "10", b"10", 1):
+        with pytest.raises(InputError, match="point"):
+            PlanarPartition([[(0, 0), vertex, (0, 1)]])
+    assert PlanarPartition([[[0, 0], [1, 0], (0, 1)]]).polygons[0][1] == (1, 0)
+
+
 def test_partition_accepts_exact_strings():
     p = PlanarPartition([[("0", "0"), ("1/2", "0"), ("1/4", "3/4")]])
     assert p.polygons[0][1] == (Fraction(1, 2), Fraction(0))
@@ -174,18 +181,23 @@ def test_front_end_work_grows_linearly(monkeypatch, mirror):
     assert all(calls[name] <= 4 * d for name in calls), calls
 
 
+def sheared_strip(d):
+    """A triangle strip under a rational shear, with every coordinate written as a string."""
+    def shear(x, y):
+        return Fraction(x, 3) + Fraction(y, 7), Fraction(y, 2) - Fraction(x, 12) + Fraction(5, 11)
+
+    return [
+        [tuple(map(str, shear(x, y))) for x, y in poly]
+        for poly in triangle_strip(d).polygons
+    ]
+
+
 def test_no_fraction_arithmetic_after_parsing(monkeypatch):
     # Every sign test and edge line runs on the integer coordinates made once
     # per vertex; Fraction is only parsed and compared.
     d = 200
 
-    def shear(x, y):
-        return Fraction(x, 3) + Fraction(y, 7), Fraction(y, 2) - Fraction(x, 12) + Fraction(5, 11)
-
-    polys = [
-        [tuple(map(str, shear(x, y))) for x, y in poly]
-        for poly in triangle_strip(d).polygons
-    ]
+    polys = sheared_strip(d)
     calls = Counter()
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__"):
@@ -197,6 +209,43 @@ def test_no_fraction_arithmetic_after_parsing(monkeypatch):
     assert Fraction(1, 2) * 3 - 1 == Fraction(1, 2) and calls == {"__mul__": 1, "__sub__": 1}
     calls.clear()
     part = PlanarPartition(polys)
+    family, points = partition_to_cdc(part)
+    edges = dual_graph(part)
+    report = savings_report(part)
+    assert not calls, calls
+    monkeypatch.undo()
+    assert edges == {(i, i + 1) for i in range(d - 1)}
+    assert len(points) == d + 2 and [len(s) for s in family.sets] == [3] * d
+    assert (report.jtree_found, report.cont_saved) == (True, 2 * (d - 1))
+
+
+def test_fraction_comparisons_only_rank_the_coordinates(monkeypatch):
+    # Construction sorts the distinct x values and the distinct y values once;
+    # boxes, sweeps, bisections and span ends then compare integer ranks.
+    # Equal values parsed from separate strings are distinct objects, so even
+    # telling them equal must not fall back to Fraction.__eq__.
+    d = 200
+    polys = sheared_strip(d)
+    distinct = [
+        list(dict.fromkeys(Fraction(pt[axis]) for poly in polys for pt in poly))
+        for axis in (0, 1)
+    ]
+    calls = Counter()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        def counted(a, b, name=name, op=getattr(Fraction, name)):
+            calls[name] += 1
+            return op(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) < 1 and calls == {"__lt__": 1}
+    calls.clear()
+    for values in distinct:
+        sorted(values)
+    budget = sum(calls.values())
+    calls.clear()
+    part = PlanarPartition(polys)
+    assert sum(calls.values()) <= budget, (calls, budget)
+    calls.clear()
     family, points = partition_to_cdc(part)
     edges = dual_graph(part)
     report = savings_report(part)

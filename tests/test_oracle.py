@@ -52,6 +52,27 @@ def test_all_spanning_trees_match_the_acyclic_edge_subsets():
             assert up[d - 1] == -1 and {tuple(sorted((v, up[v]))) for v in range(d - 1)} == set(edges)
 
 
+def test_spanning_trees_are_decoded_once_per_d(monkeypatch):
+    decodes = []
+
+    def counted(*args, repeat=1, real=oracle.product):
+        decodes.append(repeat)
+        return real(*args, repeat=repeat)
+
+    monkeypatch.setattr(oracle, "product", counted)
+    path = IndexSetFamily([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7]])
+    triangles = IndexSetFamily([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+    first = brute_admits_junction_tree(path)
+    decodes.clear()
+    assert brute_admits_junction_tree(path) == first and first is not None
+    assert brute_admits_junction_tree(triangles) is None
+    assert decodes == []
+    # The shared answer is immutable all the way down, and the cache is bounded.
+    trees = oracle._all_spanning_trees(6)
+    assert type(trees) is tuple and all(type(e) is type(up) is tuple for e, up in trees)
+    assert oracle._all_spanning_trees.cache_info().maxsize <= 8
+
+
 def test_brute_admits(path3, triangle):
     t = brute_admits_junction_tree(path3)
     assert t is not None and is_junction_tree(path3, t)

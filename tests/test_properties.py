@@ -392,6 +392,60 @@ def test_edge_line_overlap_test_matches_the_projection_test_on_rational_hulls(po
     check_overlap_test(polys)
 
 
+# ------------------------------------------------------------ spellings
+#
+# The same shapes with every coordinate written out again, each occurrence
+# on its own: as a reduced fraction string, a decimal string when the value
+# has one, an unreduced fraction string, a Fraction, or an int when the
+# value is whole.  One value may then come spelled several ways in one
+# partition, and the coordinate ranks must key the value, not the text.
+
+
+def decimal_text(x: Fraction):
+    """``x`` as an exact decimal string, or ``None`` when its expansion does not end."""
+    rest, twos, fives = x.denominator, 0, 0
+    while rest % 2 == 0:
+        rest, twos = rest // 2, twos + 1
+    while rest % 5 == 0:
+        rest, fives = rest // 5, fives + 1
+    if rest != 1:
+        return None
+    places = max(twos, fives)
+    digits = str(abs(x.numerator) * 10**places // x.denominator).rjust(places + 1, "0")
+    sign = "-" if x < 0 else ""
+    return f"{sign}{digits[: len(digits) - places]}.{digits[len(digits) - places :] or '0'}"
+
+
+def spellings(x: Fraction) -> list:
+    out = [str(x), f"{2 * x.numerator}/{2 * x.denominator}", x]
+    if (text := decimal_text(x)) is not None:
+        out.append(text)
+    if x.denominator == 1:
+        out.append(int(x))
+    return out
+
+
+@st.composite
+def respelled(draw, shapes):
+    def spell(value):
+        return draw(st.sampled_from(spellings(Fraction(value))))
+
+    return [[(spell(x), spell(y)) for x, y in poly] for poly in draw(shapes)]
+
+
+@PROPERTY
+@given(respelled(st.one_of(strips(), grids(), tilings(), rescaled(strips()), rescaled(soups))))
+def test_front_end_matches_all_pairs_whatever_the_spelling(polys):
+    check_front_end(polys)
+
+
+def test_spellings_parse_to_the_value():
+    for x in [*map(Fraction, (1, 0, 7, "1/2", "-3/8", "-1/3")), Fraction(2**70 + 1, 4)]:
+        assert {Fraction(s) for s in spellings(x)} == {x}
+    assert {"1/2", "2/4", "0.5"} <= set(spellings(Fraction(1, 2)))
+    assert decimal_text(Fraction(-3, 8)) == "-0.375" and decimal_text(Fraction(7)) == "7.0"
+
+
 # ------------------------------------------------------ junction-tree core
 #
 # The sparse maximum spanning tree, the running-intersection identity, the

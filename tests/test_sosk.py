@@ -203,6 +203,27 @@ def test_build_pwl_binary_counts():
         build_pwl([(0, 0)])
 
 
+def test_build_pwl_breakpoints_are_lists_or_tuples_of_two():
+    with pytest.raises(InputError, match="got dict"):
+        build_pwl([{"0": 5, "1": 7}, {"2": 1, "3": 0}])
+    with pytest.raises(InputError, match="two coordinates, got 3"):
+        build_pwl([(0, 1, 2), (1, 2, 3)])
+    with pytest.raises(InputError, match="got str"):
+        build_pwl(["01", "12"])
+    mixed = build_pwl([[0, 0], ("1", "1/2")])
+    assert mixed.to_json() == build_pwl([(0, 0), (1, Fraction(1, 2))]).to_json()
+
+
+def test_exact_point():
+    assert sosk.exact_point(["1/2", 3]) == (Fraction(1, 2), 3)
+    assert sosk.exact_point(("0.25", Fraction(2, 4))) == (Fraction(1, 4), Fraction(1, 2))
+    for bad in ({"x": 0, "y": 0}, (0,), (0, 0, 0), [], "00", None, 5):
+        with pytest.raises(InputError):
+            sosk.exact_point(bad)
+    with pytest.raises(InputError, match="booleans"):
+        sosk.exact_point((True, 0))
+
+
 def test_pwl_definition_rows():
     f = build_pwl([(0, 0), (1, 2), (2, 1)])
     rows = {c.name: c for c in f.constraints}
