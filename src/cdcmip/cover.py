@@ -96,6 +96,9 @@ def _index_union(family: IndexSetFamily, vertices: Iterable[int]) -> frozenset[i
 def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     """Tree-cut bicliques of the balanced-cut recursion, top down and pop first.
 
+    The tree supplies only its edges: a cut's middle set is the
+    intersection of the family's own sets at its two ends.
+
     Raises :class:`NoJunctionTreeError` when the tree is not a junction tree:
     some cut then finds an index on both of its sides outside its middle set.
     The test is exact.  If no cut finds one, an index held by both ends of a
@@ -107,12 +110,11 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     if tree.size != len(family):
         raise InputError("tree does not span the family's member sets")
 
-    # Top down in preorder, left side before right, so the first offending
-    # cut raises.
+    # Top down in preorder, left side before right: the first offending cut raises.
     splits = _cut_recursion(tree)
     own: list[Biclique | None] = []
     for cut, left, right, _, _ in splits:
-        mid = tree.mids[cut]
+        mid = family.sets[cut[0]] & family.sets[cut[1]]
         side_a = _index_union(family, left) - mid
         side_b = _index_union(family, right) - mid
         shared = side_a & side_b

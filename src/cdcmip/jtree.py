@@ -10,15 +10,15 @@ and the test counts each index's middles, so admission costs the family's
 overlaps, not d^2 pairs; the complete graph is never built.
 
 The tree machinery the other modules share lives here too: one union-find,
-one rooted layout and one balanced-cut recursion.
+one rooted layout and one balanced-cut recursion, which cuts each part at
+its most even edge, the smaller ordinal pair on a tie.  Those edges share
+the part's centroid, so the pairs rank as their other endpoints do.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
-from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional
 
@@ -83,82 +83,51 @@ def _cut_recursion(tree: CandidateTree) -> list[tuple]:
     positions in the list of the two sides' own splits, ``None`` for a
     single vertex.  A split's left side comes before its right side.
 
-    The tree is rooted once at vertex 0 and laid out in depth-first
-    preorder, so each part is a run of that order in which the subtree of
-    any vertex is one slice.  The most even cut of a part is incident to its
-    centroid (every edge further out leaves a strictly smaller side), which
-    a walk from the part's top into heavy children finds; each vertex keeps
-    its children in a heap keyed by (-subtree size, vertex), and cutting a
-    subtree off only updates the sizes on the path from the cut to the top.
-    Both run along the path from the centroid up to the top, through the
-    part above the centroid; that part is one of the sides the chosen cut
-    beat, so the path is no longer than the cut's smaller side.  A vertex
-    is on the smaller side at most log2(d) times, so the recursion makes
-    O(d log d) heap operations in all, plus slicing.  A part is never
-    walked whole: on a star, each of the d - 1 splits is a heap lookup and
-    two slices.
+    The tree is laid out once in depth-first preorder from vertex 0, so a
+    part is a run of that order headed by its top, and any subtree in it is
+    one slice.  One pass over a part, children before parents, counts its
+    subtree sizes and each vertex's heaviest child (the smaller on a tie);
+    a walk from the top into heavy children stops at the centroid, which
+    every most even cut touches.  There the edges to the heaviest child and
+    to the parent rank by imbalance, then other endpoint, which for edges
+    sharing a vertex is the ordinal-pair order.  A part costs its length,
+    as slicing its sides and ``separation``'s unions over them already do.
     """
-    d = tree.size
     parent = _preorder(tree.edges, 0)
-    order = list(parent)
-    pos = [0] * d
-    for k, v in enumerate(order):
-        pos[v] = k
-    size = [1] * d  # of each vertex's subtree within its current part
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    span = size[:]  # v's subtree is order[pos[v]:pos[v] + span[v]], minus parts cut off
-    kids: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for v in order[1:]:
-        kids[parent[v]].append((-size[v], v))
-    for heap in kids:
-        heapify(heap)
-    detached = [False] * d  # the edge to the parent is cut
-
-    def heaviest(v: int) -> int:
-        """v's child of largest subtree in v's part (smallest first), or -1."""
-        heap = kids[v]
-        while heap:
-            neg, w = heap[0]
-            if not detached[w] and -neg == size[w]:
-                return w
-            heappop(heap)  # stale: cut off, or its size has changed since
-        return -1
-
+    size = [1] * tree.size  # of each vertex's subtree within the current part
+    heavy = [-1] * tree.size  # each vertex's child of largest subtree there
     nodes: list[list] = []
-    parts = [(0, order, -1, 0)]  # (top, vertices in preorder, owner split, slot)
+    parts = [(list(parent), -1, 0)]  # (vertices in preorder, owner split, slot)
     while parts:
-        top, run, owner, slot = parts.pop()
+        run, owner, slot = parts.pop()
         n = len(run)
         if n <= 1:
             continue
-        c = top
-        w = heaviest(c)
+        for v in run:
+            size[v], heavy[v] = 1, -1
+        for v in reversed(run[1:]):  # children before parents
+            p, s = parent[v], size[v]
+            size[p] += s
+            h = heavy[p]
+            if h < 0 or s > size[h] or (s == size[h] and v < h):
+                heavy[p] = v
+        top = c = run[0]
+        w = heavy[c]
         while w >= 0 and 2 * size[w] > n:
-            c, w = w, heaviest(w)
-        # Edges at c rank by imbalance, then by their other endpoint.
+            c, w = w, heavy[w]
         x, p = w, c
         if c != top and (w < 0 or (2 * size[c] - n, parent[c]) < (n - 2 * size[w], w)):
             x, p = c, parent[c]
-        detached[x] = True
-        lo = bisect_left(run, pos[x], key=pos.__getitem__)
-        hi = bisect_left(run, pos[x] + span[x], lo, key=pos.__getitem__)
+        lo = run.index(x)
+        hi = lo + size[x]
         below, above = run[lo:hi], run[:lo] + run[hi:]
-        a = p
-        while True:
-            size[a] -= hi - lo
-            if a == top:
-                break
-            heappush(kids[parent[a]], (-size[a], a))
-            a = parent[a]
         key = len(nodes)
         if owner >= 0:
             nodes[owner][slot] = key
-        lower, upper = (x, below), (top, above)  # (top, vertices) of the two new parts
-        left, right = (lower, upper) if x < p else (upper, lower)
-        nodes.append([(min(x, p), max(x, p)), left[1], right[1], None, None])
-        parts.append((*right, key, 4))  # slots 3 and 4 take the sides' own splits
-        parts.append((*left, key, 3))  # the left side is popped first
+        left, right = (below, above) if x < p else (above, below)
+        nodes.append([(min(x, p), max(x, p)), left, right, None, None])
+        parts.append((right, key, 4))  # slots 3 and 4 take the sides' own splits
+        parts.append((left, key, 3))  # the left side is popped first
     return [tuple(node) for node in nodes]
 
 
@@ -173,14 +142,13 @@ class CandidateTree:
 
     def __init__(self, family: IndexSetFamily, edges: Iterable[tuple[int, int]]):
         d = len(family)
-        normalized = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
-        for i, j in normalized:
-            if not (0 <= i < d and 0 <= j < d) or i == j:
-                raise InputError(f"edge ({i}, {j}) is not a valid ordinal pair")
-        if len(set(normalized)) != len(normalized) or len(normalized) != d - 1:
-            raise InputError(f"a spanning tree over {d} sets needs {d - 1} distinct edges")
-        if len(_spanning_forest(d, normalized)) != len(normalized):
-            raise InputError("edges contain a cycle")
+        edges = [tuple(e) if isinstance(e, tuple | list) else (e,) for e in edges]
+        for e in edges:  # bool is no ordinal, as in cdc._check_indices
+            if len(e) != 2 or not all(type(v) is int and 0 <= v < d for v in e) or e[0] == e[1]:
+                raise InputError(f"edge {e} is not a valid ordinal pair")
+        normalized = tuple(sorted((min(e), max(e)) for e in edges))
+        if len(normalized) != d - 1 or len(_spanning_forest(d, normalized)) != d - 1:
+            raise InputError(f"a spanning tree over {d} sets needs {d - 1} edges and no cycle")
         self.size = d
         self.edges = normalized
         self.mids = {

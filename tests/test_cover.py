@@ -16,6 +16,7 @@ from cdcmip import (
     NoJunctionTreeError,
     conflict_graph,
     heuristic_cover,
+    maximum_spanning_tree_of,
     merge_cover,
     separation,
     tree_cover,
@@ -218,6 +219,23 @@ def test_tree_cover_rejects_a_tree_that_is_no_junction_tree(sos2_5):
     assert not is_junction_tree(sos2_5, tree)
     with pytest.raises(NoJunctionTreeError, match="index 2"):
         tree_cover(sos2_5, tree)
+
+
+FOUR_PAIRS = IndexSetFamily([[1, 2], [2, 3], [3, 4], [4, 5]])
+
+
+def test_tree_cover_reads_a_foreign_tree_for_its_edges_only():
+    # Built on disjoint sets, the path carries empty middles; it is still a
+    # junction tree of FOUR_PAIRS, whose own middles decide every cut.
+    disjoint = IndexSetFamily([[1, 2], [3, 4], [5, 6], [7, 8]])
+    tree = CandidateTree(disjoint, [(0, 1), (1, 2), (2, 3)])
+    assert tree_cover(FOUR_PAIRS, tree) == heuristic_cover(FOUR_PAIRS)
+
+
+def test_tree_cover_ignores_the_middles_of_the_family_that_built_the_tree():
+    triples = IndexSetFamily([[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]])
+    tree = maximum_spanning_tree_of(triples)
+    assert tree_cover(FOUR_PAIRS, tree) == heuristic_cover(FOUR_PAIRS)
 
 
 def test_tree_cover_guards_coverage(monkeypatch, sos2_5):

@@ -47,6 +47,14 @@ def test_candidate_tree_validation(path3):
         CandidateTree(four, [(0, 1), (1, 0), (2, 3)])  # cycle after normalizing
 
 
+@pytest.mark.parametrize(
+    "edge", [(True, 0), (0, False), (0.0, 1.0), ("0", "1"), (0, 1, 2), (0,), 0, None]
+)
+def test_candidate_tree_refuses_edges_that_are_no_integer_pair(path3, edge):
+    with pytest.raises(InputError, match="not a valid ordinal pair"):
+        CandidateTree(path3, [edge, (1, 2)])
+
+
 def test_tree_json(path3):
     t = CandidateTree(path3, [(0, 1), (1, 2)])
     assert t.to_json() == '{"edges": [[0, 1], [1, 2]], "mids": [[3], [5]]}'

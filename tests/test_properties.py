@@ -16,6 +16,7 @@ from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from cdcmip import (
     Biclique,
@@ -517,6 +518,58 @@ def nested(splits, key=0):
 def test_cut_recursion_matches_rewalking_every_part(data):
     d = data.draw(st.integers(1, 40))
     tree = data.draw(spanning_trees(IndexSetFamily([[i] for i in range(d)])))
+    assert nested(_cut_recursion(tree)) == reference_cut_recursion(tree)
+
+
+def _spider(legs, length):
+    """A centre 0 with ``legs`` paths of ``length`` vertices hanging off it."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges += [(0, first)] + [(v, v + 1) for v in range(first, first + length - 1)]
+    return edges
+
+
+def _caterpillar(spine, leaves):
+    """A path of ``spine`` vertices, each holding ``leaves`` one-vertex leaves."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    for v in range(spine):
+        first = spine + v * leaves
+        edges += [(v, leaf) for leaf in range(first, first + leaves)]
+    return edges
+
+
+def _broom(handle, bristles):
+    """A path of ``handle`` vertices whose last one holds ``bristles`` leaves."""
+    edges = [(v, v + 1) for v in range(handle - 1)]
+    return edges + [(handle - 1, leaf) for leaf in range(handle, handle + bristles)]
+
+
+TIE_TREES = {
+    **{f"spider-{legs}x{length}": _spider(legs, length)
+       for legs, length in [(3, 1), (3, 5), (3, 66), (4, 7), (4, 49), (5, 3), (5, 39), (6, 33)]},
+    # The centre edge (0, 1) splits the tree exactly in half.
+    **{f"double-star-{k}": [(0, 1)] + [(0, 2 + i) for i in range(k)]
+       + [(1, 2 + k + i) for i in range(k)] for k in (1, 2, 7, 99)},
+    **{f"path-{d}": [(v, v + 1) for v in range(d - 1)] for d in (2, 3, 64, 199, 200)},
+    "caterpillar-40x4": _caterpillar(40, 4),
+    "caterpillar-25x7": _caterpillar(25, 7),
+    "broom-100x100": _broom(100, 100),
+    "broom-20x150": _broom(20, 150),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+@pytest.mark.parametrize("name", sorted(TIE_TREES))
+def test_cut_recursion_breaks_ties_as_rewalking_every_part(name, relabel):
+    edges = TIE_TREES[name]
+    d = len(edges) + 1
+    label = list(range(d))
+    if relabel:  # the same shape under other ordinals, so ties fall elsewhere
+        random.Random(d).shuffle(label)
+    tree = CandidateTree(
+        IndexSetFamily([[i] for i in range(d)]), [(label[i], label[j]) for i, j in edges]
+    )
     assert nested(_cut_recursion(tree)) == reference_cut_recursion(tree)
 
 
