@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 import warnings
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -38,6 +41,57 @@ def _check_indices(items: Iterable) -> None:
     for v in items:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise InputError(f"indices must be non-negative integers, got {v!r}")
+
+
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _exact_coordinate(value) -> Fraction:
+    """Parse an exact rational from int, Fraction, or a decimal/fraction string.
+
+    The package's one parser of exact numbers.  A bool is an input error,
+    and so is a float: its binary value is rarely the number meant (``0.1``
+    would enter as a 55-digit decimal).  So is a numerator or denominator
+    of more digits than Python prints (``sys.get_int_max_str_digits()``,
+    where 0 means no limit), which neither JSON nor LP output could hold,
+    and a decimal exponent past that limit or Python's default one,
+    whichever is larger.
+    """
+    if isinstance(value, bool):
+        raise InputError("booleans are not exact numbers")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, (int, Fraction)):
+        x = Fraction(value)
+    elif isinstance(value, str):
+        try:
+            # Fraction would expand 10**exponent, which a huge exponent never
+            # finishes; the cap holds even with no digit limit (a limit of 0).
+            exponent = _EXPONENT.search(value)
+            cap = max(limit, sys.int_info.default_max_str_digits)
+            if exponent and abs(int(exponent[1])) > cap:
+                raise ValueError("decimal exponent is past the integer digit limit")
+            x = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot parse exact rational from {value!r}") from exc
+    else:
+        raise InputError(
+            f"exact rational required (int, Fraction, or string), got {type(value).__name__}"
+        )
+    # More than `limit` digits takes more than 3 * limit bits, so only long
+    # values pay for the power of ten.
+    big = max(abs(x.numerator), x.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise InputError(f"a value has more than {limit} digits, past the integer digit limit")
+    return x
+
+
+def _exact_point(value) -> tuple[Fraction, Fraction]:
+    """Parse an exact point: a list or tuple of exactly two ``_exact_coordinate`` values."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"a point must be an (x, y) list or tuple, got {type(value).__name__}")
+    if len(value) != 2:
+        raise InputError(f"a point must have two coordinates, got {len(value)}")
+    return _exact_coordinate(value[0]), _exact_coordinate(value[1])
 
 
 class IndexSetFamily:

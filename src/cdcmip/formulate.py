@@ -1,14 +1,16 @@
 """Solver-agnostic MIP intermediate representation and every builder.
 
-Integral values are ``int``, others ``Fraction``; floats never enter the
-IR (the constructor, ``add_variables`` and ``add_constraint`` reject
-them).  Builders share one naming scheme (``lam_<v>`` for the primary
-simplex variables, ``lamp_``/``lampp_`` for copy-index variables,
-``gam_<set>_<v>`` for per-set weights, ``z_<j>`` for binaries) so emitted
-files diff cleanly.  The LP writer prints an all-integer row or bound
-straight from its values, renders terminating rationals as exact decimals
-and scales any other row to integers, which keeps output byte-stable; a
-bound that does not terminate cannot be scaled and is an input error.
+The IR holds only ``int`` (integral values) and ``Fraction``: other values,
+such as ``"1/3"``, enter through ``cdc``'s exact-number parser in
+``add_variables`` and ``add_constraint``, and the constructor refuses them.
+Builders share one naming scheme (``lam_<v>`` for the primary simplex
+variables, ``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>``
+for per-set weights, ``z_<j>`` for binaries) so emitted files diff
+cleanly.  The LP writer prints an all-integer row or bound straight from
+its values, renders terminating rationals as exact decimals and scales any
+other row to integers, which keeps output byte-stable; a bound that does
+not terminate cannot be scaled and is an input error, as is a row or bound
+whose digits pass the integer digit limit.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional
 
-from .cdc import IndexSetFamily, conflict_graph, ground_set
+from .cdc import IndexSetFamily, _exact_coordinate, _exact_point, conflict_graph, ground_set
 from .cover import BicliqueCover, tree_cover, verify_cover
 from .errors import InputError, InvariantError
-from .sosk import exact_point, sosk_cover, sosk_family
+from .sosk import sosk_cover, sosk_family
 from .transform import build_equivalent_family
 
 CONTINUOUS = "continuous"
@@ -68,20 +70,22 @@ class LinearFormulation:
     _names: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Refuses duplicate names, floats and rows naming unknown variables.
+        """Refuses duplicate names, rows naming unknown variables and inexact values.
 
-        Values are stored as given: unlike ``add_constraint``, the
-        constructor does not turn ``Fraction(1)`` into ``1``.
+        Values must be ``int`` (not ``bool``) or ``Fraction``, or ``None`` for a
+        missing bound, and are stored as given: unlike ``add_constraint``, the
+        constructor neither parses strings nor turns ``Fraction(1)`` into ``1``.
         """
         self._names = {v.name for v in self.variables}
         if len(self._names) != len(self.variables):
             raise InputError("variable names are not unique")
-        for v in self.variables:
-            _refuse_floats((v.lower, v.upper))
+        values = [b for v in self.variables for b in (v.lower, v.upper) if b is not None]
         for c in self.constraints:
-            _refuse_floats(map(_COEF, c.terms))
             self._check_known(c.name, c.terms)
-            _refuse_floats((c.rhs,))
+            values += (*map(_COEF, c.terms), c.rhs)
+        for x in values:
+            if type(x) not in _STORED:
+                raise InputError(f"exact value required (int or Fraction), got {type(x).__name__} {x!r}")
 
     def variable_names(self) -> list[str]:
         return [v.name for v in self.variables]
@@ -169,25 +173,15 @@ class LinearFormulation:
 
 _VAR, _COEF = itemgetter(0), itemgetter(1)
 _INT = {int}
+_STORED = {int, Fraction}
 
 
 def _exact(x) -> int | Fraction:
-    """``x`` as an ``int`` when it is integral, else as a ``Fraction``.
-
-    A float is an input error: its exact binary value is rarely the number
-    meant (``0.1`` would enter as a 55-digit decimal).
-    """
+    """``x`` parsed by ``cdc._exact_coordinate``: an ``int`` when it is integral, else a ``Fraction``."""
     if type(x) is int:
         return x
-    _refuse_floats((x,))
-    x = Fraction(x)
+    x = _exact_coordinate(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def _refuse_floats(values) -> None:
-    for x in values:
-        if isinstance(x, float):
-            raise InputError(f"exact value required (int, Fraction, or string), got float {x!r}")
 
 
 def family_digest(family: IndexSetFamily) -> str:
@@ -364,7 +358,7 @@ def build_pwl(breakpoints) -> LinearFormulation:
     breakpoints, so the windowed cover with k = 2 supplies the binaries on
     top of the usual convex combination rows.
     """
-    pts = [exact_point(pt) for pt in breakpoints]
+    pts = [_exact_point(pt) for pt in breakpoints]
     if len(pts) < 2:
         raise InputError("need at least two breakpoints")
     if any(a >= b for (a, _), (b, _) in zip(pts, pts[1:])):
@@ -457,7 +451,8 @@ def write_lp(f: LinearFormulation) -> str:
     straight from its values; a row holding a fraction prints exact
     decimals, or is scaled by the common denominator when one does not
     terminate, so the file stays exact.  A bound cannot be scaled, so one
-    that does not terminate is an input error.
+    that does not terminate is an input error, as is a row or bound whose
+    digits pass ``sys.get_int_max_str_digits()``.
     """
     names = [v.name for v in f.variables]
     clean = list(map(_sanitize, names))
@@ -472,36 +467,37 @@ def write_lp(f: LinearFormulation) -> str:
 
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
     for c, row in zip(f.constraints, rows):
+        if not (c.terms or clean):
+            raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
         rhs = c.rhs
-        if type(rhs) is int and {*map(type, map(_COEF, c.terms))} <= _INT:
-            parts = [
-                plus[var] if a == 1
-                else minus[var] if a == -1
-                else f"- {-a} {renamed[var]}" if a < 0
-                else f"+ {a} {renamed[var]}"
-                for var, a in c.terms
-            ]
-        else:
-            parts, rhs = _fraction_row(c, renamed)
-        body = " ".join(parts)
-        if body[:1] == "+":
-            body = body[2:]
-        elif not body:
-            if not clean:
-                raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
-            body = "0 " + clean[0]
-        lines.append(f" {row}: {body} {c.sense} {rhs}")
+        try:
+            if type(rhs) is int and {*map(type, map(_COEF, c.terms))} <= _INT:
+                parts = [
+                    plus[var] if a == 1
+                    else minus[var] if a == -1
+                    else f"- {-a} {renamed[var]}" if a < 0
+                    else f"+ {a} {renamed[var]}"
+                    for var, a in c.terms
+                ]
+            else:
+                parts, rhs = _fraction_row(c, renamed)
+            body = " ".join(parts) or "0 " + clean[0]
+            lines.append(f" {row}: {body.removeprefix('+ ')} {c.sense} {rhs}")
+        except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+            raise InputError(f"row {c.name!r} cannot be written: {exc}") from exc
     lines.append("Bounds")
     for v, name in zip(f.variables, clean):
         lower, upper = v.lower, v.upper
-        if type(lower) is int and upper is None:
-            lines.append(f" {name} >= {lower}")
-            continue
-        bounds = [b for b in (lower, upper) if b is not None]
-        if not {*map(type, bounds)} <= _INT:
-            bounds = _render_row(bounds)
-            if bounds is None:
-                raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
+        try:
+            if type(lower) is int and upper is None:
+                lines.append(f" {name} >= {lower}")
+                continue
+            bounds = [b for b in (lower, upper) if b is not None]
+            bounds = list(map(str, bounds)) if {*map(type, bounds)} <= _INT else _render_row(bounds)
+        except ValueError as exc:
+            raise InputError(f"a bound of variable {v.name!r} cannot be written: {exc}") from exc
+        if bounds is None:
+            raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
         if lower is None and upper is None:
             lines.append(f" {name} free")
         elif upper is None:

@@ -44,9 +44,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .cdc import IndexSetFamily, read_json
+from .cdc import IndexSetFamily, _exact_point, read_json
 from .errors import DisconnectedPartitionError, InputError, InvariantError
-from .sosk import exact_point
 from .jtree import _spanning_forest, is_junction_tree, maximum_spanning_tree_of
 
 Point = tuple[Fraction, Fraction]
@@ -99,7 +98,7 @@ class PlanarPartition:
         for poly in polygons:
             if isinstance(poly, (str, bytes)) or not hasattr(poly, "__iter__"):
                 raise InputError("each polygon must be a list of (x, y) vertices")
-            pts = tuple(map(exact_point, poly))
+            pts = tuple(map(_exact_point, poly))
             if len(pts) < 3:
                 raise InputError("polygons need at least three vertices")
             shape = _shape(pts)

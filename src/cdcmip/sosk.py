@@ -9,9 +9,6 @@ sides.  The fused cover has at most ceil(log2(n-k+1)) + k - 2 members.
 
 from __future__ import annotations
 
-import re
-import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cdc import IndexSetFamily
@@ -164,51 +161,3 @@ def compare_bounds(n: int, k: int) -> BoundComparison:
     if not ours < hv:
         raise InvariantError(f"expected {ours} < {hv} for n={n}, k={k}")
     return BoundComparison(ours, hv, n)
-
-
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
-def exact_coordinate(value) -> Fraction:
-    """Parse an exact rational from int, Fraction, or a decimal/fraction string.
-
-    A numerator or denominator of more digits than Python prints
-    (``sys.get_int_max_str_digits()``, where 0 means no limit) is an input
-    error: neither JSON nor LP output could hold it.  So is a decimal
-    exponent past that limit or Python's default one, whichever is larger.
-    """
-    if isinstance(value, bool):
-        raise InputError("booleans are not coordinates")
-    limit = sys.get_int_max_str_digits()
-    if isinstance(value, (int, Fraction)):
-        x = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            # Fraction would expand 10**exponent, which a huge exponent never
-            # finishes; the cap holds even with no digit limit (a limit of 0).
-            exponent = _EXPONENT.search(value)
-            cap = max(limit, sys.int_info.default_max_str_digits)
-            if exponent and abs(int(exponent[1])) > cap:
-                raise ValueError("decimal exponent is past the integer digit limit")
-            x = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse exact rational from {value!r}") from exc
-    else:
-        raise InputError(
-            f"exact rational required (int, Fraction, or string), got {type(value).__name__}"
-        )
-    # More than `limit` digits takes more than 3 * limit bits, so only long
-    # values pay for the power of ten.
-    big = max(abs(x.numerator), x.denominator)
-    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
-        raise InputError(f"a coordinate has more than {limit} digits, past the integer digit limit")
-    return x
-
-
-def exact_point(value) -> tuple[Fraction, Fraction]:
-    """Parse an exact point: a list or tuple of exactly two ``exact_coordinate`` values."""
-    if not isinstance(value, (list, tuple)):
-        raise InputError(f"a point must be an (x, y) list or tuple, got {type(value).__name__}")
-    if len(value) != 2:
-        raise InputError(f"a point must have two coordinates, got {len(value)}")
-    return exact_coordinate(value[0]), exact_coordinate(value[1])

@@ -1,4 +1,7 @@
 import random
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +17,7 @@ from cdcmip import (
     is_pairwise_ib_representable,
     minimal_infeasible_sets,
 )
+from cdcmip.cdc import _exact_coordinate, _exact_point
 from helpers import brute_conflict_edges, brute_minimal_infeasible, random_family
 
 
@@ -122,3 +126,28 @@ def test_family_json_roundtrip(sos2_5):
         IndexSetFamily.from_json("not json")
     with pytest.raises(InputError):
         IndexSetFamily.from_json('{"nope": 1}')
+
+
+def test_exact_point():
+    assert _exact_point(["1/2", 3]) == (Fraction(1, 2), 3)
+    assert _exact_point(("0.25", Fraction(2, 4))) == (Fraction(1, 4), Fraction(1, 2))
+    for bad in ({"x": 0, "y": 0}, (0,), (0, 0, 0), [], "00", None, 5):
+        with pytest.raises(InputError):
+            _exact_point(bad)
+    with pytest.raises(InputError, match="booleans"):
+        _exact_point((True, 0))
+
+
+def test_exact_coordinate_exponents_without_a_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0 switches the digit limit off
+    try:
+        assert _exact_coordinate("1e5") == 100_000
+        assert _exact_coordinate("-2.5e-3") == Fraction(-1, 400)
+        assert _exact_coordinate("1e4300") == 10**4300
+        start = time.monotonic()
+        with pytest.raises(InputError, match="1e99999999"):
+            _exact_coordinate("1e99999999")
+        assert time.monotonic() - start < 10
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from cdcmip import (
     write_lp,
 )
 from cdcmip.cover import Biclique
+from cdcmip.formulate import Constraint, LinearFormulation, Variable
 from helpers import padded_tree_cover, parse_lp, rows_match_up_to_scaling
 
 SOS2_3 = [[1, 2], [2, 3]]
@@ -404,6 +406,64 @@ def test_formulation_constructor_checks_names_and_floats():
     assert type(f.variables[0].lower) is Fraction
     assert f.constraints[0].terms == (("x", Fraction(1)),) and type(f.constraints[0].rhs) is Fraction
     assert " r: x <= 2" in write_lp(f)
+
+
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda f: f.add_variable("y", lower=True), "booleans"),
+        (lambda f: f.add_variable("y", lower="1e5000"), "'1e5000'"),
+        (lambda f: f.add_constraint("r", [("x", "nan")], "<=", 1), "'nan'"),
+        (lambda f: f.add_constraint("r", [("x", 1)], "<=", "1/0"), "'1/0'"),
+        (lambda f: f.add_constraint("r", [("x", Decimal("0.5"))], "<=", 1), "Decimal"),
+    ],
+    ids=["bool-bound", "exponent-past-the-limit", "nan-coefficient", "zero-denominator-rhs", "decimal"],
+)
+def test_formulation_parses_every_value_as_an_exact_number(declare, message):
+    f = LinearFormulation()
+    f.add_variable("x")
+    with pytest.raises(InputError, match=message):
+        declare(f)
+    assert f.variable_names() == ["x"] and f.constraints == []
+
+
+@pytest.mark.parametrize(
+    "variable, term, rhs",
+    [
+        (Variable("x", lower="0.5"), ("x", 1), 1),
+        (Variable("x", upper=True), ("x", 1), 1),
+        (Variable("x"), ("x", "2"), 1),
+        (Variable("x"), ("x", False), 1),
+        (Variable("x"), ("x", None), 1),
+        (Variable("x"), ("x", 1), "1"),
+        (Variable("x"), ("x", 1), True),
+    ],
+    ids=["str-bound", "bool-bound", "str-coefficient", "bool-coefficient", "none-coefficient", "str-rhs", "bool-rhs"],
+)
+def test_formulation_constructor_takes_only_int_and_fraction(variable, term, rhs):
+    with pytest.raises(InputError, match="int or Fraction"):
+        LinearFormulation([variable], [Constraint("r", (term,), "<=", rhs)])
+
+
+@pytest.mark.parametrize(
+    "declare, named",
+    [
+        (lambda f: f.add_constraint("r", [("x", Fraction(1, 3**5000)), ("y", Fraction(1, 7**4500))], "<=", 1), "row 'r'"),
+        (lambda f: f.add_constraint("r", [("x", Fraction(1, 2**14000))], "<=", 1), "row 'r'"),
+        (lambda f: f.add_constraint("r", [("x", 1)], "<=", 10**5000), "row 'r'"),
+        (lambda f: f.add_variable("w", lower=Fraction(-1, 2**14000)), "variable 'w'"),
+        (lambda f: f.add_variable("w", lower=10**5000), "variable 'w'"),
+        (lambda f: f.add_variable("w", lower=0, upper=10**5000), "variable 'w'"),
+    ],
+    ids=["scaled-row", "decimal-coefficient", "int-rhs", "decimal-bound", "int-lower-bound", "int-bounds"],
+)
+def test_write_lp_refuses_digits_past_the_limit(declare, named):
+    # Every value passes the parser's digit cap; only its printed form is too long.
+    f = LinearFormulation()
+    f.add_variables(["x", "y"])
+    declare(f)
+    with pytest.raises(InputError, match=named):
+        write_lp(f)
 
 
 def _refusal(declare):

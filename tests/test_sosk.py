@@ -1,6 +1,3 @@
-import sys
-import time
-
 import pytest
 
 from fractions import Fraction
@@ -214,16 +211,6 @@ def test_build_pwl_breakpoints_are_lists_or_tuples_of_two():
     assert mixed.to_json() == build_pwl([(0, 0), (1, Fraction(1, 2))]).to_json()
 
 
-def test_exact_point():
-    assert sosk.exact_point(["1/2", 3]) == (Fraction(1, 2), 3)
-    assert sosk.exact_point(("0.25", Fraction(2, 4))) == (Fraction(1, 4), Fraction(1, 2))
-    for bad in ({"x": 0, "y": 0}, (0,), (0, 0, 0), [], "00", None, 5):
-        with pytest.raises(InputError):
-            sosk.exact_point(bad)
-    with pytest.raises(InputError, match="booleans"):
-        sosk.exact_point((True, 0))
-
-
 def test_pwl_definition_rows():
     f = build_pwl([(0, 0), (1, 2), (2, 1)])
     rows = {c.name: c for c in f.constraints}
@@ -237,18 +224,3 @@ def test_pwl_definition_rows():
         "lam_2": Fraction(-2),
         "lam_3": Fraction(-1),
     }
-
-
-def test_exact_coordinate_exponents_without_a_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # 0 switches the digit limit off
-    try:
-        assert sosk.exact_coordinate("1e5") == 100_000
-        assert sosk.exact_coordinate("-2.5e-3") == Fraction(-1, 400)
-        assert sosk.exact_coordinate("1e4300") == 10**4300
-        start = time.monotonic()
-        with pytest.raises(InputError, match="1e99999999"):
-            sosk.exact_coordinate("1e99999999")
-        assert time.monotonic() - start < 10
-    finally:
-        sys.set_int_max_str_digits(limit)

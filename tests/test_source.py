@@ -161,3 +161,46 @@ def test_the_runtime_is_standard_library_only():
         if (outside := _non_stdlib_imports(path.read_text()))
     }
     assert found == {}
+
+
+def _fraction_parsers(source: str) -> list[int]:
+    """Lines calling ``Fraction`` with one argument that is not a literal.
+
+    Such a call parses a value into an exact number.  ``Fraction(0)`` and
+    two-argument calls only build one.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or len(node.args) + len(node.keywords) != 1:
+            continue
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) != "Fraction":
+            continue
+        try:
+            ast.literal_eval(node.args[0] if node.args else node.keywords[0].value)
+        except ValueError:
+            found.append(node.lineno)
+    return found
+
+
+def test_fraction_parser_check_finds_a_leftover():
+    source = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "half = Fraction(1, 2) + Fraction(-3) + Fraction('1/4') + float(half)\n"
+        "def parse(text):\n"
+        "    return Fraction(text)\n"
+        "def parse_too(x):\n"
+        "    return fractions.Fraction(numerator=x.value)\n"
+    )
+    assert _fraction_parsers(source) == [5, 7]
+
+
+def test_only_cdc_parses_exact_numbers():
+    # A second parser would take values with different rules: every exact
+    # number enters through `cdc._exact_coordinate`.
+    found = {
+        path.name: lines
+        for path in sorted(SOURCE.glob("*.py"))
+        if (lines := _fraction_parsers(path.read_text()))
+    }
+    assert list(found) == ["cdc.py"]
