@@ -60,7 +60,9 @@ def _exact_coordinate(value) -> Fraction:
     if isinstance(value, bool):
         raise InputError("booleans are not exact numbers")
     limit = sys.get_int_max_str_digits()
-    if isinstance(value, (int, Fraction)):
+    if type(value) is Fraction:
+        x = value  # immutable, so taken as is
+    elif isinstance(value, (int, Fraction)):
         x = Fraction(value)
     elif isinstance(value, str):
         try:

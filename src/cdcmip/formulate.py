@@ -1,8 +1,10 @@
 """Solver-agnostic MIP intermediate representation and every builder.
 
-The IR holds only ``int`` (integral values) and ``Fraction``: other values,
-such as ``"1/3"``, enter through ``cdc``'s exact-number parser in
-``add_variables`` and ``add_constraint``, and the constructor refuses them.
+The IR is plain ``Variable`` and ``Constraint`` named tuples, which
+``LinearFormulation`` checks, and holds only ``int`` (integral values) and
+``Fraction``: other values, such as ``"1/3"``, enter through ``cdc``'s
+exact-number parser in ``add_variables`` and ``add_constraint``, and the
+constructor refuses them.
 Builders share one naming scheme (``lam_<v>`` for the primary simplex
 variables, ``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>``
 for per-set weights, ``z_<j>`` for binaries) so emitted files diff
@@ -22,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cdc import IndexSetFamily, _exact_coordinate, _exact_point, conflict_graph, ground_set
 from .cover import BicliqueCover, tree_cover, verify_cover
@@ -36,30 +38,18 @@ BINARY = "binary"
 _SENSES = ("<=", "=", ">=")
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str = CONTINUOUS
     lower: int | Fraction | None = None
     upper: int | Fraction | None = None
 
-    def __post_init__(self):
-        if self.kind not in (CONTINUOUS, BINARY):
-            raise InputError(f"unknown variable kind {self.kind!r}")
-        if self.kind == BINARY and (self.lower != 0 or self.upper != 1):
-            raise InputError("binary variables must have bounds [0, 1]")
 
-
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[str, int | Fraction], ...]
     sense: str
     rhs: int | Fraction
-
-    def __post_init__(self):
-        if self.sense not in _SENSES:
-            raise InputError(f"unknown sense {self.sense!r}")
 
 
 @dataclass
@@ -70,18 +60,24 @@ class LinearFormulation:
     _names: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Refuses duplicate names, rows naming unknown variables and inexact values.
+        """Refuses what ``add_variables`` and ``add_constraint`` refuse, values unparsed.
 
-        Values must be ``int`` (not ``bool``) or ``Fraction``, or ``None`` for a
+        That is duplicate names, unknown kinds, binaries not on [0, 1], rows
+        naming unknown variables, unknown senses and inexact values.  Values
+        must be ``int`` (not ``bool``) or ``Fraction``, or ``None`` for a
         missing bound, and are stored as given: unlike ``add_constraint``, the
         constructor neither parses strings nor turns ``Fraction(1)`` into ``1``.
         """
         self._names = {v.name for v in self.variables}
         if len(self._names) != len(self.variables):
             raise InputError("variable names are not unique")
-        values = [b for v in self.variables for b in (v.lower, v.upper) if b is not None]
+        values = []
+        for v in self.variables:
+            _check_kind(v.kind, v.lower, v.upper)
+            values += (b for b in (v.lower, v.upper) if b is not None)
         for c in self.constraints:
             self._check_known(c.name, c.terms)
+            _check_sense(c.sense)
             values += (*map(_COEF, c.terms), c.rhs)
         for x in values:
             if type(x) not in _STORED:
@@ -115,15 +111,9 @@ class LinearFormulation:
             raise InputError(f"duplicate variable name {_first_repeat(names, self._names)!r}")
         if not names:
             return names
-        checked = Variable(names[0], kind, *[b if b is None else _exact(b) for b in (lower, upper)])
-        self.variables.append(checked)
-        # The rest are copies of the checked variable: the frozen __init__
-        # would repeat its checks and set each field through object.__setattr__.
-        fields, new = vars(checked), object.__new__
-        for name in names[1:]:
-            v = new(Variable)
-            vars(v).update(fields, name=name)
-            self.variables.append(v)
+        lower, upper = [b if b is None else _exact(b) for b in (lower, upper)]
+        _check_kind(kind, lower, upper)
+        self.variables += [Variable(name, kind, lower, upper) for name in names]
         self._names |= fresh
         return names
 
@@ -134,7 +124,9 @@ class LinearFormulation:
         if not ({*map(type, coefs)} <= _INT and 0 not in coefs):
             terms = tuple((var, x) for var, c in terms if (x := c if type(c) is int else _exact(c)))
         self._check_known(name, terms)
-        self.constraints.append(Constraint(name, terms, sense, _exact(rhs)))
+        rhs = _exact(rhs)
+        _check_sense(sense)
+        self.constraints.append(Constraint(name, terms, sense, rhs))
 
     def _check_known(self, row, terms) -> None:
         if not self._names.issuperset(map(_VAR, terms)):
@@ -142,38 +134,40 @@ class LinearFormulation:
             raise InputError(f"constraint {row!r} references unknown variable {var!r}")
 
     def to_json(self) -> str:
-        def frac(x):
-            return None if x is None else str(x)
-
+        """Every value as an exact string; one past the integer digit limit is an input error."""
+        variables, constraints = [], []
+        for v in self.variables:
+            try:
+                lower, upper = (None if b is None else str(b) for b in (v.lower, v.upper))
+            except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+                raise InputError(f"a bound of variable {v.name!r} cannot be written: {exc}") from exc
+            variables.append({"name": v.name, "kind": v.kind, "lower": lower, "upper": upper})
+        for c in self.constraints:
+            try:
+                terms, rhs = [[var, str(coef)] for var, coef in c.terms], str(c.rhs)
+            except ValueError as exc:
+                raise InputError(f"row {c.name!r} cannot be written: {exc}") from exc
+            constraints.append({"name": c.name, "terms": terms, "sense": c.sense, "rhs": rhs})
         return json.dumps(
-            {
-                "variables": [
-                    {
-                        "name": v.name,
-                        "kind": v.kind,
-                        "lower": frac(v.lower),
-                        "upper": frac(v.upper),
-                    }
-                    for v in self.variables
-                ],
-                "constraints": [
-                    {
-                        "name": c.name,
-                        "terms": [[var, str(coef)] for var, coef in c.terms],
-                        "sense": c.sense,
-                        "rhs": str(c.rhs),
-                    }
-                    for c in self.constraints
-                ],
-                "metadata": self.metadata,
-            },
-            sort_keys=True,
+            {"variables": variables, "constraints": constraints, "metadata": self.metadata}, sort_keys=True
         )
 
 
 _VAR, _COEF = itemgetter(0), itemgetter(1)
 _INT = {int}
 _STORED = {int, Fraction}
+
+
+def _check_kind(kind, lower, upper) -> None:
+    if kind not in (CONTINUOUS, BINARY):
+        raise InputError(f"unknown variable kind {kind!r}")
+    if kind == BINARY and (lower != 0 or upper != 1):
+        raise InputError("binary variables must have bounds [0, 1]")
+
+
+def _check_sense(sense) -> None:
+    if sense not in _SENSES:
+        raise InputError(f"unknown sense {sense!r}")
 
 
 def _exact(x) -> int | Fraction:

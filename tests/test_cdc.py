@@ -138,6 +138,15 @@ def test_exact_point():
         _exact_point((True, 0))
 
 
+def test_exact_coordinate_takes_a_fraction_as_is():
+    q = Fraction(2, 3)
+    assert _exact_coordinate(q) is q
+    with pytest.raises(InputError, match="digit limit"):
+        _exact_coordinate(Fraction(10**5000, 3))
+    with pytest.raises(InputError, match="digit limit"):
+        _exact_coordinate(Fraction(3, 10**5000))
+
+
 def test_exact_coordinate_exponents_without_a_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # 0 switches the digit limit off

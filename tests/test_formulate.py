@@ -1,4 +1,3 @@
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -519,8 +518,8 @@ def test_write_lp_prints_integer_models_without_the_fraction_route(monkeypatch, 
 
     f = build(triangle)
     expected = write_lp(formulate.LinearFormulation(
-        [replace(v, lower=_frac(v.lower), upper=_frac(v.upper)) for v in f.variables],
-        [replace(c, terms=tuple((v, Fraction(a)) for v, a in c.terms)) for c in f.constraints],
+        [v._replace(lower=_frac(v.lower), upper=_frac(v.upper)) for v in f.variables],
+        [c._replace(terms=tuple((v, Fraction(a)) for v, a in c.terms)) for c in f.constraints],
         f.metadata,
     ))
 
@@ -534,3 +533,74 @@ def test_write_lp_prints_integer_models_without_the_fraction_route(monkeypatch, 
 
 def _frac(x):
     return None if x is None else Fraction(x)
+
+
+@pytest.mark.parametrize(
+    "variable, sense, message",
+    [
+        (Variable("x", "integer", 0), "<=", "unknown variable kind 'integer'"),
+        (Variable("x", "binary", 0, 2), "<=", r"binary variables must have bounds \[0, 1\]"),
+        (Variable("x", "binary"), "<=", r"binary variables must have bounds \[0, 1\]"),
+        (Variable("x"), "<", "unknown sense '<'"),
+    ],
+    ids=["kind", "binary-bounds", "unbounded-binary", "sense"],
+)
+def test_formulation_constructor_checks_kinds_binaries_and_senses(variable, sense, message):
+    with pytest.raises(InputError, match=message):
+        LinearFormulation([variable], [Constraint("r", (("x", 1),), sense, 1)])
+    assert LinearFormulation([Variable("x", "binary", Fraction(0), 1)]).binary_names() == ["x"]
+
+
+def test_add_constraint_refuses_an_unknown_sense():
+    f = LinearFormulation()
+    f.add_variable("x")
+    with pytest.raises(InputError, match="unknown sense '=='"):
+        f.add_constraint("r", [("x", 1)], "==", 1)
+    assert f.constraints == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_naive,
+        build_jeroslow_lowe,
+        build_log_embedding,
+        lambda fam: build_ib_from_cover(fam, heuristic_cover(fam)),
+        build_extended_jtree,
+        build_extended_disjoint,
+        lambda fam: build_sosk(6, 3),
+        lambda fam: build_sosk_kis(6, 3),
+        lambda fam: build_pwl([(0, 0), ("1/3", 1), (1, "2/3"), ("7/4", "-1/7")]),
+    ],
+    ids=["naive", "jeroslow_lowe", "log_embedding", "ib_cover", "extended_jtree", "extended_disjoint", "sosk", "sosk_kis", "pwl"],
+)
+def test_constructor_accepts_every_builders_records(sos2_5, build):
+    # The constructor and the add_* methods agree on what a model may hold.
+    f = build(sos2_5)
+    g = LinearFormulation(list(f.variables), list(f.constraints), dict(f.metadata))
+    assert write_lp(g) == write_lp(f) and g.to_json() == f.to_json()
+
+
+def _with(declare):
+    f = LinearFormulation()
+    f.add_variable("x")
+    declare(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "model, named",
+    [
+        (lambda: _with(lambda f: f.add_variable("w", lower=10**5000)), "variable 'w'"),
+        (lambda: _with(lambda f: f.add_constraint("r", [("x", 1)], "<=", 10**5000)), "row 'r'"),
+        (lambda: _with(lambda f: f.add_constraint("r", [("x", 10**5000)], "<=", 1)), "row 'r'"),
+        # The constructor does not parse, so a long Fraction reaches to_json.
+        (lambda: LinearFormulation([Variable("w", upper=Fraction(10**5000 + 1, 3))]), "variable 'w'"),
+        (lambda: LinearFormulation([Variable("x")], [Constraint("r", (("x", Fraction(1, 3**10000)),), "<=", 1)]), "row 'r'"),
+    ],
+    ids=["int-bound", "int-rhs", "int-coefficient", "fraction-bound", "fraction-coefficient"],
+)
+def test_to_json_refuses_digits_past_the_limit(model, named):
+    f = model()
+    with pytest.raises(InputError, match=named):
+        f.to_json()

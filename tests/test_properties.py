@@ -10,7 +10,6 @@ size blow-up.
 
 import random
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -666,11 +665,11 @@ def oracle_models(draw, max_sets=4, max_ground=6):
         if how == "constraint":
             del constraints[k]
         else:
-            constraints[k] = replace(constraints[k], rhs=constraints[k].rhs + 1)
+            constraints[k] = constraints[k]._replace(rhs=constraints[k].rhs + 1)
     elif how == "bound" and bounded:
         i = draw(st.sampled_from(bounded))
         v = variables[i]
-        variables[i] = replace(v, lower=None) if v.lower is not None else replace(v, upper=None)
+        variables[i] = v._replace(lower=None) if v.lower is not None else v._replace(upper=None)
     return LinearFormulation(variables, constraints, dict(f.metadata)), fam
 
 
