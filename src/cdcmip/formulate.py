@@ -62,12 +62,15 @@ class LinearFormulation:
     def __post_init__(self):
         """Refuses what ``add_variables`` and ``add_constraint`` refuse, values unparsed.
 
-        That is duplicate names, unknown kinds, binaries not on [0, 1], rows
-        naming unknown variables, unknown senses and inexact values.  Values
+        That is names that are not ``str``, duplicate names, unknown kinds,
+        binaries not on [0, 1], rows naming unknown variables, unknown senses
+        and inexact values.  Values
         must be ``int`` (not ``bool``) or ``Fraction``, or ``None`` for a
         missing bound, and are stored as given: unlike ``add_constraint``, the
         constructor neither parses strings nor turns ``Fraction(1)`` into ``1``.
         """
+        _check_names("variable", [v.name for v in self.variables])
+        _check_names("row", [c.name for c in self.constraints])
         self._names = {v.name for v in self.variables}
         if len(self._names) != len(self.variables):
             raise InputError("variable names are not unique")
@@ -90,11 +93,23 @@ class LinearFormulation:
         return [v.name for v in self.variables if v.kind == BINARY]
 
     def lambda_names(self) -> dict[int, str]:
-        """Primary simplex variable per original index, recorded by builders."""
+        """Primary simplex variable per original index, recorded by builders.
+
+        Each key must be an index, as an ``int`` or its decimal digits, and
+        each value a declared variable; anything else is an input error.
+        """
         raw = self.metadata.get("lambda_vars")
         if raw is None:
             raise InputError("formulation does not record its primary variables")
-        return {int(k): v for k, v in raw.items()}
+        declared = set(self.variable_names())
+        lam = {}
+        for k, name in raw.items():
+            if not (type(k) is int or type(k) is str and k.isascii() and k.isdigit()):
+                raise InputError(f"lambda_vars key {k!r} is not an index")
+            if not isinstance(name, str) or name not in declared:
+                raise InputError(f"lambda_vars maps index {k} to undeclared variable {name!r}")
+            lam[int(k)] = name
+        return lam
 
     def add_variable(self, name, kind=CONTINUOUS, lower=None, upper=None) -> str:
         return self.add_variables([name], kind, lower, upper)[0]
@@ -106,6 +121,7 @@ class LinearFormulation:
         then bounds, then kind); a refused batch declares none of its names.
         """
         names = list(names)
+        _check_names("variable", names)
         fresh = set(names)
         if len(fresh) != len(names) or not self._names.isdisjoint(fresh):
             raise InputError(f"duplicate variable name {_first_repeat(names, self._names)!r}")
@@ -119,6 +135,7 @@ class LinearFormulation:
 
     def add_constraint(self, name, terms, sense, rhs) -> None:
         """Adds a row from ``(variable, value)`` tuples, dropping the zero terms."""
+        _check_name("row", name)
         terms = tuple(terms)
         coefs = tuple(map(_COEF, terms))
         if not ({*map(type, coefs)} <= _INT and 0 not in coefs):
@@ -155,7 +172,20 @@ class LinearFormulation:
 
 _VAR, _COEF = itemgetter(0), itemgetter(1)
 _INT = {int}
+_STR = {str}
 _STORED = {int, Fraction}
+
+
+def _check_name(what: str, name) -> None:
+    """Refuses a name that is not a ``str``: the LP writer reads names as text."""
+    if not isinstance(name, str):
+        raise InputError(f"{what} name {name!r} is not a str")
+
+
+def _check_names(what: str, names: list) -> None:
+    if not {*map(type, names)} <= _STR:
+        for name in names:
+            _check_name(what, name)
 
 
 def _check_kind(kind, lower, upper) -> None:
@@ -403,7 +433,9 @@ def _decimal_or_none(x: Fraction) -> Optional[str]:
 
 
 def _integral(values: list[int | Fraction]) -> list[int]:
-    """The values times the least common multiple of their denominators."""
+    """The values times the least common multiple of their denominators; ``int`` values as given."""
+    if {*map(type, values)} <= _INT:
+        return values
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values]
 

@@ -1,10 +1,13 @@
 """Brute-force ground truth at desk scale, all in exact rational arithmetic.
 
 Nothing here is meant to scale: every routine enumerates (spanning trees,
-support subsets, tight-constraint bases, edge-to-biclique assignments) and
-refuses inputs beyond an explicit budget instead of degrading silently.
+binary assignments, tight-constraint bases, edge-to-biclique assignments)
+or decides every support subset, and refuses inputs beyond an explicit
+budget instead of degrading silently.
 Work shared by the enumerated cases is done once per call: one projection
-serves every binary assignment, and the tree decoder hands out parents.
+serves every binary assignment, each distinct row is tested on all 2^|J|
+supports at once as the bits of one integer, and the tree decoder hands
+out parents.
 The trees themselves are decoded once per set count and shared by calls.
 A rank test refuses a relaxation with no vertex before the vertex search,
 and edges fit in one biclique iff a parity-constrained 2-colouring exists.
@@ -181,13 +184,23 @@ def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: in
     return list(systems)
 
 
-def _admits_uniform(system, mask: int, r: int) -> bool:
-    """Uniform mass 1/r on the support ``mask`` meets every row: sum over it of a <= r*b."""
-    for bits, rhs, is_eq in system:
-        total = sum(a for bit, a in bits if mask & bit)
-        if total > r * rhs or is_eq and total != r * rhs:
-            return False
-    return True
+def _passing(row, bits: list[int]) -> int:
+    """The supports S (sums of ``bits``) at which mass 1/|S| on S meets the row, as bits S.
+
+    A row (bit-coefficient pairs, b, is_equality) holds there iff the sum
+    over S of a_v - b is <= 0 (= 0).  At each bit, a subset-sum doubling
+    copies every partial sum's bitmap that many bits up, adding a_v - b.
+    """
+    coefs, rhs, is_eq = row
+    a = dict(coefs)
+    parts = {0: 1}  # partial sum -> bitmap of the supports with that sum, disjoint
+    for bit in bits:
+        w = a.get(bit, 0) - rhs
+        grown = dict(parts)
+        for total, mask in parts.items():
+            grown[total + w] = grown.get(total + w, 0) | mask << bit
+        parts = grown
+    return sum(mask for total, mask in parts.items() if (total == 0 if is_eq else total <= 0))
 
 
 def support_validity(
@@ -199,9 +212,12 @@ def support_validity(
     completable to a feasible point (over some binary assignment and some
     auxiliary values) exactly when the subset lies in a member set.  One
     exact projection of the auxiliaries, binaries kept symbolic, gives a
-    system per binary assignment by substitution, and a support is tested
-    against each system by integer row sums.  Cost: one projection, 2^b
-    substitutions and 2^|J|·2^b integer row tests.
+    system per binary assignment by substitution.  Each distinct row gives
+    one bitmap of the supports, all 2^|J| at once, at which uniform mass
+    meets it; a system passes the AND of its rows, the model the OR of its
+    systems, and the first system passing a support outside every member
+    set ends the check.  Cost: one projection, 2^b substitutions and, per
+    distinct row, |J| doubling steps over bitmaps of 2^|J| bits.
     """
     j = sorted(ground_set(family))
     if len(j) > max_ground:
@@ -211,15 +227,25 @@ def support_validity(
         raise InputError("formulation's primary variables do not match the family")
     if (b := len(f.binary_names())) > max_binaries:
         raise SizeGuardError(f"{b} binaries exceed the cap of {max_binaries}")
-    bit = {v: 1 << k for k, v in enumerate(j)}
-    systems = _lambda_systems(f, {lam[v]: bit[v] for v in j})
-    members = [sum(bit[v] for v in s) for s in family.sets]
-    for r in range(1, len(j) + 1):
-        for mask in map(sum, combinations(bit.values(), r)):
-            ok = any(_admits_uniform(system, mask, r) for system in systems)
-            if ok != any(mask & s == mask for s in members):
-                return False
-    return True
+    bits = [1 << k for k in range(len(j))]
+    systems = _lambda_systems(f, {lam[v]: bit for v, bit in zip(j, bits)})
+    realized = feasible = 0
+    for s in family.sets:  # S lies in s iff no mass falls outside s
+        outside = tuple((bit, 1) for v, bit in zip(j, bits) if v not in s)
+        feasible |= _passing((outside, 0, False), bits)
+    passing: dict[tuple, int] = {}  # each distinct row's bitmap, made on first use
+    for system in systems:
+        ok = (1 << (1 << len(j))) - 1
+        for row in system:
+            if row not in passing:
+                passing[row] = _passing(row, bits)
+            ok &= passing[row]
+            if not ok & ~realized:
+                break  # the system adds no support
+        if ok & ~feasible:
+            return False  # it realizes a support outside every member set
+        realized |= ok
+    return realized == feasible  # bit 0, the empty support, passes every row
 
 
 def _vertices(f: LinearFormulation, max_vars: int):
@@ -289,7 +315,7 @@ def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
     return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """Every spanning tree of the complete graph on ``0..d-1``: (sorted edges, parents).
 
@@ -297,8 +323,9 @@ def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tupl
     joins a leaf to its parent, so the parents are rooted at d-1 (entry
     -1).  Sorting the edges' positions in ``combinations(range(d), 2)``
     gives the order in which ``combinations`` lists the (d-1)-edge subsets.
-    The trees depend on d alone, so the answers for the last few d are
-    kept, as tuples that no caller can change under another.
+    The trees depend on d alone, so the answer for every d up to the tree
+    search's default cap of 7 sets is kept, as tuples that no caller can
+    change under another.
     """
     if d < 2:
         return (((), (-1,) * d),)

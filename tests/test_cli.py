@@ -540,3 +540,25 @@ def test_formulate_verify_catches_a_dropped_row_under_optimization(tmp_path):
     res = run_optimized("-c", BROKEN_IB, family_file(tmp_path, SOS2_5))
     assert res.returncode == 4, res.stderr
     assert "support_validity: fail" in res.stderr
+
+
+SHIFTED_RHS = """
+import sys
+from cdcmip import cli
+
+build = cli.BUILDERS["naive"]
+
+def selecting_two_sets(family):
+    f = build(family)
+    f.constraints = [c._replace(rhs=2) if c.name == "select" else c for c in f.constraints]
+    return f
+
+cli.BUILDERS["naive"] = selecting_two_sets
+sys.exit(cli.main(["verify", sys.argv[1], "--formulation", "naive"]))
+"""
+
+
+def test_verify_catches_a_shifted_right_hand_side_under_optimization(tmp_path):
+    res = run_optimized("-c", SHIFTED_RHS, family_file(tmp_path, SOS2_5))
+    assert res.returncode == 4, res.stderr
+    assert res.stdout.startswith("support_validity: fail\n")

@@ -372,6 +372,48 @@ def test_lambda_metadata(sos2_5):
     assert len(f.metadata["family_digest"]) == 12
 
 
+def test_lambda_names_refuse_an_undeclared_variable(sos2_5):
+    from cdcmip import support_validity
+
+    f = build_naive(sos2_5)
+    f.metadata["lambda_vars"]["3"] = "lam_9"
+    for call in (f.lambda_names, lambda: support_validity(f, sos2_5)):
+        with pytest.raises(InputError, match="index 3 to undeclared variable 'lam_9'"):
+            call()
+
+
+def test_lambda_names_refuse_a_key_that_is_not_an_index(sos2_5):
+    from cdcmip import support_validity
+
+    f = build_naive(sos2_5)
+    f.metadata["lambda_vars"]["x3"] = f.metadata["lambda_vars"].pop("3")
+    for call in (f.lambda_names, lambda: support_validity(f, sos2_5)):
+        with pytest.raises(InputError, match="key 'x3' is not an index"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "declare, message",
+    [
+        (lambda f: f.add_variable(1), "variable name 1 "),
+        (lambda f: f.add_variables(["y", None]), "variable name None "),
+        (lambda f: f.add_variable(["y"]), r"variable name \['y'\] "),
+        (lambda f: f.add_constraint(2, [("x", 1)], "<=", 1), "row name 2 "),
+        (lambda f: LinearFormulation([Variable("x"), Variable(1)]), "variable name 1 "),
+        (lambda f: LinearFormulation([Variable(("y",))]), r"variable name \('y',\) "),
+        (lambda f: LinearFormulation([Variable("x")], [Constraint(b"r", (("x", 1),), "<=", 1)]),
+         "row name b'r' "),
+    ],
+    ids=["add-variable", "add-variables", "unhashable-variable", "add-constraint",
+         "constructor-variable", "constructor-tuple-variable", "constructor-row"],
+)
+def test_names_that_are_not_str_are_input_errors(declare, message):
+    f = LinearFormulation([Variable("x")])
+    with pytest.raises(InputError, match=message + "is not a str"):
+        declare(f)
+    assert f.variable_names() == ["x"] and f.constraints == []
+
+
 def test_write_lp_refuses_an_empty_row_without_variables():
     from cdcmip import LinearFormulation
 

@@ -73,6 +73,23 @@ def test_spanning_trees_are_decoded_once_per_d(monkeypatch):
     assert oracle._all_spanning_trees.cache_info().maxsize <= 8
 
 
+def test_random_verify_decodes_each_set_count_once(monkeypatch, capsys):
+    decodes = []  # the set count d of each decode
+
+    def counted(*args, repeat=1, real=oracle.product):
+        decodes.append(repeat + 2)
+        return real(*args, repeat=repeat)
+
+    monkeypatch.setattr(oracle, "product", counted)
+    oracle._all_spanning_trees.cache_clear()
+    assert main(["verify", "--random", "20", "--seed", "7"]) == 0
+    assert len(set(decodes)) > 4 and sorted(decodes) == sorted(set(decodes))
+    decodes.clear()
+    assert main(["verify", "--random", "20", "--seed", "7"]) == 0
+    assert decodes == []
+    capsys.readouterr()
+
+
 def test_brute_admits(path3, triangle):
     t = brute_admits_junction_tree(path3)
     assert t is not None and is_junction_tree(path3, t)

@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -37,6 +37,7 @@ from cdcmip import (
     build_sosk,
     conflict_graph,
     failing_index,
+    ground_set,
     heuristic_cover,
     is_irredundant,
     is_junction_tree,
@@ -673,6 +674,46 @@ def oracle_models(draw, max_sets=4, max_ground=6):
     return LinearFormulation(variables, constraints, dict(f.metadata)), fam
 
 
+def wide_model(n, kind, how):
+    """A (model, family) pair over exactly ``n`` indices: a builder's output on a
+    seeded family, as built (``keep``), with one row dropped (``drop``) or its
+    right-hand side raised by one (``shift``)."""
+    rng = random.Random(f"{n} {kind} {how}")
+    while True:
+        sets = {frozenset(rng.sample(range(1, n + 1), rng.randint(2, n // 2)))
+                for _ in range(rng.randint(2, 4))}
+        if set().union(*sets) == set(range(1, n + 1)):
+            break
+    fam = quiet_family(sorted(sets, key=sorted))
+    f = BUILDERS[kind](fam)
+    constraints = list(f.constraints)
+    k = rng.randrange(len(constraints))
+    if how == "drop":
+        del constraints[k]
+    elif how == "shift":
+        constraints[k] = constraints[k]._replace(rhs=constraints[k].rhs + 1)
+    return LinearFormulation(list(f.variables), constraints, dict(f.metadata)), fam
+
+
+# Ground sets of 7-10 indices, each mutation at each size, every builder but
+# ib; the per-support reference takes about 4 s for all twelve.
+WIDE_MODELS = [wide_model(*case) for case in (
+    (7, "jl", "keep"), (7, "log", "drop"), (7, "ext-disjoint", "shift"),
+    (8, "ext-jtree", "keep"), (8, "naive", "drop"), (8, "log", "shift"),
+    (9, "naive", "keep"), (9, "ext-jtree", "drop"), (9, "jl", "shift"),
+    (10, "naive", "keep"), (10, "ext-disjoint", "drop"), (10, "ext-jtree", "shift"),
+)]
+
+
+def with_examples(models):
+    """Runs a model property on ``models`` besides the drawn ones."""
+    def decorate(test):
+        for model in models:
+            test = example(model)(test)
+        return test
+    return decorate
+
+
 def outcome(fn, *args):
     """The result, or the class of the refusal raised."""
     try:
@@ -683,9 +724,36 @@ def outcome(fn, *args):
 
 @ORACLE_PROPERTY
 @given(oracle_models())
+@with_examples(WIDE_MODELS)
 def test_support_validity_matches_per_support_elimination(model):
     f, fam = model
     assert outcome(support_validity, f, fam) == outcome(reference_support_validity, f, fam)
+
+
+def test_wide_models_draw_both_verdicts():
+    verdicts = [support_validity(f, fam) for f, fam in WIDE_MODELS]
+    assert {len(ground_set(fam)) for _, fam in WIDE_MODELS} == {7, 8, 9, 10}
+    assert verdicts.count(True) >= 4 and verdicts.count(False) >= 4
+
+
+rows = st.tuples(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)), min_size=1, max_size=8),
+    st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)),
+    st.booleans(),
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(rows)
+def test_passing_bitmap_matches_a_per_support_row_sum(row):
+    coefs, rhs, is_eq = row
+    bits = [1 << k for k in range(len(coefs))]
+    got = oracle._passing((tuple((bit, a) for bit, a in zip(bits, coefs) if a), rhs, is_eq), bits)
+    assert got >> (1 << len(bits)) == 0
+    for mask in range(1, 1 << len(bits)):
+        total = sum(a for bit, a in zip(bits, coefs) if mask & bit)
+        r = mask.bit_count()
+        assert got >> mask & 1 == (total == r * rhs if is_eq else total <= r * rhs)
 
 
 @ORACLE_PROPERTY
