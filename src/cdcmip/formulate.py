@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -398,18 +397,6 @@ def build_pwl(breakpoints) -> LinearFormulation:
     return f
 
 
-_NAME_RE = re.compile(r"[^A-Za-z0-9_]")
-
-
-def _sanitize(name: str) -> str:
-    if name.isascii() and name.isidentifier():
-        return name
-    out = _NAME_RE.sub("_", name)
-    if not out or out[0].isdigit():
-        out = "v_" + out
-    return out
-
-
 def _decimal_or_none(x: Fraction) -> Optional[str]:
     """Exact decimal string when the denominator divides a power of ten."""
     den = x.denominator
@@ -446,20 +433,20 @@ def _render_row(values: list[int | Fraction]) -> Optional[list[str]]:
     return None if None in out else out
 
 
-def _fraction_row(c: Constraint, renamed: dict[str, str]) -> tuple[list[str], str]:
+def _fraction_row(c: Constraint) -> tuple[list[str], str]:
     """Terms and right-hand side of a row holding a ``Fraction``: decimals, else scaled."""
     values = [coef for _, coef in c.terms] + [c.rhs]
     *coefs, rhs = _render_row(values) or map(str, _integral(values))
     parts = []
     for (var, _), coef in zip(c.terms, coefs):
         if coef == "1":
-            parts.append("+ " + renamed[var])
+            parts.append("+ " + var)
         elif coef == "-1":
-            parts.append("- " + renamed[var])
+            parts.append("- " + var)
         elif coef[0] == "-":
-            parts.append(f"- {coef[1:]} {renamed[var]}")
+            parts.append(f"- {coef[1:]} {var}")
         else:
-            parts.append(f"+ {coef} {renamed[var]}")
+            parts.append(f"+ {coef} {var}")
     return parts, rhs
 
 
@@ -472,28 +459,32 @@ def _first_repeat(items, seen=()):
 def write_lp(f: LinearFormulation) -> str:
     """Render the formulation in LP format, deterministically.
 
-    Rows keep declaration order, and their sanitized names must be unique
-    and differ from the objective's ``obj``.  A row of integers is printed
-    straight from its values; a row holding a fraction prints exact
-    decimals, or is scaled by the common denominator when one does not
-    terminate, so the file stays exact.  A bound cannot be scaled, so one
-    that does not terminate is an input error, as is a row or bound whose
-    digits pass ``sys.get_int_max_str_digits()``.
+    Every variable and row name is printed as declared, so each must be an
+    ASCII identifier (letters, digits and ``_``, not starting with a digit);
+    the first one that is not is an input error.  Rows keep declaration
+    order, and their names must be unique and differ from the objective's
+    ``obj``.  A row of integers is printed straight from its values; a row
+    holding a fraction prints exact decimals, or is scaled by the common
+    denominator when one does not terminate, so the file stays exact.  A
+    bound cannot be scaled, so one that does not terminate is an input
+    error, as is a row or bound whose digits pass
+    ``sys.get_int_max_str_digits()``.  A bound with no lower end is written
+    ``-inf <= x``, as LP readers take a missing lower bound for 0.
     """
     names = [v.name for v in f.variables]
-    clean = list(map(_sanitize, names))
-    if len(set(clean)) != len(clean):
-        raise InputError(f"sanitized name collision on {_first_repeat(clean)!r}")
-    renamed = dict(zip(names, clean))
-    rows = [_sanitize(c.name) for c in f.constraints]
+    rows = [c.name for c in f.constraints]
+    for what, given in (("variable", names), ("row", rows)):
+        if not (all(map(str.isidentifier, given)) and all(map(str.isascii, given))):
+            bad = next(name for name in given if not (name.isascii() and name.isidentifier()))
+            raise InputError(f"{what} name {bad!r} is not an LP name: an ASCII identifier is required")
     if len({*rows, "obj"}) != len(rows) + 1:
-        raise InputError(f"sanitized row name collision on {_first_repeat(rows, ('obj',))!r}")
-    plus = {name: "+ " + c for name, c in renamed.items()}
-    minus = {name: "- " + c for name, c in renamed.items()}
+        raise InputError(f"row name {_first_repeat(rows, ('obj',))!r} is repeated or is the objective's obj")
+    plus = {name: "+ " + name for name in names}
+    minus = {name: "- " + name for name in names}
 
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
-    for c, row in zip(f.constraints, rows):
-        if not (c.terms or clean):
+    for c in f.constraints:
+        if not (c.terms or names):
             raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
         rhs = c.rhs
         try:
@@ -501,19 +492,19 @@ def write_lp(f: LinearFormulation) -> str:
                 parts = [
                     plus[var] if a == 1
                     else minus[var] if a == -1
-                    else f"- {-a} {renamed[var]}" if a < 0
-                    else f"+ {a} {renamed[var]}"
+                    else f"- {-a} {var}" if a < 0
+                    else f"+ {a} {var}"
                     for var, a in c.terms
                 ]
             else:
-                parts, rhs = _fraction_row(c, renamed)
-            body = " ".join(parts) or "0 " + clean[0]
-            lines.append(f" {row}: {body.removeprefix('+ ')} {c.sense} {rhs}")
+                parts, rhs = _fraction_row(c)
+            body = " ".join(parts) or "0 " + names[0]
+            lines.append(f" {c.name}: {body.removeprefix('+ ')} {c.sense} {rhs}")
         except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
             raise InputError(f"row {c.name!r} cannot be written: {exc}") from exc
     lines.append("Bounds")
-    for v, name in zip(f.variables, clean):
-        lower, upper = v.lower, v.upper
+    for v in f.variables:
+        name, lower, upper = v.name, v.lower, v.upper
         try:
             if type(lower) is int and upper is None:
                 lines.append(f" {name} >= {lower}")
@@ -529,10 +520,10 @@ def write_lp(f: LinearFormulation) -> str:
         elif upper is None:
             lines.append(f" {name} >= {bounds[0]}")
         elif lower is None:
-            lines.append(f" {name} <= {bounds[0]}")
+            lines.append(f" -inf <= {name} <= {bounds[0]}")
         else:
             lines.append(f" {bounds[0]} <= {name} <= {bounds[1]}")
-    binaries = [name for v, name in zip(f.variables, clean) if v.kind == BINARY]
+    binaries = [v.name for v in f.variables if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")
         for name in binaries:

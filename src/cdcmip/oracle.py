@@ -5,9 +5,9 @@ binary assignments, tight-constraint bases, edge-to-biclique assignments)
 or decides every support subset, and refuses inputs beyond an explicit
 budget instead of degrading silently.
 Work shared by the enumerated cases is done once per call: one projection
-serves every binary assignment, each distinct row is tested on all 2^|J|
-supports at once as the bits of one integer, and the tree decoder hands
-out parents.
+serves every binary assignment, each row is tested on all 2^|J| supports
+at once as the bits of one integer, once per right-hand side the
+assignments give it, and the tree decoder hands out parents.
 The trees themselves are decoded once per set count and shared by calls.
 A rank test refuses a relaxation with no vertex before the vertex search,
 and edges fit in one biclique iff a parity-constrained 2-colouring exists.
@@ -140,17 +140,16 @@ def _fourier_motzkin(rows: list[list[int]], m: int, max_rows: int) -> Optional[l
                      (_combine(-q[k], p, p[k], q) for p in kept if p[k] > 0 for q in negative))
 
 
-def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: int = 50_000):
-    """One integer system over the primary variables per binary assignment.
+def _projected_rows(f: LinearFormulation, position: dict[str, int], max_rows: int = 50_000):
+    """The model's rows over its binary and primary variables, auxiliaries projected out.
 
     ``position`` maps each primary variable to its bit.  With the columns
     ordered auxiliary (by name), binary, primary, the auxiliaries are
     eliminated on equality pivots and projected out once, binaries kept
     symbolic: exact, as the pivots and eliminations depend only on auxiliary
     coefficients and projection commutes with fixing the other columns.
-    Each assignment substitutes into the projected rows: a row with primary
-    terms left is kept as (bit-coefficient pairs, rhs, is_equality), one
-    without must hold or the assignment is dropped.  Equal systems are kept once.
+    Each row is (binary-coefficient pairs, bit-coefficient pairs, rhs,
+    is_equality); ``None`` when no binary assignment is feasible.
     """
     index = {name: i for i, name in enumerate(f.variable_names())}
     binaries = f.binary_names()
@@ -162,26 +161,13 @@ def _lambda_systems(f: LinearFormulation, position: dict[str, int], max_rows: in
     echelon = _echelon(eqs, m)  # None when the equalities alone are inconsistent
     rows = echelon and _fourier_motzkin([_reduce(echelon[0], row) for row in ineqs], m, max_rows)
     if rows is None:
-        return []
+        return None
     bits = [position[v] for v in primary]
-    projected = [
+    return [
         ([(k, a) for k, a in enumerate(row[m:m + b]) if a],
-         [(bit, a) for bit, a in zip(bits, row[m + b:-1]) if a], row[-1], is_eq)
+         tuple((bit, a) for bit, a in zip(bits, row[m + b:-1]) if a), row[-1], is_eq)
         for is_eq, group in ((True, echelon[1]), (False, rows)) for row in group
     ]
-    systems: dict[tuple, None] = {}
-    for z in product((0, 1), repeat=b):
-        system = set()
-        for zs, lam, rhs, is_eq in projected:
-            rhs -= sum(a for k, a in zs if z[k])
-            if lam:
-                g = gcd(rhs, *(a for _, a in lam))
-                system.add((tuple((bit, a // g) for bit, a in lam), rhs // g, is_eq))
-            elif rhs < 0 or is_eq and rhs:
-                break  # a violated row with no primary term left
-        else:
-            systems[tuple(sorted(system))] = None
-    return list(systems)
 
 
 def _passing(row, bits: list[int]) -> int:
@@ -211,13 +197,16 @@ def support_validity(
     For every nonempty subset of the ground set, uniform mass on it must be
     completable to a feasible point (over some binary assignment and some
     auxiliary values) exactly when the subset lies in a member set.  One
-    exact projection of the auxiliaries, binaries kept symbolic, gives a
-    system per binary assignment by substitution.  Each distinct row gives
-    one bitmap of the supports, all 2^|J| at once, at which uniform mass
-    meets it; a system passes the AND of its rows, the model the OR of its
-    systems, and the first system passing a support outside every member
-    set ends the check.  Cost: one projection, 2^b substitutions and, per
-    distinct row, |J| doubling steps over bitmaps of 2^|J| bits.
+    exact projection of the auxiliaries, binaries kept symbolic, gives the
+    rows over binaries and primaries.  Each row, with an assignment's
+    binary terms moved to its right-hand side, gives one bitmap of the
+    supports, all 2^|J| at once, at which uniform mass meets it; bitmaps
+    are made once per (row, right-hand side), and rows with no binary term
+    once per call.  An assignment passes the AND of its rows, the model the
+    OR of its assignments, and the first assignment passing a support
+    outside every member set ends the check.  Cost: one projection, 2^b
+    substitutions into the rows with binary terms and, per bitmap, |J|
+    doubling steps over 2^|J| bits.
     """
     j = sorted(ground_set(family))
     if len(j) > max_ground:
@@ -228,20 +217,31 @@ def support_validity(
     if (b := len(f.binary_names())) > max_binaries:
         raise SizeGuardError(f"{b} binaries exceed the cap of {max_binaries}")
     bits = [1 << k for k in range(len(j))]
-    systems = _lambda_systems(f, {lam[v]: bit for v, bit in zip(j, bits)})
+    rows = _projected_rows(f, {lam[v]: bit for v, bit in zip(j, bits)})
     realized = feasible = 0
     for s in family.sets:  # S lies in s iff no mass falls outside s
         outside = tuple((bit, 1) for v, bit in zip(j, bits) if v not in s)
         feasible |= _passing((outside, 0, False), bits)
-    passing: dict[tuple, int] = {}  # each distinct row's bitmap, made on first use
-    for system in systems:
-        ok = (1 << (1 << len(j))) - 1
-        for row in system:
-            if row not in passing:
-                passing[row] = _passing(row, bits)
-            ok &= passing[row]
+    if rows is None:
+        return not feasible  # no assignment realizes a support, not even the empty one
+    fixed = (1 << (1 << len(j))) - 1  # the supports meeting every row with no binary term
+    for zs, coefs, rhs, is_eq in rows:
+        if not zs:
+            fixed &= _passing((coefs, rhs, is_eq), bits)
+    branching = [row for row in rows if row[0]]
+    passing: dict[tuple[int, int], int] = {}  # (row, shifted rhs) -> bitmap, made on first use
+    for z in product((0, 1), repeat=b):
+        ok = fixed
+        for i, (zs, coefs, rhs, is_eq) in enumerate(branching):
+            rhs -= sum(a for k, a in zs if z[k])
+            if coefs:
+                if (i, rhs) not in passing:
+                    passing[i, rhs] = _passing((coefs, rhs, is_eq), bits)
+                ok &= passing[i, rhs]
+            elif rhs < 0 or is_eq and rhs:
+                ok = 0  # a violated row with no primary term
             if not ok & ~realized:
-                break  # the system adds no support
+                break  # the assignment adds no support
         if ok & ~feasible:
             return False  # it realizes a support outside every member set
         realized |= ok

@@ -441,7 +441,8 @@ def parse_lp(text: str):
             elif "<=" in stripped:
                 parts = [p.strip() for p in stripped.split("<=")]
                 if len(parts) == 3:
-                    bounds[parts[1]] = (Fraction(parts[0]), Fraction(parts[2]))
+                    lo = None if parts[0] == "-inf" else Fraction(parts[0])
+                    bounds[parts[1]] = (lo, Fraction(parts[2]))
                 else:
                     bounds[parts[0]] = (None, Fraction(parts[1]))
             elif ">=" in stripped:
@@ -507,8 +508,10 @@ def rows_match_up_to_scaling(parsed_rows, formulation) -> bool:
 
 
 def _reference_name(name: str) -> str:
-    out = re.sub(r"[^A-Za-z0-9_]", "_", name)
-    return "v_" + out if not out or out[0].isdigit() else out
+    """The name as given, which the LP format needs to be an ASCII identifier."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        raise InputError(f"{name!r} is not an LP name")
+    return name
 
 
 def _reference_decimal(x: Fraction):
@@ -526,12 +529,11 @@ def _reference_decimal(x: Fraction):
 
 
 def reference_write_lp(f) -> str:
-    renamed = {v.name: _reference_name(v.name) for v in f.variables}
-    if len(set(renamed.values())) != len(renamed):
-        raise InputError("sanitized name collision")
+    for v in f.variables:
+        _reference_name(v.name)
     rows = [_reference_name(c.name) for c in f.constraints]
     if "obj" in rows or len(set(rows)) != len(rows):
-        raise InputError("sanitized row name collision")
+        raise InputError("row name collision")
     lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
     for c, row in zip(f.constraints, rows):
         values = [Fraction(a) for _, a in c.terms] + [Fraction(c.rhs)]
@@ -544,15 +546,15 @@ def reference_write_lp(f) -> str:
         for (var, _), coef in zip(c.terms, coefs):
             mag = coef.lstrip("-")
             sign = "-" if coef.startswith("-") else "+"
-            piece = renamed[var] if mag == "1" else f"{mag} {renamed[var]}"
+            piece = var if mag == "1" else f"{mag} {var}"
             parts.append(f"{sign} {piece}")
-        body = " ".join(parts) if parts else "0 " + renamed[f.variables[0].name]
+        body = " ".join(parts) if parts else "0 " + f.variables[0].name
         if body.startswith("+ "):
             body = body[2:]
         lines.append(f" {row}: {body} {c.sense} {rhs}")
     lines.append("Bounds")
     for v in f.variables:
-        name = renamed[v.name]
+        name = v.name
         lo, up = (b if b is None else _reference_decimal(Fraction(b)) for b in (v.lower, v.upper))
         if (lo is None) != (v.lower is None) or (up is None) != (v.upper is None):
             raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
@@ -561,10 +563,10 @@ def reference_write_lp(f) -> str:
         elif up is None:
             lines.append(f" {name} >= {lo}")
         elif lo is None:
-            lines.append(f" {name} <= {up}")
+            lines.append(f" -inf <= {name} <= {up}")
         else:
             lines.append(f" {lo} <= {name} <= {up}")
-    binaries = [renamed[v.name] for v in f.variables if v.kind == BINARY]
+    binaries = [v.name for v in f.variables if v.kind == BINARY]
     if binaries:
         lines += ["Binaries", *(f" {name}" for name in binaries)]
     return "\n".join(lines + ["End"]) + "\n"

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -292,13 +293,16 @@ def test_write_lp_empty_formulation():
     assert text.splitlines() == ["\\ formulation", "Minimize", " obj:", "Subject To", "Bounds", "End"]
 
 
-def test_write_lp_rejects_sanitized_collisions():
+@pytest.mark.parametrize("bad", ["a b", "1st", "y-1", "a.b", "\u03bc", ""])
+@pytest.mark.parametrize("where", ["variable", "row"])
+def test_write_lp_refuses_a_name_that_is_no_lp_name(bad, where):
     from cdcmip import LinearFormulation
 
     f = LinearFormulation()
-    f.add_variable("a b")
-    f.add_variable("a_b")
-    with pytest.raises(InputError):
+    var = f.add_variable(bad if where == "variable" else "x")
+    f.add_constraint(bad if where == "row" else "r", [(var, 1)], "<=", 1)
+    assert f.to_json()  # the IR takes any str; only the LP file needs identifiers
+    with pytest.raises(InputError, match=f"{where} name {re.escape(repr(bad))}"):
         write_lp(f)
 
 
@@ -313,11 +317,29 @@ def test_write_lp_rejects_colliding_row_names():
         return f
 
     with pytest.raises(InputError, match="'r_1'"):
-        write_lp(rows("r-1", "r_1", "r_1"))
+        write_lp(rows("r_1", "r_2", "r_1"))
+    with pytest.raises(InputError, match="row name 'r-1'"):
+        write_lp(rows("r-1", "r_1"))
     # The objective's label is taken before any row is written.
     with pytest.raises(InputError, match="'obj'"):
         write_lp(rows("obj"))
     assert " obj_: x <= 1" in write_lp(rows("obj_"))
+
+
+def test_write_lp_keeps_an_upper_only_bound_unbounded_below():
+    from cdcmip import LinearFormulation, lp_vertices
+
+    f = LinearFormulation()
+    f.add_variable("x", upper=5)
+    f.add_variable("y", lower=0)
+    f.add_constraint("r", [("x", 1), ("y", 1)], ">=", -3)
+    # An LP reader takes a variable with no lower bound as x >= 0, so the
+    # file must say -inf to keep the vertex (-3, 0).
+    assert (-3, 0) in lp_vertices(f)
+    text = write_lp(f)
+    assert " -inf <= x <= 5" in text.splitlines()
+    _, bounds, _ = parse_lp(text)
+    assert bounds["x"] == (None, 5)
 
 
 def test_formulation_rejects_duplicate_and_unknown_names():

@@ -149,20 +149,20 @@ def test_elimination_budget_error_explains_itself(sos2_5):
     lam = f.lambda_names()
     position = {lam[v]: 1 << k for k, v in enumerate(sorted(lam))}
     with pytest.raises(SizeGuardError) as caught:
-        oracle._lambda_systems(f, position, max_rows=10)
+        oracle._projected_rows(f, position, max_rows=10)
     found = re.fullmatch(
         r"support_validity: eliminating the auxiliary variables reached (\d+) rows, "
         r"over the budget of 10",
         str(caught.value),
     )
     assert found and int(found.group(1)) > 10
-    assert oracle._lambda_systems(f, position)  # fits the default budget
+    assert oracle._projected_rows(f, position)  # fits the default budget
 
 
 def test_elimination_budget_exits_3(sos2_5, tmp_path, monkeypatch, capsys):
-    compile_systems = oracle._lambda_systems
+    project = oracle._projected_rows
     monkeypatch.setattr(
-        oracle, "_lambda_systems", lambda f, position: compile_systems(f, position, max_rows=10)
+        oracle, "_projected_rows", lambda f, position: project(f, position, max_rows=10)
     )
     path = tmp_path / "family.json"
     path.write_text('{"sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}')

@@ -811,7 +811,7 @@ lp_values = st.one_of(
     st.integers(-9, 9).map(Fraction),
     st.builds(Fraction, st.integers(-60, 60), st.sampled_from([2, 4, 5, 8, 20, 3, 6, 7, 12])),
 )
-# Names that the LP writer keeps, rewrites, prefixes, or maps onto each other.
+# Names that the LP writer prints as declared, or refuses as no LP names.
 VAR_NAMES = ["x", "lam_1", "z_2", "a.b", "a_b", "1st", "y-1", "\u03bc", "_"]
 ROW_NAMES = ["r", "row.1", "2nd", "c_3"]
 
