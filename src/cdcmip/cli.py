@@ -8,10 +8,11 @@ LP text), deterministic for fixed inputs and flags.
 Exit codes: 0 ok, 2 input error, 3 size-guard trip, 4 internal invariant
 violation.
 
-`main` builds its parser on its first call and reuses it while the terminal
-width stays the same.  argparse keeps no state on a parser between
-`parse_args` calls, so the output is the same as a fresh parser's; only a
-process that calls `main` more than once saves anything.
+`main` builds its parser on its first call and reuses it.  argparse keeps
+no state on a parser between `parse_args` calls, and its formatter reads
+the terminal width each time it formats, so the output is the same as a
+fresh parser's; only a process that calls `main` more than once saves
+anything.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import functools
 import json
 import random
-import shutil
 import sys
 import warnings
 from contextlib import suppress
@@ -35,7 +35,6 @@ from .cdc import (
 )
 from .cover import heuristic_cover, verify_cover
 from .errors import (
-    DisconnectedPartitionError,
     InputError,
     InvariantError,
     NoJunctionTreeError,
@@ -97,12 +96,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_family(path: str, max_sets: int, max_ground: int) -> IndexSetFamily:
+def _read(path: str) -> str:
     try:
         with open(path) as fh:
-            family = IndexSetFamily.from_json(fh.read())
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_family(path: str, max_sets: int, max_ground: int) -> IndexSetFamily:
+    family = IndexSetFamily.from_json(_read(path))
     if len(family) > max_sets:
         raise SizeGuardError(f"{len(family)} sets exceed --max-sets {max_sets}")
     if len(ground_set(family)) > max_ground:
@@ -232,11 +235,7 @@ def _verify_random(args) -> int:
 
 
 def cmd_geom(args) -> int:
-    try:
-        with open(args.input) as fh:
-            partition = PlanarPartition.from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
+    partition = PlanarPartition.from_json(_read(args.input))
     if len(partition) > args.max_sets:
         raise SizeGuardError(f"{len(partition)} polygons exceed --max-sets {args.max_sets}")
     # The pooled ground set, keyed by integer coordinates as partition_to_cdc keys it.
@@ -269,21 +268,12 @@ def _count(text: str) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    return _build_parser(shutil.get_terminal_size().columns)
-
-
-def _build_parser(columns: int) -> argparse.ArgumentParser:
-    # argparse makes a formatter per argument, and each would read the terminal
-    # width again; columns - 2 is the width it computes itself.
-    fmt = functools.partial(argparse.HelpFormatter, width=columns - 2)
     parser = argparse.ArgumentParser(
         prog="cdcmip",
         description="Analyze disjunctive constraints and emit MIP formulations.",
-        formatter_class=fmt,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    child = functools.partial(argparse.ArgumentParser, formatter_class=fmt)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=child)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):
         if needs_input:
@@ -350,18 +340,17 @@ def _build_parser(columns: int) -> argparse.ArgumentParser:
     return parser
 
 
-# One parser per terminal width: `--help` still wraps at the width of the call.
-_parser = functools.lru_cache(maxsize=1)(_build_parser)
+_parser = functools.lru_cache(maxsize=1)(make_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser(shutil.get_terminal_size().columns).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NoJunctionTreeError as exc:
         sys.stderr.write(f"error: {exc}\nhint: retry with --formulation ext-jtree\n")
         return 2
-    except (InputError, DisconnectedPartitionError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SizeGuardError as exc:

@@ -292,8 +292,10 @@ def _cover_model(builder, family, cover, rewrite=None, prefix="lamp") -> LinearF
     Without ``rewrite`` the cover is of ``family``'s conflict graph and acts
     on ``lam``.  With a :class:`TransformResult`, it is of the rewritten
     family's and acts on copy variables ``<prefix>_<u>``, which ``fiber_<v>``
-    rows sum back onto each ``lam_<v>``.  Each biclique's side A has its mass
-    forbidden when its binary is 0, side B when it is 1.
+    rows sum back onto each ``lam_<v>``; ``metadata["aux_continuous"]`` then
+    records the rewrite's ``extra_continuous``, the copies beyond the
+    original indices.  Each biclique's side A has its mass forbidden when
+    its binary is 0, side B when it is 1.
     """
     f, lam = _new(builder, family)
     var_of = lam
@@ -303,6 +305,7 @@ def _cover_model(builder, family, cover, rewrite=None, prefix="lamp") -> LinearF
         for v, name in lam.items():
             terms = [(name, 1)] + [(var_of[u], -1) for u in fibers.get(v, [])]
             f.add_constraint(f"fiber_{v}", terms, "=", 0)
+        f.metadata["aux_continuous"] = rewrite.extra_continuous
     z = _add_binaries(f, len(cover))
     f.add_constraint("mass", [(name, 1) for name in var_of.values()], "=", 1)
     for idx, bc in enumerate(cover):
@@ -348,12 +351,11 @@ def build_sosk_kis(n: int, k: int) -> LinearFormulation:
 def build_extended_jtree(family: IndexSetFamily) -> LinearFormulation:
     """Rewrites the family along a spanning tree, then covers the rewrite along that tree.
 
-    Auxiliary continuous cost equals the copy count beyond tree overlap.
+    ``metadata["aux_continuous"]`` counts the copies beyond the original
+    indices: the total copy count minus the tree's weight minus |J|.
     """
     res = build_equivalent_family(family, disjoint=False)
-    f = _cover_model("extended_jtree", family, tree_cover(res.family_prime, res.tree), res, "lamp")
-    f.metadata["aux_continuous"] = res.extra_continuous
-    return f
+    return _cover_model("extended_jtree", family, tree_cover(res.family_prime, res.tree), res, "lamp")
 
 
 def build_extended_disjoint(family: IndexSetFamily) -> LinearFormulation:
@@ -362,14 +364,14 @@ def build_extended_disjoint(family: IndexSetFamily) -> LinearFormulation:
     The copies make the member sets pairwise disjoint, so the conflict graph
     is complete multipartite and merging fuses the path's tree cuts level by
     level into ceil(log2 d) bicliques.  That count is checked.
+    ``metadata["aux_continuous"]`` counts the copies beyond the original
+    indices: the total copy count minus |J|.
     """
     res = build_equivalent_family(family, disjoint=True)
     cover = tree_cover(res.family_prime, res.tree)
     if len(cover) != (len(family) - 1).bit_length():
         raise InvariantError("disjoint rewrite's tree cover missed the logarithmic count")
-    f = _cover_model("extended_disjoint", family, cover, res, "lampp")
-    f.metadata["aux_continuous"] = len(ground_set(res.family_prime))
-    return f
+    return _cover_model("extended_disjoint", family, cover, res, "lampp")
 
 
 def build_pwl(breakpoints) -> LinearFormulation:

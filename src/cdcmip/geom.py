@@ -327,8 +327,10 @@ def savings_report(p: PlanarPartition) -> SavingsReport:
 
     Requires a connected dual graph.  A connected partition always saves
     exactly twice (d - 1) continuous variables on the tree route, because the
-    spanning-tree weight of its intersection graph is pinned at 2(d - 1);
-    with all-triangle partitions the totals are d + 2 against 3d.
+    spanning-tree weight of its intersection graph is pinned at 2(d - 1).
+    ``jtree_cont`` and ``disjoint_cont`` count all copies, the original
+    indices included, unlike ``variable_accounting``; with all-triangle
+    partitions they are d + 2 against 3d.
     """
     if not is_connected_partition(p):
         raise DisconnectedPartitionError(

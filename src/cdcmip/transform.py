@@ -1,11 +1,12 @@
 """Rewriting an arbitrary family into one that admits a junction tree.
 
 Every member set first receives its own fresh copies of its indices, which
-trivially yields pairwise disjoint sets and a path junction tree.  In the
-non-disjoint mode, copies of the same original index are re-identified along
-a maximum spanning tree of the original intersection graph, spending one
-fresh index less per unit of tree weight.  A fiber-summing map carries mass
-on the copies back to the original indices.
+trivially yields pairwise disjoint sets and a path junction tree.  Copies of
+the same original index are then re-identified along one edge list: a
+maximum spanning tree of the original intersection graph in the
+non-disjoint mode, spending one fresh index less per unit of tree weight,
+and no edge in the disjoint mode.  A fiber-summing map carries mass on the
+copies back to the original indices.
 """
 
 from __future__ import annotations
@@ -55,12 +56,14 @@ class TransformResult:
 def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> TransformResult:
     """Equivalent family admitting a junction tree, with the copy-to-original map.
 
-    ``disjoint=True`` keeps one private copy of every index per set and a
-    path tree.  ``disjoint=False`` additionally re-identifies copies along a
-    maximum spanning tree of the original intersection graph, walked from
-    the first set, each parent before its children.
+    Every set takes private copies of its indices; then, walking from the
+    first set, each parent before its children, a child's copies of indices
+    its parent holds become the parent's.  ``disjoint=False`` walks a
+    maximum spanning tree of the original intersection graph, which is also
+    the rewrite's tree; ``disjoint=True`` walks no edge and keeps the path
+    tree.  ``extra_continuous`` counts the copies beyond the original
+    indices.
     """
-    d = len(family)
     original_ground = ground_set(family)
     new_sets: list[list[int]] = []
     alpha: dict[int, int] = {}
@@ -74,16 +77,10 @@ def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> Transform
         new_sets.append(ids)
 
     if disjoint:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RedundantFamilyWarning)
-            fam2 = IndexSetFamily(new_sets)
-        tree = CandidateTree(fam2, [(i, i + 1) for i in range(d - 1)])
-        return TransformResult(
-            fam2, IndexMapping(alpha), tree, c - len(original_ground)
-        )
-
-    mst_edges = maximum_spanning_tree_of(family).edges
-    up = _preorder(mst_edges, 0)
+        shared, edges = [], [(i, i + 1) for i in range(len(family) - 1)]
+    else:
+        shared = edges = maximum_spanning_tree_of(family).edges
+    up = _preorder(shared, 0)
     del up[0]
     for child, parent in up.items():
         by_orig = {alpha[x]: x for x in new_sets[parent]}
@@ -94,7 +91,7 @@ def build_equivalent_family(family: IndexSetFamily, disjoint: bool) -> Transform
         fam2 = IndexSetFamily(new_sets)
     new_ground = ground_set(fam2)
     alpha = {u: v for u, v in alpha.items() if u in new_ground}
-    tree = CandidateTree(fam2, mst_edges)
+    tree = CandidateTree(fam2, edges)
     if not is_junction_tree(fam2, tree):
         raise InvariantError("re-identified tree failed the junction test")
     return TransformResult(
@@ -125,9 +122,11 @@ class VariableAccounting(NamedTuple):
 def variable_accounting(family: IndexSetFamily) -> VariableAccounting:
     """Auxiliary-variable counts of the two extended formulations.
 
-    The junction-tree route spends total copy count minus tree weight minus
-    ground size extra continuous variables; the disjoint route skips the
-    tree-weight rebate but needs only logarithmically many binaries.
+    The continuous counts are the copies beyond the original indices, as
+    ``TransformResult.extra_continuous`` and the builders' ``aux_continuous``
+    count them.  The junction-tree route spends total copy count minus tree
+    weight minus ground size; the disjoint route skips the tree-weight
+    rebate but needs only logarithmically many binaries.
     """
     total = sum(len(s) for s in family.sets)
     j = len(ground_set(family))

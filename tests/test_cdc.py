@@ -160,3 +160,8 @@ def test_exact_coordinate_exponents_without_a_digit_limit():
         assert time.monotonic() - start < 10
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_from_json_refuses_sets_that_are_not_lists():
+    with pytest.raises(InputError, match="list of lists"):
+        IndexSetFamily.from_json('{"sets": [1, 2]}')

@@ -2,7 +2,6 @@ import argparse
 import importlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 import time
@@ -314,15 +313,7 @@ def test_formulate_help_wraps_at_columns_minus_two(capsys, monkeypatch):
     assert "instead of\n" in texts[0] and "instead of stdout" in texts[1]
 
 
-def test_parser_reads_the_terminal_width_once(monkeypatch):
-    calls = []
-    size = shutil.get_terminal_size
-    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
-    make_parser().parse_args(["sosk", "--n", "5", "--k", "2"])
-    assert len(calls) == 1
-
-
-def test_main_builds_its_parser_once_per_width_and_not_at_import(tmp_path, capsys, monkeypatch):
+def test_main_builds_its_parser_once_and_not_at_import(tmp_path, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -344,7 +335,7 @@ def test_main_builds_its_parser_once_per_width_and_not_at_import(tmp_path, capsy
     assert built == []
     monkeypatch.setenv("COLUMNS", "100")
     assert fresh.main(["analyze", family_file(tmp_path, SOS2_5)]) == 0
-    assert len(built) == 8
+    assert built == []
     capsys.readouterr()
 
 
@@ -562,3 +553,36 @@ def test_verify_catches_a_shifted_right_hand_side_under_optimization(tmp_path):
     res = run_optimized("-c", SHIFTED_RHS, family_file(tmp_path, SOS2_5))
     assert res.returncode == 4, res.stderr
     assert res.stdout.startswith("support_validity: fail\n")
+
+
+def test_sosk_kis_route_and_bit_label_cover(tmp_path, capsys):
+    code, out, _ = run(capsys, "sosk", "--n", "5", "--k", "2", "--formulation", "kis")
+    assert code == 0 and out.startswith("\\ sosk_kis\n")
+    cover = tmp_path / "cover.json"
+    code, out, _ = run(capsys, "sosk", "--n", "5", "--k", "1", "--formulation", "kis", "--cover-out", str(cover))
+    assert code == 0 and out.startswith("\\ sosk_kis\n")
+    # Labels 1..5 split by the bits of v - 1: three bicliques.
+    bicliques = json.loads(cover.read_text())["bicliques"]
+    assert [sorted(map(sorted, (b["a"], b["b"]))) for b in bicliques] == [
+        [[1, 3, 5], [2, 4]], [[1, 2, 5], [3, 4]], [[1, 2, 3, 4], [5]]
+    ]
+
+
+def test_small_exits_for_guards_and_missing_input(tmp_path, capsys):
+    code, _, err = run(capsys, "analyze", family_file(tmp_path, SOS2_5), "--max-sets", "1")
+    assert code == 3 and "4 sets exceed --max-sets 1" in err
+    code, _, err = run(capsys, "verify")
+    assert code == 2 and "pass a family JSON file or use --random" in err
+    code, _, err = run(capsys, "geom", "savings", str(tmp_path / "missing.json"))
+    assert code == 2 and "cannot read" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", family_file(tmp_path, SOS2_5), "--max-sets", "x"])
+    assert exc.value.code == 2 and "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_verify_random_exits_4_when_admission_and_brute_force_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "admits_junction_tree", lambda family: None)
+    monkeypatch.setattr(cli, "brute_admits_junction_tree", lambda family: object())
+    code, out, err = run(capsys, "verify", "--random", "3")
+    assert code == 4 and out == ""
+    assert "junction-tree admission disagrees with brute force" in err

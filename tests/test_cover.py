@@ -335,3 +335,9 @@ def test_cover_json_roundtrip(sos2_5):
 def test_cover_json_rejects_malformed_input(text):
     with pytest.raises(InputError):
         BicliqueCover.from_json(text)
+
+
+def test_separation_refuses_a_tree_of_another_size(path3, sos2_5):
+    tree = maximum_spanning_tree_of(sos2_5)
+    with pytest.raises(InputError, match="does not span"):
+        separation(path3, tree)

@@ -155,6 +155,11 @@ def test_build_extended_disjoint(triangle):
     assert single.binary_names() == []
 
 
+def test_build_extended_disjoint_records_the_copies_beyond_the_original_indices(triangle):
+    # Six copies of three indices, as ext-jtree's four copies record 1.
+    assert build_extended_disjoint(triangle).metadata["aux_continuous"] == 3
+
+
 def test_build_extended_disjoint_checks_the_logarithmic_count(monkeypatch, triangle):
     from cdcmip import formulate
 

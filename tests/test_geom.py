@@ -6,6 +6,7 @@ import pytest
 from cdcmip import (
     DisconnectedPartitionError,
     InputError,
+    InvariantError,
     geom,
     is_pairwise_ib_representable,
     minimal_infeasible_sets,
@@ -17,7 +18,7 @@ from cdcmip.geom import (
     partition_to_cdc,
     savings_report,
 )
-from cdcmip.jtree import maximum_spanning_tree_of
+from cdcmip.jtree import CandidateTree, maximum_spanning_tree_of
 from conftest import ring8, triangle_strip
 
 TWO_TRIANGLES = [[(0, 0), (2, 0), (1, 1)], [(0, 0), (1, 1), (-1, 1)]]
@@ -254,3 +255,18 @@ def test_fraction_comparisons_only_rank_the_coordinates(monkeypatch):
     assert edges == {(i, i + 1) for i in range(d - 1)}
     assert len(points) == d + 2 and [len(s) for s in family.sets] == [3] * d
     assert (report.jtree_found, report.cont_saved) == (True, 2 * (d - 1))
+
+
+def test_savings_report_checks_its_saving_and_triangle_totals(monkeypatch):
+    strip = triangle_strip(4)
+    # A star from the first set weighs less than the pinned 2(d - 1).
+    star = lambda family: CandidateTree(family, [(0, i) for i in range(1, len(family))])
+    monkeypatch.setattr(geom, "maximum_spanning_tree_of", star)
+    with pytest.raises(InvariantError, match="expected a saving of 6"):
+        savings_report(strip)
+    monkeypatch.undo()
+    real = geom.SavingsReport
+    off = lambda **kw: real(**{**kw, "disjoint_cont": kw["disjoint_cont"] + 1})
+    monkeypatch.setattr(geom, "SavingsReport", off)
+    with pytest.raises(InvariantError, match="triangle-partition totals"):
+        savings_report(strip)

@@ -78,7 +78,7 @@ DIGESTS = {
     "log": "392552dd30cd",
     "ib": "90007232b29e",
     "ext-jtree": "98e58a925831",
-    "ext-disjoint": "beacfbac5d30",
+    "ext-disjoint": "021b2315680b",
     "sosk": "fafd7a875073",
     "kis": "1232cfa53914",
     "pwl": "742ff72d4987",
@@ -93,7 +93,7 @@ EXTRA_DIGESTS = {
     "log": "499978445138",
     "ib": "b109cab67cc4",
     "ext-jtree": "ba157f990fb9",
-    "ext-disjoint": "67725ba30060",
+    "ext-disjoint": "e8b8f189e2e7",
     "heuristic_cover": "c47aaaf001a0",
     "tree": "4b7ec2100cee",
 }

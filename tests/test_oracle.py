@@ -32,7 +32,7 @@ from cdcmip import (
 )
 from cdcmip import jtree, oracle
 from cdcmip.cli import main
-from cdcmip.errors import InputError
+from cdcmip.errors import InputError, InvariantError
 from cdcmip.formulate import LinearFormulation
 from helpers import random_family
 
@@ -394,3 +394,46 @@ def test_heuristic_meets_exact_on_small_instances():
             continue
         size = len(heuristic_cover(fam))
         assert size >= min_biclique_cover_exact(g, max(size, 1))
+
+
+def _naive_12():
+    return build_naive(IndexSetFamily([[1, 2], [2, 3]]))
+
+
+def test_support_validity_is_false_when_no_assignment_is_feasible():
+    # An auxiliary t >= 0 held to t <= -1: the projection leaves a violated row.
+    f = _naive_12()
+    f.add_variable("t", lower=0)
+    f.add_constraint("neg", [("t", 1)], "<=", -1)
+    assert support_validity(f, IndexSetFamily([[1, 2], [2, 3]])) is False
+    # A free t held to t = 1 and t = 2: the equalities alone are inconsistent.
+    g = _naive_12()
+    g.add_variable("t")
+    g.add_constraint("one", [("t", 1)], "=", 1)
+    g.add_constraint("two", [("t", 1)], "=", 2)
+    assert support_validity(g, IndexSetFamily([[1, 2], [2, 3]])) is False
+    assert support_validity(_naive_12(), IndexSetFamily([[1, 2], [2, 3]])) is True
+
+
+def test_lp_vertices_of_contradicting_equalities_is_empty():
+    f = _naive_12()
+    assert lp_vertices(f)
+    f.add_constraint("mass2", [(f"lam_{v}", 1) for v in (1, 2, 3)], "=", 2)
+    assert lp_vertices(f) == []
+
+
+def test_support_validity_refuses_a_model_of_another_family():
+    with pytest.raises(InputError, match="primary variables do not match"):
+        support_validity(_naive_12(), IndexSetFamily([[1, 2], [2, 4]]))
+
+
+def test_brute_tree_search_cross_checks_trip(monkeypatch):
+    # Every tree qualifying: the path 1-2-3 family has trees of weight 2 and 1.
+    monkeypatch.setattr(oracle, "_holds_on_every_path", lambda sets, shared, up: True)
+    with pytest.raises(InvariantError, match="non-maximum weight"):
+        brute_admits_junction_tree(IndexSetFamily([[1, 2], [2, 3], [3, 4]]))
+    # Only the first of three equally heavy trees qualifying.
+    verdicts = iter([True])
+    monkeypatch.setattr(oracle, "_holds_on_every_path", lambda sets, shared, up: next(verdicts, False))
+    with pytest.raises(InvariantError, match="maximum trees disagree"):
+        brute_admits_junction_tree(IndexSetFamily([[1], [2], [3]]))

@@ -48,6 +48,7 @@ from cdcmip import (
     sosk_family,
     support_validity,
     tree_cover,
+    variable_accounting,
     verify_cover,
 )
 from cdcmip import oracle
@@ -619,6 +620,33 @@ def test_tree_cover_of_a_disjoint_rewrite_is_the_level_cover(fam):
 def test_tree_cover_of_disjoint_pairs_is_the_level_cover():
     for d in range(2, 200):
         assert_level_cover(IndexSetFamily([[2 * i, 2 * i + 1] for i in range(d)]))
+
+
+def test_extended_routes_agree_on_their_auxiliary_cost():
+    """Four counts of the copies beyond the original indices agree, per route.
+
+    The builder's ``aux_continuous``, the rewrite's ``extra_continuous``,
+    ``variable_accounting`` and the copy variables the model declares minus
+    |J|; the disjoint route spends exactly its logarithmic binaries and the
+    tree route at most d - 1.
+    """
+    rng = random.Random(25)
+    fams = [random_family(rng, 10, 15) for _ in range(200)]
+    fams += [random_junction_family(rng, 10, 20) for _ in range(200)]
+    for fam in fams:
+        acc = variable_accounting(fam)
+        j = len(ground_set(fam))
+        tree, disjoint = build_extended_jtree(fam), build_extended_disjoint(fam)
+        routes = [
+            (tree, False, "lamp_", acc.extended_jtree_cont),
+            (disjoint, True, "lampp_", acc.extended_disjoint_cont),
+        ]
+        for f, mode, prefix, accounted in routes:
+            copies = sum(name.startswith(prefix) for name in f.variable_names())
+            rewrite = build_equivalent_family(fam, disjoint=mode)
+            assert f.metadata["aux_continuous"] == rewrite.extra_continuous == accounted == copies - j
+        assert len(disjoint.binary_names()) == acc.disjoint_binaries
+        assert len(tree.binary_names()) <= acc.jtree_binaries_ub
 
 
 # ---------------------------------------------------------------- oracles

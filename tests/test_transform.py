@@ -7,6 +7,7 @@ import pytest
 from cdcmip import (
     IndexSetFamily,
     InputError,
+    InvariantError,
     build_equivalent_family,
     ground_set,
     is_feasible_set,
@@ -122,3 +123,12 @@ def test_transform_json(triangle):
     assert data["extra_continuous"] == 1
     assert data["alpha"] == {"1": 1, "2": 2, "4": 3, "6": 3}
     assert data["sets"] == [[1, 2], [2, 4], [1, 6]]
+
+
+@pytest.mark.parametrize("disjoint", [False, True])
+def test_both_modes_run_the_junction_guard(monkeypatch, triangle, disjoint):
+    from cdcmip import transform
+
+    monkeypatch.setattr(transform, "is_junction_tree", lambda family, tree: False)
+    with pytest.raises(InvariantError, match="failed the junction test"):
+        build_equivalent_family(triangle, disjoint=disjoint)
