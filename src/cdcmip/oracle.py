@@ -1,16 +1,14 @@
 """Brute-force ground truth at desk scale, all in exact rational arithmetic.
 
 Nothing here is meant to scale: every routine enumerates (spanning trees,
-binary assignments, tight-constraint bases, edge-to-biclique assignments)
-or decides every support subset, and refuses inputs beyond an explicit
-budget instead of degrading silently.
-Work shared by the enumerated cases is done once per call: one projection
-serves every binary assignment, each row is tested on all 2^|J| supports
-at once as the bits of one integer, once per right-hand side the
-assignments give it, and the tree decoder hands out parents.
-The trees themselves are decoded once per set count and shared by calls.
-A rank test refuses a relaxation with no vertex before the vertex search,
-and edges fit in one biclique iff a parity-constrained 2-colouring exists.
+binary assignments, extreme rays, edge-to-biclique assignments) or decides
+every support subset, and refuses inputs beyond an explicit budget instead
+of degrading silently.  Work shared by the enumerated cases is done once
+per call: one projection serves every binary assignment, each row is tested
+on all 2^|J| supports at once as the bits of one integer, once per
+right-hand side the assignments give it, and the tree decoder hands out
+parents and depths, once per set count for all calls.  Edges fit in one
+biclique iff a parity-constrained 2-colouring exists.
 """
 
 from __future__ import annotations
@@ -18,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional
 
 from .cdc import ConflictGraph, IndexSetFamily, ground_set
@@ -248,60 +247,58 @@ def support_validity(
     return realized == feasible  # bit 0, the empty support, passes every row
 
 
-def _vertices(f: LinearFormulation, max_vars: int):
-    """Yield every basic feasible point of the relaxation, repeats included.
+def _vertices(f: LinearFormulation, max_vars: int) -> list[tuple[Fraction, ...]]:
+    """Every vertex of the relaxation, once each, by exact double description.
 
-    The relaxation has a vertex only if all its rows have rank n; below
-    that, a line lies in it (or it is empty), and this refuses.  A
-    depth-first search over the inequality rows in index order then extends
-    a fully reduced integer row-echelon basis that starts from the
-    equalities; a row dependent on the rows chosen before it prunes its
-    whole subtree, and a full basis gives its point straight from the
-    pivots.
+    Rows ``[a..., b]`` become a.x - b t <= 0 (= 0) and, with t >= 0, a cone
+    whose extreme rays with t > 0 are the vertices times t.  Its constraints
+    cut, in that order, a lineality basis and extreme rays kept as primitive
+    integer vectors, each ray with the bitmask of its tight constraints.  A
+    constraint that a line crosses slides the other generators along that
+    line onto it and keeps the line as a ray (drops it, for an equality).
+    Otherwise the rays beyond it go, and each adjacent pair across it gives
+    a ray on it: a pair is adjacent iff it shares at least n - 1 - lines
+    tight constraints and no other ray is tight on all of them.  The lines
+    left at the end span the rows' null space, so rows of rank r < n leave
+    a line in the relaxation and no vertex, and this refuses.
     """
     n = len(f.variables)
     if n > max_vars:
         raise SizeGuardError(f"{n} variables exceed the cap of {max_vars}")
     eq_rows, ineq_rows = _compile(f)
-    rank = len(_echelon([row[:n] + [0] for row in eq_rows + ineq_rows], n)[0])
-    if rank < n:
-        raise InputError(f"rows of rank {rank} < {n}: the relaxation holds a line, no vertex")
-    echelon = _echelon(eq_rows, n)
-    if echelon is None:
-        return  # the equalities alone are inconsistent
-    basis = echelon[0]
-    checks = [([(k, a) for k, a in enumerate(row[:n]) if a], row[n]) for row in ineq_rows]
-
-    def search(start: int, basis):
-        missing = n - len(basis)
-        if not missing:
-            scale = lcm(*(b[p] for p, b in basis))
-            x = [0] * n
-            for p, b in basis:
-                x[p] = b[n] * (scale // b[p])
-            if all(sum(a * x[k] for k, a in coefs) <= rhs * scale for coefs, rhs in checks):
-                yield tuple(Fraction(v, scale) for v in x)
-            return
-        for i in range(start, len(ineq_rows) - missing + 1):
-            row = _reduce(basis, ineq_rows[i])
-            p = next((k for k in range(n) if row[k]), None)
-            if p is not None:
-                yield from search(i + 1, _insert(basis, row, p))
-
-    yield from search(0, basis)
+    constraints = [(row[:n] + [-row[n]], is_eq) for is_eq, rows in (
+        (True, eq_rows), (False, ineq_rows), (False, [[0] * n + [1]])) for row in rows]
+    lines = [[int(i == k) for k in range(n + 1)] for i in range(n + 1)]
+    rays: list[tuple[list[int], int]] = []  # (ray, bitmask of its tight constraints)
+    for k, (h, is_eq) in enumerate(constraints):
+        bit = 1 << k
+        line = next((v for v in lines if sum(map(mul, h, v))), None)
+        if line is not None:
+            lines.remove(line)
+            if (s := sum(map(mul, h, line))) > 0:
+                line, s = [-a for a in line], -s
+            lines = [_combine(-s, v, a, line) if (a := sum(map(mul, h, v))) else v for v in lines]
+            rays = [(_combine(-s, r, a, line) if (a := sum(map(mul, h, r))) else r, tight | bit)
+                    for r, tight in rays] + ([] if is_eq else [(line, bit - 1)])
+            continue
+        sides = [(sum(map(mul, h, r)), r, tight) for r, tight in rays]
+        kept = [(r, tight if a else tight | bit) for a, r, tight in sides if not a or a < 0 and not is_eq]
+        rays = kept + [(_combine(a, q, -c, r), common | bit)  # one per adjacent pair across
+                       for a, r, tight in sides if a > 0 for c, q, other in sides if c < 0
+                       if (common := tight & other).bit_count() >= n - 1 - len(lines)
+                       and sum(t & common == common for _, t in rays) == 2]
+    if lines:
+        raise InputError(f"rows of rank {n - len(lines)} < {n}: the relaxation holds a line, no vertex")
+    return [tuple(Fraction(a, r[n]) for a in r[:n]) for r, _ in rays if r[n]]
 
 
 def lp_vertices(f: LinearFormulation, max_vars: int = 12) -> list[tuple[Fraction, ...]]:
-    """All vertices of the LP relaxation, sorted, by tight-row basis search.
+    """All vertices of the LP relaxation, sorted, by exact double description.
 
-    Every independent equality row is forced into the basis, and the
-    remaining slots range over inequality rows and finite bounds, chosen
-    depth first in index order; a row dependent on the rows already chosen
-    prunes every basis that extends the choice.  The cost is one integer
-    row reduction per node of the pruned search tree plus a feasibility
-    test per full basis.  The relaxation must be pointed, its rows of rank
-    n, but may be unbounded; otherwise it has no vertex and ``InputError``
-    is raised.
+    The cost follows the extreme rays met on the way, not the bases: a
+    degenerate vertex tight on many rows is one ray.  The relaxation must be
+    pointed, its rows of rank n, but may be unbounded; otherwise it has no
+    vertex and ``InputError`` is raised.
     """
     return sorted(set(_vertices(f, max_vars)))
 
@@ -309,26 +306,27 @@ def lp_vertices(f: LinearFormulation, max_vars: int = 12) -> list[tuple[Fraction
 def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
     """True iff every relaxation vertex has integral binary coordinates.
 
-    Stops at the first vertex with a fractional binary coordinate.
+    Every vertex is found before any coordinate is tested.
     """
     slots = [i for i, v in enumerate(f.variables) if v.kind == BINARY]
     return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
 @lru_cache(maxsize=8)
-def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-    """Every spanning tree of the complete graph on ``0..d-1``: (sorted edges, parents).
+def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """Every spanning tree of the complete graph on ``0..d-1``: (sorted edges, parents, depths).
 
     The d^(d-2) trees are decoded from their Pruefer sequences; each step
     joins a leaf to its parent, so the parents are rooted at d-1 (entry
-    -1).  Sorting the edges' positions in ``combinations(range(d), 2)``
-    gives the order in which ``combinations`` lists the (d-1)-edge subsets.
+    -1) and leave after their children, which gives the depths.  Sorting
+    the edges' positions in ``combinations(range(d), 2)`` gives the order
+    in which ``combinations`` lists the (d-1)-edge subsets.
     The trees depend on d alone, so the answer for every d up to the tree
     search's default cap of 7 sets is kept, as tuples that no caller can
     change under another.
     """
     if d < 2:
-        return (((), (-1,) * d),)
+        return (((), (-1,) * d, (0,) * d),)
     pairs = list(combinations(range(d), 2))
     index = [[0] * d for _ in range(d)]
     for e, (a, b) in enumerate(pairs):
@@ -341,9 +339,11 @@ def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tupl
         least = leaf = degree.index(1)
         edges = []
         up = [-1] * d
+        order = []
         for v in seq:
             edges.append(index[leaf][v])
             up[leaf] = v
+            order.append(leaf)
             degree[v] -= 1
             # Only v can have become a leaf; it is the next one if below the scan.
             if degree[v] == 1 and v < least:
@@ -352,23 +352,23 @@ def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tupl
                 least = leaf = degree.index(1, least + 1)
         edges.append(index[leaf][d - 1])
         up[leaf] = d - 1
+        order.append(leaf)
+        depth = [0] * d
+        for v in reversed(order):
+            depth[v] = depth[up[v]] + 1
         edges.sort()
-        trees.append((edges, tuple(up)))
+        trees.append((edges, tuple(up), tuple(depth)))
     trees.sort()
-    return tuple((tuple(map(pairs.__getitem__, edges)), up) for edges, up in trees)
+    return tuple((tuple(map(pairs.__getitem__, edges)), up, depth) for edges, up, depth in trees)
 
 
-def _holds_on_every_path(sets, shared, up: tuple[int, ...]) -> bool:
+def _holds_on_every_path(sets, shared, up: tuple[int, ...], depth: tuple[int, ...]) -> bool:
     """The definition: two sets' shared indices lie in every set on their tree path.
 
     ``shared`` lists (i, j, sets[i] & sets[j]) for the pairs sharing an
-    index, as the empty set lies in every set.  On the parent array ``up``
+    index, as the empty set lies in every set.  Along the parents ``up``
     the deeper end climbs until the two meet; each set climbed onto is tested.
     """
-    depth = [0] * len(up)
-    for v, w in enumerate(up):
-        while w >= 0:
-            depth[v], w = depth[v] + 1, up[w]
     for i, j, common in shared:
         while i != j:
             if depth[i] < depth[j]:
@@ -397,13 +397,13 @@ def brute_admits_junction_tree(
     common = {(i, j): sets[i] & sets[j] for i, j in combinations(range(d), 2)}
     middle = {pair: len(s) for pair, s in common.items()}
     shared = [(i, j, s) for (i, j), s in common.items() if s]
-    trees = [(sum(map(middle.__getitem__, e)), e, up) for e, up in _all_spanning_trees(d)]
-    best = max(weight for weight, _, _ in trees)
-    passing = [(w, edges) for w, edges, up in trees if _holds_on_every_path(sets, shared, up)]
+    trees = [(sum(map(middle.__getitem__, e)), e, up, depth) for e, up, depth in _all_spanning_trees(d)]
+    best = max(weight for weight, *_ in trees)
+    passing = [(w, edges) for w, edges, *rooted in trees if _holds_on_every_path(sets, shared, *rooted)]
     if passing:
         if any(weight != best for weight, _ in passing):
             raise InvariantError("a qualifying tree of non-maximum weight appeared")
-        if len(passing) != sum(weight == best for weight, _, _ in trees):
+        if len(passing) != sum(weight == best for weight, *_ in trees):
             raise InvariantError("maximum trees disagree on the junction property")
         return CandidateTree(family, passing[0][1])
     return None

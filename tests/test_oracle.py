@@ -46,10 +46,12 @@ def test_all_spanning_trees_match_the_acyclic_edge_subsets():
         subsets = combinations(combinations(range(d), 2), d - 1)
         trees = [edges for edges in subsets if len(_spanning_forest(d, edges)) == d - 1]
         decoded = oracle._all_spanning_trees(d)
-        assert [edges for edges, _ in decoded] == trees and len(trees) == d ** max(d - 2, 0)
-        for edges, up in decoded:
-            # the parent array is the tree rooted at d - 1
+        assert [edges for edges, _, _ in decoded] == trees and len(trees) == d ** max(d - 2, 0)
+        for edges, up, depth in decoded:
+            # the parent array is the tree rooted at d - 1, and each depth
+            # counts the parents climbed to reach the root
             assert up[d - 1] == -1 and {tuple(sorted((v, up[v]))) for v in range(d - 1)} == set(edges)
+            assert depth[d - 1] == 0 and all(depth[v] == depth[up[v]] + 1 for v in range(d - 1))
 
 
 def test_spanning_trees_are_decoded_once_per_d(monkeypatch):
@@ -69,7 +71,8 @@ def test_spanning_trees_are_decoded_once_per_d(monkeypatch):
     assert decodes == []
     # The shared answer is immutable all the way down, and the cache is bounded.
     trees = oracle._all_spanning_trees(6)
-    assert type(trees) is tuple and all(type(e) is type(up) is tuple for e, up in trees)
+    assert type(trees) is tuple and all(
+        type(e) is type(up) is type(depth) is tuple for e, up, depth in trees)
     assert oracle._all_spanning_trees.cache_info().maxsize <= 8
 
 
@@ -333,9 +336,48 @@ def test_naive_relaxation_vertex_scan(triangle):
 def test_is_ideal_examples(path3):
     assert is_ideal(build_sosk(3, 2))
     assert is_ideal(build_sosk(5, 2))
+    assert is_ideal(build_sosk(8, 2))  # 11 variables, 15 vertices
     assert is_ideal(build_ib_from_cover(path3, heuristic_cover(path3)))
     # the windowed one-binary-per-position build: outcome recorded, not pinned
     is_ideal(build_sosk_kis(4, 2))
+
+
+# The vertices of build_naive on a 4-set family (10 variables), as the
+# earlier tight-row basis search returned them; solving every choice of
+# tight rows instead takes over a minute at this size.
+NAIVE_VERTICES = """
+    0 0 0 0 0 1 1 0 0 0
+    0 0 0 0 1 0 0 0 0 1
+    0 0 0 1 0 0 0 1 0 0
+    0 0 1/2 0 1/2 0 0 0 1/2 1/2
+    0 0 1/2 0 1/2 0 1/2 0 0 1/2
+    0 0 1/2 1/2 0 0 0 1/2 1/2 0
+    0 0 1/2 1/2 0 0 1/2 1/2 0 0
+    0 0 1 0 0 0 0 0 0 1
+    0 0 1 0 0 0 0 1 0 0
+    0 1 0 0 0 0 0 0 1 0
+    1/3 0 1/3 0 1/3 0 0 0 2/3 1/3
+    1/3 0 1/3 0 1/3 0 2/3 0 0 1/3
+    1/3 0 1/3 1/3 0 0 0 1/3 2/3 0
+    1/3 0 1/3 1/3 0 0 2/3 1/3 0 0
+    1/2 0 0 0 1/2 0 0 0 1/2 1/2
+    1/2 0 0 0 1/2 0 1/2 0 0 1/2
+    1/2 0 0 1/2 0 0 0 1/2 1/2 0
+    1/2 0 0 1/2 0 0 1/2 1/2 0 0
+    1/2 0 1/2 0 0 0 0 0 1/2 1/2
+    1/2 0 1/2 0 0 0 0 1/2 1/2 0
+    1/2 0 1/2 0 0 0 1/2 0 0 1/2
+    1/2 0 1/2 0 0 0 1/2 1/2 0 0
+    1 0 0 0 0 0 0 0 0 1
+    1 0 0 0 0 0 0 1 0 0
+"""
+
+
+def test_lp_vertices_of_a_ten_variable_naive_model():
+    f = build_naive(IndexSetFamily([[6], [1, 3, 4], [2], [1, 3, 5]]))
+    want = [tuple(map(Fraction, line.split())) for line in NAIVE_VERTICES.strip().splitlines()]
+    assert len(f.variables) == 10 and len(want) == 24
+    assert lp_vertices(f) == want
 
 
 def test_extended_builders_ideal_at_desk_scale(triangle):
@@ -429,11 +471,12 @@ def test_support_validity_refuses_a_model_of_another_family():
 
 def test_brute_tree_search_cross_checks_trip(monkeypatch):
     # Every tree qualifying: the path 1-2-3 family has trees of weight 2 and 1.
-    monkeypatch.setattr(oracle, "_holds_on_every_path", lambda sets, shared, up: True)
+    monkeypatch.setattr(oracle, "_holds_on_every_path", lambda sets, shared, up, depth: True)
     with pytest.raises(InvariantError, match="non-maximum weight"):
         brute_admits_junction_tree(IndexSetFamily([[1, 2], [2, 3], [3, 4]]))
     # Only the first of three equally heavy trees qualifying.
     verdicts = iter([True])
-    monkeypatch.setattr(oracle, "_holds_on_every_path", lambda sets, shared, up: next(verdicts, False))
+    monkeypatch.setattr(
+        oracle, "_holds_on_every_path", lambda sets, shared, up, depth: next(verdicts, False))
     with pytest.raises(InvariantError, match="maximum trees disagree"):
         brute_admits_junction_tree(IndexSetFamily([[1], [2], [3]]))

@@ -784,11 +784,37 @@ def test_passing_bitmap_matches_a_per_support_row_sum(row):
         assert got >> mask & 1 == (total == r * rhs if is_eq else total <= r * rhs)
 
 
+def pointed_unbounded_model():
+    """x, y >= 0 and a binary z with x + y >= z and x - y <= 1: y has no upper limit."""
+    f = LinearFormulation(metadata={})
+    f.add_variable("x", lower=0)
+    f.add_variable("y", lower=0)
+    f.add_variable("z", "binary", 0, 1)
+    f.add_constraint("cover", [("x", 1), ("y", 1), ("z", -1)], ">=", 0)
+    f.add_constraint("gap", [("x", 1), ("y", -1)], "<=", 1)
+    return f, None
+
+
+# The ib model of a family shaped like the `verify` benchmark's second one
+# (6 variables, 236 feasible bases, 6 vertices: very degenerate), and a
+# pointed relaxation that is unbounded.
+DESK_FAMILY = quiet_family([[2, 3], [3, 4], [1]])
+VERTEX_MODELS = [
+    (BUILDERS["ib"](DESK_FAMILY), DESK_FAMILY),
+    pointed_unbounded_model(),
+]
+
+
 @ORACLE_PROPERTY
 @given(oracle_models(max_sets=3, max_ground=4))
+@with_examples(VERTEX_MODELS)
 def test_lp_vertices_match_every_basis_solve(model):
     f, _ = model
-    assert outcome(lp_vertices, f) == outcome(reference_lp_vertices, f)
+    want = outcome(reference_lp_vertices, f)
+    assert outcome(lp_vertices, f) == want
+    # The constraints are added one at a time; their order must not show.
+    flipped = LinearFormulation(list(f.variables), f.constraints[::-1], dict(f.metadata))
+    assert outcome(lp_vertices, flipped) == want
 
 
 @settings(PROPERTY, max_examples=40)
@@ -799,8 +825,8 @@ def test_parent_array_path_test_matches_the_per_root_walk(fam):
     sets = fam.sets
     shared = [(i, j, sets[i] & sets[j]) for i, j in combinations(range(len(sets)), 2)]
     shared = [pair for pair in shared if pair[2]]
-    for edges, up in oracle._all_spanning_trees(len(fam)):
-        assert oracle._holds_on_every_path(sets, shared, up) == per_root_holds_on_every_path(
+    for edges, up, depth in oracle._all_spanning_trees(len(fam)):
+        assert oracle._holds_on_every_path(sets, shared, up, depth) == per_root_holds_on_every_path(
             fam, edges
         )
 
