@@ -65,14 +65,22 @@ def _exact_coordinate(value) -> Fraction:
     elif isinstance(value, (int, Fraction)):
         x = Fraction(value)
     elif isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
-            # Fraction would expand 10**exponent, which a huge exponent never
-            # finishes; the cap holds even with no digit limit (a limit of 0).
-            exponent = _EXPONENT.search(value)
-            cap = max(limit, sys.int_info.default_max_str_digits)
-            if exponent and abs(int(exponent[1])) > cap:
-                raise ValueError("decimal exponent is past the integer digit limit")
-            x = Fraction(value)
+            if len(value) < 20 and value.isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash
+            ):
+                # A short plain integer or a/b of ASCII digits: int() reads it
+                # without Fraction's regex, and it holds no exponent.
+                x = Fraction(int(num), int(den or 1))
+            else:
+                # Fraction would expand 10**exponent, which a huge exponent never
+                # finishes; the cap holds even with no digit limit (a limit of 0).
+                exponent = _EXPONENT.search(value)
+                cap = max(limit, sys.int_info.default_max_str_digits)
+                if exponent and abs(int(exponent[1])) > cap:
+                    raise ValueError("decimal exponent is past the integer digit limit")
+                x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse exact rational from {value!r}") from exc
     else:

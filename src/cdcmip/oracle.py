@@ -6,9 +6,10 @@ every support subset, and refuses inputs beyond an explicit budget instead
 of degrading silently.  Work shared by the enumerated cases is done once
 per call: one projection serves every binary assignment, each row is tested
 on all 2^|J| supports at once as the bits of one integer, once per
-right-hand side the assignments give it, and the tree decoder hands out
-parents and depths, once per set count for all calls.  Edges fit in one
-biclique iff a parity-constrained 2-colouring exists.
+right-hand side the assignments give it, and every spanning tree is
+tested and weighed at once as one bit of masks that the tree decoder
+builds once per set count for all calls.  Edges fit in one biclique iff a
+parity-constrained 2-colouring exists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .cdc import ConflictGraph, IndexSetFamily, ground_set
 from .errors import InputError, InvariantError, SizeGuardError
@@ -312,21 +313,33 @@ def is_ideal(f: LinearFormulation, max_vars: int = 12) -> bool:
     return all(vertex[s] in (0, 1) for vertex in _vertices(f, max_vars) for s in slots)
 
 
-@lru_cache(maxsize=8)
-def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]], ...]:
-    """Every spanning tree of the complete graph on ``0..d-1``: (sorted edges, parents, depths).
+class _Trees(NamedTuple):
+    """Every spanning tree of the complete graph on ``0..d-1``, and masks over them.
 
-    The d^(d-2) trees are decoded from their Pruefer sequences; each step
-    joins a leaf to its parent, so the parents are rooted at d-1 (entry
-    -1) and leave after their children, which gives the depths.  Sorting
-    the edges' positions in ``combinations(range(d), 2)`` gives the order
-    in which ``combinations`` lists the (d-1)-edge subsets.
-    The trees depend on d alone, so the answer for every d up to the tree
-    search's default cap of 7 sets is kept, as tuples that no caller can
-    change under another.
+    Bit t of each mask stands for ``trees[t]``.  ``holding`` and ``through``
+    follow the pairs (i, j) in ``combinations(range(d), 2)`` order.
+    """
+
+    trees: tuple[tuple[tuple[int, int], ...], ...]  # each tree's sorted edges
+    holding: tuple[int, ...]  # the trees holding pair (i, j) as an edge
+    through: tuple[tuple[int, ...], ...]  # per pair, per vertex k: the trees whose path passes k
+
+
+@lru_cache(maxsize=8)
+def _all_spanning_trees(d: int) -> _Trees:
+    """Every spanning tree of the complete graph on ``0..d-1``, with its masks.
+
+    The d^(d-2) trees are decoded from their Pruefer sequences, each step
+    joining a leaf to its parent.  Sorting the edges' positions in
+    ``combinations(range(d), 2)`` gives the order in which ``combinations``
+    lists the (d-1)-edge subsets.  Each edge's mask is then read as one
+    binary numeral, tree d^(d-2) - 1 first, and the path masks follow from
+    the edge masks (``_paths_through``).  The trees depend on d alone, so the
+    answer for every d up to the tree search's default cap of 7 sets is
+    kept, as tuples that no caller can change under another.
     """
     if d < 2:
-        return (((), (-1,) * d, (0,) * d),)
+        return _Trees(((),), (), ())
     pairs = list(combinations(range(d), 2))
     index = [[0] * d for _ in range(d)]
     for e, (a, b) in enumerate(pairs):
@@ -338,12 +351,8 @@ def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tupl
             degree[v] += 1
         least = leaf = degree.index(1)
         edges = []
-        up = [-1] * d
-        order = []
         for v in seq:
             edges.append(index[leaf][v])
-            up[leaf] = v
-            order.append(leaf)
             degree[v] -= 1
             # Only v can have become a leaf; it is the next one if below the scan.
             if degree[v] == 1 and v < least:
@@ -351,62 +360,122 @@ def _all_spanning_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], tupl
             else:
                 least = leaf = degree.index(1, least + 1)
         edges.append(index[leaf][d - 1])
-        up[leaf] = d - 1
-        order.append(leaf)
-        depth = [0] * d
-        for v in reversed(order):
-            depth[v] = depth[up[v]] + 1
         edges.sort()
-        trees.append((edges, tuple(up), tuple(depth)))
+        trees.append(edges)
     trees.sort()
-    return tuple((tuple(map(pairs.__getitem__, edges)), up, depth) for edges, up, depth in trees)
+    digits = [bytearray(b"0" * len(trees)) for _ in pairs]
+    for t, edges in enumerate(reversed(trees)):
+        for e in edges:
+            digits[e][t] = 49  # "1"
+    holding = tuple(int(row, 2) for row in digits)
+    return _Trees(
+        tuple(tuple(map(pairs.__getitem__, edges)) for edges in trees),
+        holding,
+        _paths_through(d, holding),
+    )
 
 
-def _holds_on_every_path(sets, shared, up: tuple[int, ...], depth: tuple[int, ...]) -> bool:
-    """The definition: two sets' shared indices lie in every set on their tree path.
+def _paths_through(d: int, holding: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per pair (i, j), per vertex k: the mask of trees whose i-j path passes k.
 
-    ``shared`` lists (i, j, sets[i] & sets[j]) for the pairs sharing an
-    index, as the empty set lies in every set.  Along the parents ``up``
-    the deeper end climbs until the two meet; each set climbed onto is tested.
+    From each start i, walks grow one edge at a time, keyed by their end and
+    the set of vertices passed; a walk's mask is the trees holding all its
+    edges.  A tree holds one path from i to each end, so the masks of one
+    end split the trees by the vertex set of that path.
     """
-    for i, j, common in shared:
-        while i != j:
-            if depth[i] < depth[j]:
-                i, j = j, i
-            i = up[i]
-            if not common <= sets[i]:
-                return False
-    return True
+    edge = [[0] * d for _ in range(d)]
+    for (a, b), trees in zip(combinations(range(d), 2), holding):
+        edge[a][b] = edge[b][a] = trees
+    everyone = (1 << d) - 1
+    members = [[k for k in range(d) if inner >> k & 1] for inner in range(everyone + 1)]
+    through = {pair: [0] * d for pair in combinations(range(d), 2)}
+    for i in range(d):
+        level = {(v, 0): edge[i][v] for v in range(d) if v != i}
+        while level:
+            longer: dict[tuple[int, int], int] = {}
+            for (v, inner), trees in level.items():
+                if i < v:
+                    row = through[i, v]
+                    for k in members[inner]:
+                        row[k] |= trees
+                inner |= 1 << v
+                for u in members[everyone & ~(inner | 1 << i)]:
+                    if step := trees & edge[v][u]:
+                        longer[u, inner] = longer.get((u, inner), 0) | step
+            level = longer
+    return tuple(map(tuple, through.values()))
+
+
+def _failing_trees(sets, through: tuple[tuple[int, ...], ...]) -> int:
+    """The definition, on every tree at once: the mask of trees on which two
+    sets' shared indices miss some set on their path."""
+    failing = 0
+    for (i, j), row in zip(combinations(range(len(sets)), 2), through):
+        common = sets[i] & sets[j]
+        if common:  # the empty set lies in every set
+            for k, s in enumerate(sets):
+                if not common <= s:
+                    failing |= row[k]
+    return failing
+
+
+def _heaviest(terms: Iterable[tuple[int, int]], everything: int) -> int:
+    """The mask of maximum-weight trees, where each (size, trees) term adds
+    size to the weight of those trees.
+
+    Weights are bit-sliced: ``planes[b]`` holds the trees whose weight has
+    bit b set, and each term is a ripple-carry addition over the planes.
+    """
+    planes: list[int] = []
+    for size, trees in terms:
+        b = carry = 0
+        while size >> b or carry:
+            if b == len(planes):
+                planes.append(0)
+            add = trees if size >> b & 1 else 0
+            p = planes[b]
+            planes[b] = p ^ add ^ carry
+            carry = p & add | carry & (p ^ add)
+            b += 1
+    best = everything
+    for p in reversed(planes):
+        if best & p:
+            best &= p
+    return best
 
 
 def brute_admits_junction_tree(
     family: IndexSetFamily, max_sets: int = 7
 ) -> Optional[CandidateTree]:
-    """Exhaustive junction-tree search over all spanning trees.
+    """Exhaustive junction-tree search over all spanning trees, all at once.
 
-    Each tree is tested by the definition, on every path between two sets
-    that share an index, and weighed as its tuple of edges by the sizes of
-    their middle sets.  Besides deciding existence, this cross-checks two
-    structural facts on the way: every qualifying tree carries maximum
-    weight, and the maximum trees either all qualify or none does.
+    Every tree is tested by the definition, on every path between two sets
+    that share an index, and weighed by the sizes of its edges' middle
+    sets; both run on masks with one bit per tree.  Besides deciding
+    existence, this cross-checks two structural facts on the way: every
+    qualifying tree carries maximum weight, and the maximum trees either
+    all qualify or none does.  The tree returned is the first qualifying
+    one in ``combinations`` order.
     """
     d = len(family)
     if d > max_sets:
         raise SizeGuardError(f"{d} sets exceed the cap of {max_sets}")
     sets = family.sets
-    common = {(i, j): sets[i] & sets[j] for i, j in combinations(range(d), 2)}
-    middle = {pair: len(s) for pair, s in common.items()}
-    shared = [(i, j, s) for (i, j), s in common.items() if s]
-    trees = [(sum(map(middle.__getitem__, e)), e, up, depth) for e, up, depth in _all_spanning_trees(d)]
-    best = max(weight for weight, *_ in trees)
-    passing = [(w, edges) for w, edges, *rooted in trees if _holds_on_every_path(sets, shared, *rooted)]
-    if passing:
-        if any(weight != best for weight, _ in passing):
-            raise InvariantError("a qualifying tree of non-maximum weight appeared")
-        if len(passing) != sum(weight == best for weight, *_ in trees):
-            raise InvariantError("maximum trees disagree on the junction property")
-        return CandidateTree(family, passing[0][1])
-    return None
+    tables = _all_spanning_trees(d)
+    everything = (1 << len(tables.trees)) - 1
+    passing = everything & ~_failing_trees(sets, tables.through)
+    if not passing:
+        return None
+    best = _heaviest(
+        ((len(sets[i] & sets[j]), trees)
+         for (i, j), trees in zip(combinations(range(d), 2), tables.holding)),
+        everything,
+    )
+    if passing & ~best:
+        raise InvariantError("a qualifying tree of non-maximum weight appeared")
+    if passing != best:
+        raise InvariantError("maximum trees disagree on the junction property")
+    return CandidateTree(family, tables.trees[(passing & -passing).bit_length() - 1])
 
 
 def _embeddable(g: ConflictGraph, edge_subset: Iterable[tuple[int, int]]) -> bool:

@@ -17,18 +17,21 @@ import re
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, product
 
 from cdcmip import (
     Biclique,
     BicliqueCover,
+    CandidateTree,
     IndexSetFamily,
     InputError,
+    InvariantError,
     RedundantFamilyWarning,
     SizeGuardError,
     tree_cover,
 )
-from cdcmip import jtree
+from cdcmip import jtree, oracle
 from cdcmip.cdc import ground_set
 from cdcmip.formulate import BINARY
 from cdcmip.geom import PlanarPartition
@@ -271,6 +274,53 @@ def per_root_holds_on_every_path(family, edges) -> bool:
                     return False
                 v = up[v]
     return True
+
+
+@lru_cache(maxsize=8)
+def _rooted_spanning_trees(d):
+    """Each tree of ``oracle._all_spanning_trees(d)`` with its parents and depths, rooted at d - 1."""
+    rooted = []
+    for edges in oracle._all_spanning_trees(d).trees:
+        up, depth = [-1] * d, [0] * d
+        for parent, child in breadth_first_walk(edges, d - 1):
+            up[child], depth[child] = parent, depth[parent] + 1
+        rooted.append((edges, up, depth))
+    return rooted
+
+
+def _holds_on_every_path(sets, shared, up, depth) -> bool:
+    """Two sets' shared indices lie in every set on their tree path, climbing
+    from the deeper end until the two meet."""
+    for i, j, common in shared:
+        while i != j:
+            if depth[i] < depth[j]:
+                i, j = j, i
+            i = up[i]
+            if not common <= sets[i]:
+                return False
+    return True
+
+
+def reference_brute_admits_junction_tree(family, max_sets=7):
+    """The exhaustive tree search one tree at a time: each tree weighed by
+    its middle sizes and tested on every sharing pair by the climb."""
+    d = len(family)
+    if d > max_sets:
+        raise SizeGuardError(f"{d} sets exceed the cap of {max_sets}")
+    sets = family.sets
+    common = {(i, j): sets[i] & sets[j] for i, j in combinations(range(d), 2)}
+    middle = {pair: len(s) for pair, s in common.items()}
+    shared = [(i, j, s) for (i, j), s in common.items() if s]
+    trees = [(sum(map(middle.__getitem__, e)), e, up, depth) for e, up, depth in _rooted_spanning_trees(d)]
+    best = max(weight for weight, *_ in trees)
+    passing = [(w, edges) for w, edges, *rooted in trees if _holds_on_every_path(sets, shared, *rooted)]
+    if passing:
+        if any(weight != best for weight, _ in passing):
+            raise InvariantError("a qualifying tree of non-maximum weight appeared")
+        if len(passing) != sum(weight == best for weight, *_ in trees):
+            raise InvariantError("maximum trees disagree on the junction property")
+        return CandidateTree(family, passing[0][1])
+    return None
 
 
 def disconnected_index(family, tree):

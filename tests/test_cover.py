@@ -60,7 +60,7 @@ def test_separation_raises_exactly_on_non_junction_trees():
     rng = random.Random(41)
     for _ in range(40):
         fam = random_family(rng, max_sets=6, max_ground=8)
-        for edges, _, _ in _all_spanning_trees(len(fam)):
+        for edges in _all_spanning_trees(len(fam)).trees:
             tree = CandidateTree(fam, edges)
             if is_junction_tree(fam, tree):
                 separation(fam, tree)

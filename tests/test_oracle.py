@@ -34,7 +34,7 @@ from cdcmip import jtree, oracle
 from cdcmip.cli import main
 from cdcmip.errors import InputError, InvariantError
 from cdcmip.formulate import LinearFormulation
-from helpers import random_family
+from helpers import breadth_first_walk, random_family, random_junction_family
 
 
 def test_all_spanning_trees_match_the_acyclic_edge_subsets():
@@ -46,50 +46,70 @@ def test_all_spanning_trees_match_the_acyclic_edge_subsets():
         subsets = combinations(combinations(range(d), 2), d - 1)
         trees = [edges for edges in subsets if len(_spanning_forest(d, edges)) == d - 1]
         decoded = oracle._all_spanning_trees(d)
-        assert [edges for edges, _, _ in decoded] == trees and len(trees) == d ** max(d - 2, 0)
-        for edges, up, depth in decoded:
-            # the parent array is the tree rooted at d - 1, and each depth
-            # counts the parents climbed to reach the root
-            assert up[d - 1] == -1 and {tuple(sorted((v, up[v]))) for v in range(d - 1)} == set(edges)
-            assert depth[d - 1] == 0 and all(depth[v] == depth[up[v]] + 1 for v in range(d - 1))
+        assert list(decoded.trees) == trees and len(trees) == d ** max(d - 2, 0)
+        # Bit t of a pair's mask is set iff tree t holds the pair as an edge.
+        for pair, mask in zip(combinations(range(d), 2), decoded.holding, strict=True):
+            assert mask == sum(1 << t for t, edges in enumerate(trees) if pair in edges)
+        if d <= 6:  # and bit t of (i, j)'s row at k iff k lies on tree t's i-j path
+            for t, edges in enumerate(trees):
+                for (i, j), row in zip(combinations(range(d), 2), decoded.through, strict=True):
+                    up = {child: parent for parent, child in breadth_first_walk(edges, j)}
+                    inside, v = set(), up[i]
+                    while v != j:
+                        inside.add(v)
+                        v = up[v]
+                    assert [row[k] >> t & 1 for k in range(d)] == [k in inside for k in range(d)]
+
+
+def _counting_decodes(monkeypatch, count):
+    """Count Pruefer decodes (by ``product`` calls) and path-mask builds, by set count."""
+    def counted(*args, repeat=1, real=oracle.product):
+        count.append(("decode", repeat + 2))
+        return real(*args, repeat=repeat)
+
+    def paths(d, holding, real=oracle._paths_through):
+        count.append(("paths", d))
+        return real(d, holding)
+
+    monkeypatch.setattr(oracle, "product", counted)
+    monkeypatch.setattr(oracle, "_paths_through", paths)
 
 
 def test_spanning_trees_are_decoded_once_per_d(monkeypatch):
-    decodes = []
-
-    def counted(*args, repeat=1, real=oracle.product):
-        decodes.append(repeat)
-        return real(*args, repeat=repeat)
-
-    monkeypatch.setattr(oracle, "product", counted)
+    builds = []
+    _counting_decodes(monkeypatch, builds)
     path = IndexSetFamily([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7]])
     triangles = IndexSetFamily([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+    oracle._all_spanning_trees.cache_clear()
     first = brute_admits_junction_tree(path)
-    decodes.clear()
+    assert builds == [("decode", 6), ("paths", 6)]
+    builds.clear()
     assert brute_admits_junction_tree(path) == first and first is not None
     assert brute_admits_junction_tree(triangles) is None
-    assert decodes == []
-    # The shared answer is immutable all the way down, and the cache is bounded.
-    trees = oracle._all_spanning_trees(6)
-    assert type(trees) is tuple and all(
-        type(e) is type(up) is type(depth) is tuple for e, up, depth in trees)
+    assert builds == []
+    # The shared answer, trees and masks alike, is immutable all the way down,
+    # and the cache is bounded.
+    tables = oracle._all_spanning_trees(6)
+    assert tables is oracle._all_spanning_trees(6)
+    assert type(tables.trees) is type(tables.holding) is type(tables.through) is tuple
+    assert all(type(edges) is tuple for edges in tables.trees)
+    assert all(type(mask) is int for mask in tables.holding)
+    assert all(type(row) is tuple and all(type(mask) is int for mask in row) for row in tables.through)
     assert oracle._all_spanning_trees.cache_info().maxsize <= 8
 
 
 def test_random_verify_decodes_each_set_count_once(monkeypatch, capsys):
-    decodes = []  # the set count d of each decode
-
-    def counted(*args, repeat=1, real=oracle.product):
-        decodes.append(repeat + 2)
-        return real(*args, repeat=repeat)
-
-    monkeypatch.setattr(oracle, "product", counted)
+    builds = []  # ("decode" or "paths", the set count d) of each build
+    _counting_decodes(monkeypatch, builds)
     oracle._all_spanning_trees.cache_clear()
     assert main(["verify", "--random", "20", "--seed", "7"]) == 0
+    decodes = [d for kind, d in builds if kind == "decode"]
     assert len(set(decodes)) > 4 and sorted(decodes) == sorted(set(decodes))
-    decodes.clear()
+    # Each decode builds its path masks once, with it.
+    assert sorted(d for kind, d in builds if kind == "paths") == sorted(decodes)
+    builds.clear()
     assert main(["verify", "--random", "20", "--seed", "7"]) == 0
-    assert decodes == []
+    assert builds == []
     capsys.readouterr()
 
 
@@ -103,11 +123,15 @@ def test_brute_admits(path3, triangle):
 
 def test_brute_matches_fast_path():
     rng = random.Random(41)
-    for _ in range(40):
-        fam = random_family(rng, max_sets=5, max_ground=8)
-        assert (admits_junction_tree(fam) is None) == (
-            brute_admits_junction_tree(fam) is None
-        )
+    for k in range(2000):  # half random, half built to admit a tree
+        if k % 2:
+            fam = random_family(rng, max_sets=7, max_ground=9)
+        else:
+            fam = random_junction_family(rng, max_sets=7, max_ground=12)
+        fast, slow = admits_junction_tree(fam), brute_admits_junction_tree(fam)
+        assert (fast is None) == (slow is None)
+        # Both trees are maximum spanning trees.
+        assert fast is None or fast.weight == slow.weight
 
 
 def test_brute_size_guard():
@@ -470,13 +494,20 @@ def test_support_validity_refuses_a_model_of_another_family():
 
 
 def test_brute_tree_search_cross_checks_trip(monkeypatch):
+    real = oracle._all_spanning_trees
+
+    def tables_with(through):
+        """The real tables with the path masks replaced by ``through(real ones)``."""
+        return lambda d: real(d)._replace(through=through(real(d).through))
+
     # Every tree qualifying: the path 1-2-3 family has trees of weight 2 and 1.
-    monkeypatch.setattr(oracle, "_holds_on_every_path", lambda sets, shared, up, depth: True)
+    monkeypatch.setattr(oracle, "_all_spanning_trees", tables_with(lambda rows: tuple(
+        (0,) * len(row) for row in rows)))
     with pytest.raises(InvariantError, match="non-maximum weight"):
         brute_admits_junction_tree(IndexSetFamily([[1, 2], [2, 3], [3, 4]]))
-    # Only the first of three equally heavy trees qualifying.
-    verdicts = iter([True])
-    monkeypatch.setattr(
-        oracle, "_holds_on_every_path", lambda sets, shared, up, depth: next(verdicts, False))
+    # Only the first of three equally heavy trees qualifying: no path of a
+    # triangle's trees passes a vertex on tree 0.
+    monkeypatch.setattr(oracle, "_all_spanning_trees", tables_with(lambda rows: tuple(
+        tuple(mask & ~1 for mask in row) for row in rows)))
     with pytest.raises(InvariantError, match="maximum trees disagree"):
-        brute_admits_junction_tree(IndexSetFamily([[1], [2], [3]]))
+        brute_admits_junction_tree(IndexSetFamily([[1, 2], [2, 3], [1, 3]]))

@@ -23,10 +23,12 @@ from cdcmip import (
     CandidateTree,
     IndexSetFamily,
     InputError,
+    InvariantError,
     LinearFormulation,
     RedundantFamilyWarning,
     SizeGuardError,
     admits_junction_tree,
+    brute_admits_junction_tree,
     build_equivalent_family,
     build_extended_disjoint,
     build_extended_jtree,
@@ -52,6 +54,7 @@ from cdcmip import (
     verify_cover,
 )
 from cdcmip import oracle
+from cdcmip.cdc import _exact_coordinate
 from cdcmip.formulate import Constraint, Variable, write_lp
 from cdcmip.geom import PlanarPartition, _interiors_disjoint, _shape, dual_graph, partition_to_cdc
 from cdcmip.jtree import _cut_recursion
@@ -72,6 +75,7 @@ from helpers import (
     quiet_family,
     random_family,
     random_junction_family,
+    reference_brute_admits_junction_tree,
     reference_cut_recursion,
     reference_level_cover,
     reference_lp_vertices,
@@ -448,6 +452,30 @@ def test_spellings_parse_to_the_value():
     assert decimal_text(Fraction(-3, 8)) == "-0.375" and decimal_text(Fraction(7)) == "7.0"
 
 
+def fraction_or_refusal(parse, text):
+    """The parsed value, or ``None`` when the text is refused."""
+    try:
+        return parse(text)
+    except (InputError, ValueError, ZeroDivisionError):
+        return None
+
+
+@PROPERTY
+@given(st.one_of(
+    st.text("0123456789-/", max_size=22),
+    st.text("0123456789-+/ _.eE\u0663\u00b2\u3000", max_size=22),
+))
+@example("-0/5")
+@example("5/-3")
+@example("+5/3")
+@example("12345678901234567/9")  # 19 characters, the longest short spelling
+@example("123456789012345678/9")
+def test_exact_coordinate_reads_a_short_spelling_as_fraction_does(text):
+    # Short integers and a/b skip Fraction's parser; the value and the
+    # refusals must not show it.
+    assert fraction_or_refusal(_exact_coordinate, text) == fraction_or_refusal(Fraction, text)
+
+
 # ------------------------------------------------------ junction-tree core
 #
 # The sparse maximum spanning tree, the running-intersection identity, the
@@ -819,16 +847,34 @@ def test_lp_vertices_match_every_basis_solve(model):
 
 @settings(PROPERTY, max_examples=40)
 @given(families)
-def test_parent_array_path_test_matches_the_per_root_walk(fam):
+def test_tree_masks_path_test_matches_the_per_root_walk(fam):
     # brute_admits_junction_tree reads the definition only through the
-    # parent arrays the Pruefer decode hands out.
-    sets = fam.sets
-    shared = [(i, j, sets[i] & sets[j]) for i, j in combinations(range(len(sets)), 2)]
-    shared = [pair for pair in shared if pair[2]]
-    for edges, up, depth in oracle._all_spanning_trees(len(fam)):
-        assert oracle._holds_on_every_path(sets, shared, up, depth) == per_root_holds_on_every_path(
-            fam, edges
-        )
+    # path masks built with the Pruefer decode, one bit per tree.
+    tables = oracle._all_spanning_trees(len(fam))
+    failing = oracle._failing_trees(fam.sets, tables.through)
+    for t, edges in enumerate(tables.trees):
+        assert (not failing >> t & 1) == per_root_holds_on_every_path(fam, edges)
+
+
+def brute_outcome(search, fam):
+    """The found tree's edges, None, or the type and message of the refusal raised."""
+    try:
+        tree = search(fam)
+    except (InvariantError, SizeGuardError) as exc:
+        return type(exc), str(exc)
+    return None if tree is None else tree.edges
+
+
+def test_brute_tree_search_matches_the_per_tree_reference():
+    rng = random.Random(2026)
+    fams = [random_family(rng, max_sets=7, max_ground=9) if k % 2 else
+            random_junction_family(rng, max_sets=7, max_ground=12) for k in range(2000)]
+    assert {len(fam) for fam in fams} == set(range(1, 8))
+    # Past the cap, both refuse with the same message.
+    fams += [random_family(rng, max_sets=9, max_ground=12) for _ in range(20)]
+    for fam in fams:
+        assert brute_outcome(brute_admits_junction_tree, fam) == brute_outcome(
+            reference_brute_admits_junction_tree, fam)
 
 
 @PROPERTY
