@@ -16,7 +16,7 @@ import sys
 import warnings
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -43,6 +43,14 @@ def _check_indices(items: Iterable) -> None:
             raise InputError(f"indices must be non-negative integers, got {v!r}")
 
 
+def _check_members(rows: Iterable[tuple]) -> None:
+    """Raise the first ``InputError`` of the member sets' own checks, in member order."""
+    for items in rows:
+        _check_indices(items)
+        if not items:
+            raise InputError("member sets must be nonempty")
+
+
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -66,13 +74,15 @@ def _exact_coordinate(value) -> Fraction:
         x = Fraction(value)
     elif isinstance(value, str):
         num, slash, den = value.partition("/")
+        whole, dot, frac = num.partition(".")
         try:
-            if len(value) < 20 and value.isascii() and num.removeprefix("-").isdigit() and (
-                den.isdigit() or not slash
-            ):
-                # A short plain integer or a/b of ASCII digits: int() reads it
-                # without Fraction's regex, and it holds no exponent.
+            # A short plain integer, a/b or decimal of ASCII digits: int()
+            # reads it without Fraction's regex, and it holds no exponent.
+            short = len(value) < 20 and value.isascii() and whole.removeprefix("-").isdigit()
+            if short and not dot and (den.isdigit() or not slash):
                 x = Fraction(int(num), int(den or 1))
+            elif short and not slash and frac.isdigit():
+                x = Fraction(int(whole + frac), 10 ** len(frac))
             else:
                 # Fraction would expand 10**exponent, which a huge exponent never
                 # finishes; the cap holds even with no digit limit (a limit of 0).
@@ -120,13 +130,22 @@ class IndexSetFamily:
     __slots__ = ("sets", "holders")
 
     def __init__(self, sets: Iterable[Iterable[int]]):
-        members = []
-        for raw in sets:
-            items = tuple(raw)
-            _check_indices(items)  # before hashing, which a list entry would fail
-            if not items:
-                raise InputError("member sets must be nonempty")
-            members.append(frozenset(items))
+        rows: list[tuple] = []
+        try:
+            rows.extend(map(tuple, sets))
+        except TypeError:  # a member that is no iterable: earlier members' errors come first
+            _check_members(rows)
+            raise
+        # Checked before hashing, which a list entry would fail: one C-level
+        # type and sign test over every index, and the member-by-member check
+        # only when it fails, to raise the same error as that check alone.
+        if not (
+            all(rows)
+            and {*map(type, chain.from_iterable(rows))} <= {int}
+            and min(map(min, rows), default=0) >= 0
+        ):
+            _check_members(rows)
+        members = list(map(frozenset, rows))
         if not members:
             raise InputError("a family needs at least one member set")
         if len(set(members)) != len(members):
@@ -243,8 +262,12 @@ def _has_containment(family: IndexSetFamily) -> bool:
 
     A set can only lie inside the sets that hold its rarest element, so it
     is tested against those alone, found through the family's holders.
+    Members are distinct, and distinct sets of one size never nest, so a
+    family whose members all have one size has no containment.
     """
     sets, holders = family.sets, family.holders
+    if len({*map(len, sets)}) == 1:
+        return False
     count = {v: len(h) for v, h in holders.items()}
     for s in sets:
         for t in holders[min(s, key=count.__getitem__)]:

@@ -79,6 +79,10 @@ BUILDERS = {
     "ext-disjoint": lambda family: build_extended_disjoint(family),
 }
 MAX_GROUND = 25  # default of every --max-ground flag
+# verify --random draws at most this many sets over at most this many
+# indices, whatever larger --max-sets and --max-ground allow.
+RANDOM_MAX_SETS = 6
+RANDOM_MAX_GROUND = 10
 
 
 def _dump(data) -> str:
@@ -211,9 +215,9 @@ def _verify_random(args) -> int:
     if args.max_sets < 1 or args.max_ground < 2:
         raise InputError("--random needs --max-sets >= 1 and --max-ground >= 2")
     rng = random.Random(args.seed)
-    j_cap = min(args.max_ground, 10)
+    j_cap = min(args.max_ground, RANDOM_MAX_GROUND)
     # A draw of d sets takes its indices from n >= d of them.
-    d_cap = min(args.max_sets, 6, j_cap)
+    d_cap = min(args.max_sets, RANDOM_MAX_SETS, j_cap)
     agree = 0
     for _ in range(args.random):
         d = rng.randint(1, d_cap)
@@ -328,7 +332,14 @@ def make_parser() -> argparse.ArgumentParser:
         choices=list(BUILDERS),
         default="ib",
     )
-    p.add_argument("--random", type=_count, help="check N random families instead")
+    p.add_argument(
+        "--random",
+        type=_count,
+        help=(
+            f"check N random families instead, each of at most {RANDOM_MAX_SETS} sets "
+            f"over at most {RANDOM_MAX_GROUND} indices (lower with --max-sets, --max-ground)"
+        ),
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=lambda args: cmd_verify(args))
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .cdc import ConflictGraph, IndexSetFamily, _check_indices, conflict_graph
@@ -41,12 +43,21 @@ class Biclique:
 
 
 class BicliqueCover:
-    """An ordered collection of bicliques meant to cover a conflict graph."""
+    """An ordered collection of bicliques meant to cover a conflict graph.
 
-    __slots__ = ("bicliques",)
+    ``_verified`` is set by ``tree_cover`` alone: the family's ``sets`` tuple
+    and the ``bicliques`` tuple it verified, held as objects and compared by
+    identity.  A copy, a pickle or a cover read back from JSON is unstamped.
+    """
+
+    __slots__ = ("bicliques", "_verified")
 
     def __init__(self, bicliques: Iterable[Biclique] = ()):
         self.bicliques: tuple[Biclique, ...] = tuple(bicliques)
+        self._verified: tuple[tuple, tuple] | None = None
+
+    def __reduce__(self):
+        return type(self), (self.bicliques,)
 
     def __len__(self) -> int:
         return len(self.bicliques)
@@ -139,20 +150,13 @@ def separation(family: IndexSetFamily, tree: CandidateTree) -> list[Biclique]:
     return out[0] if out else []
 
 
-def _touched(holders: dict[int, list[int]], side: Iterable[int]) -> int:
-    """Mask of the member sets that hold some vertex of ``side``: bit i for set i."""
-    t = 0
-    for i in set().union(*map(holders.__getitem__, side)):
-        t |= 1 << i
-    return t
-
-
 def merge_cover(bicliques: Sequence[Biclique], family: IndexSetFamily) -> BicliqueCover:
     """Greedy single pass merging each biclique into the first compatible one.
 
     Both orientations of a union are tried before giving up and appending.
     Each side S is held as T(S), the mask of the member sets that hold one
-    of its vertices, read off ``family.holders``.  (A, B) is a biclique iff
+    of its vertices: the OR over S of each index's holder mask, built once
+    per call from ``family.holders``.  (A, B) is a biclique iff
     both sides lie in the ground set and no member set touches both, i.e.
     T(A) & T(B) is 0, which also makes the sides disjoint.  So the union
     (A | A', B | B') is one iff T(A) & T(B') and T(A') & T(B) are 0, and
@@ -160,7 +164,9 @@ def merge_cover(bicliques: Sequence[Biclique], family: IndexSetFamily) -> Bicliq
     that is no biclique is kept but never merges.  What merged sides gain
     grows in sets, and each merged ``Biclique`` is built once, at the end.
     """
-    holders, ground = family.holders, family.holders.keys()
+    ground = family.holders.keys()
+    holder_mask = {v: sum(map((1).__lshift__, h)) for v, h in family.holders.items()}
+    touched = holder_mask.__getitem__
     cover: list[Biclique] = []
     masks: list[tuple[int, int] | None] = []  # (T(A), T(B)) of a mergeable one
     grown: dict[int, tuple[set[int], set[int]]] = {}  # what sides A and B gain, by position
@@ -168,7 +174,7 @@ def merge_cover(bicliques: Sequence[Biclique], family: IndexSetFamily) -> Bicliq
         a2, b2 = cand.side_a, cand.side_b
         mergeable = ground >= a2 and ground >= b2
         if mergeable:
-            ta2, tb2 = _touched(holders, a2), _touched(holders, b2)
+            ta2, tb2 = reduce(or_, map(touched, a2)), reduce(or_, map(touched, b2))
             mergeable = not ta2 & tb2
         for idx, acc in enumerate(masks if mergeable else ()):
             if acc is None:
@@ -218,13 +224,16 @@ def tree_cover(family: IndexSetFamily, tree: CandidateTree) -> BicliqueCover:
 
     Raises :class:`NoJunctionTreeError` when ``tree`` is not a junction
     tree of the family.  The result always verifies against the conflict
-    graph and never exceeds one biclique per tree edge.
+    graph and never exceeds one biclique per tree edge.  It is stamped with
+    the family's ``sets`` and its own ``bicliques``, so that
+    ``build_ib_from_cover`` need not verify it again for the same family.
     """
     cover = merge_cover(separation(family, tree), family)
     if not verify_cover(conflict_graph(family), cover):
         raise InvariantError("tree cover produced a non-covering result")
     if len(cover) > max(len(family) - 1, 0):
         raise InvariantError("tree cover exceeded the tree-edge bound")
+    cover._verified = (family.sets, cover.bicliques)
     return cover
 
 

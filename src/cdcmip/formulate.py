@@ -318,8 +318,16 @@ def _cover_model(builder, family, cover, rewrite=None, prefix="lamp") -> LinearF
 
 
 def build_ib_from_cover(family: IndexSetFamily, cover: BicliqueCover) -> LinearFormulation:
-    """One binary per cover biclique: each side's mass is forbidden on one branch."""
-    if not verify_cover(conflict_graph(family), cover):
+    """One binary per cover biclique: each side's mass is forbidden on one branch.
+
+    The cover is verified against the family's conflict graph unless
+    ``tree_cover`` built it for this very family: its stamp holds the same
+    ``sets`` object and the cover's own ``bicliques`` object, which never
+    change once built.
+    """
+    stamp = getattr(cover, "_verified", None)
+    trusted = stamp is not None and stamp[0] is family.sets and stamp[1] is cover.bicliques
+    if not trusted and not verify_cover(conflict_graph(family), cover):
         raise InputError("cover does not verify against the family's conflict graph")
     return _cover_model("ib_cover", family, cover)
 

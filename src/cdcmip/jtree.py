@@ -23,7 +23,7 @@ from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional
 
 from .cdc import IndexSetFamily
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 
 def _spanning_forest(size: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -134,11 +134,12 @@ def _cut_recursion(tree: CandidateTree) -> list[tuple]:
 class CandidateTree:
     """A spanning tree over the member-set ordinals of a family.
 
-    Edges carry the intersection of their two endpoint sets as middle set.
-    Construction validates connectivity and acyclicity.
+    Edges carry the intersection of their two endpoint sets as middle set,
+    computed on the first read of ``mids``.  Construction validates
+    connectivity and acyclicity.
     """
 
-    __slots__ = ("size", "edges", "mids")
+    __slots__ = ("size", "edges", "_sets", "_mids")
 
     def __init__(self, family: IndexSetFamily, edges: Iterable[tuple[int, int]]):
         d = len(family)
@@ -149,11 +150,28 @@ class CandidateTree:
         normalized = tuple(sorted((min(e), max(e)) for e in edges))
         if len(normalized) != d - 1 or len(_spanning_forest(d, normalized)) != d - 1:
             raise InputError(f"a spanning tree over {d} sets needs {d - 1} edges and no cycle")
-        self.size = d
-        self.edges = normalized
-        self.mids = {
-            (i, j): family.sets[i] & family.sets[j] for i, j in normalized
-        }
+        self.size, self.edges, self._sets, self._mids = d, normalized, family.sets, None
+
+    @classmethod
+    def _of_forest(cls, family: IndexSetFamily, forest: list[tuple[int, int]]) -> CandidateTree:
+        """The tree of a forest ``_spanning_forest`` kept: no cycle, each pair (i, j) with i < j.
+
+        Such a forest needs no second validation, only a count of its edges.
+        """
+        d = len(family)
+        if len(forest) != d - 1:
+            raise InvariantError(f"a spanning forest over {d} sets kept {len(forest)} edges")
+        tree = cls.__new__(cls)
+        tree.size, tree.edges, tree._sets, tree._mids = d, tuple(sorted(forest)), family.sets, None
+        return tree
+
+    @property
+    def mids(self) -> dict[tuple[int, int], frozenset[int]]:
+        """Each edge's middle set, the intersection of its two end sets."""
+        if self._mids is None:
+            sets = self._sets
+            self._mids = {(i, j): sets[i] & sets[j] for i, j in self.edges}
+        return self._mids
 
     @property
     def weight(self) -> int:
@@ -225,14 +243,15 @@ def maximum_spanning_tree_of(family: IndexSetFamily) -> CandidateTree:
     lists, and if these leave the forest disconnected, the zero-weight
     pairs (0, j) join the rest in order of j.  A scan of all pairs would
     keep exactly these, since its zero-weight pairs begin with (0, 1),
-    (0, 2), ... and those alone connect everything.
+    (0, 2), ... and those alone connect everything.  So the forest always
+    spans, and the tree takes it without validating it again.
     """
     d = len(family)
     weights = _pair_weights(family)
     ranked = sorted(pair for pair, w in weights.items() if w > 1)
     ranked.sort(key=weights.__getitem__, reverse=True)  # stable: pairs stay ascending
     edges = chain(ranked, _weight_one_pairs(family), zip(repeat(0), range(1, d)))
-    return CandidateTree(family, _spanning_forest(d, edges))
+    return CandidateTree._of_forest(family, _spanning_forest(d, edges))
 
 
 def is_junction_tree(family: IndexSetFamily, tree: CandidateTree) -> bool:

@@ -412,6 +412,20 @@ def padded_tree_cover(family, tree):
     return BicliqueCover(members + members[:1])
 
 
+def counted_verify_cover(monkeypatch, *modules) -> list:
+    """The covers ``verify_cover`` is called on, recorded at each module's binding of it."""
+    calls = []
+    real = modules[0].verify_cover
+
+    def counted(g, cover):
+        calls.append(cover)
+        return real(g, cover)
+
+    for module in modules:
+        monkeypatch.setattr(module, "verify_cover", counted)
+    return calls
+
+
 def random_family(rng: random.Random, max_sets=6, max_ground=10) -> IndexSetFamily:
     d = rng.randint(1, max_sets)
     n = rng.randint(max(d, 2), max_ground)

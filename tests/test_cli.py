@@ -13,6 +13,7 @@ import cdcmip
 from cdcmip import cli
 from cdcmip.cli import main, make_parser
 from conftest import triangle_strip
+from helpers import counted_verify_cover
 
 SOS2_5 = '{"sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}'
 TRIANGLE = '{"sets": [[1, 2], [2, 3], [1, 3]]}'
@@ -204,6 +205,15 @@ def test_formulate_lp(tmp_path, capsys):
     assert code == 0
     text = out_path.read_text()
     assert "Binaries" in text and text.count("\n z_") == 2
+
+
+def test_formulate_ib_verifies_its_cover_once(tmp_path, capsys, monkeypatch):
+    from cdcmip import cover, formulate
+
+    calls = counted_verify_cover(monkeypatch, cover, formulate, cli)
+    code, out, _ = run(capsys, "formulate", family_file(tmp_path, SOS2_5), "--formulation", "ib")
+    assert code == 0 and "Subject To" in out
+    assert len(calls) == 1
 
 
 def test_formulate_json_format(tmp_path, capsys):
@@ -428,6 +438,28 @@ def test_verify_random(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["agreements"] == 15
+
+
+def test_verify_random_draws_within_the_named_caps(capsys, monkeypatch):
+    drawn = []
+    real = cli.IndexSetFamily
+
+    def recorded(sets):
+        family = real(sets)
+        drawn.append(family)
+        return family
+
+    monkeypatch.setattr(cli, "IndexSetFamily", recorded)
+    flags = ["--random", "60", "--seed", "3", "--max-sets", "9", "--max-ground", "20"]
+    code, _, _ = run(capsys, "verify", *flags)
+    assert code == 0 and len(drawn) == 60
+    assert max(map(len, drawn)) == cli.RANDOM_MAX_SETS == 6
+    assert max(len(set().union(*f.sets)) for f in drawn) <= cli.RANDOM_MAX_GROUND == 10
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["verify", "--help"])
+    help_line = " ".join(capsys.readouterr().out.split())
+    assert "each of at most 6 sets over at most 10 indices" in help_line
 
 
 def test_verify_random_zero_prints_an_empty_report(capsys):

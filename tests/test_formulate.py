@@ -23,7 +23,7 @@ from cdcmip import (
 )
 from cdcmip.cover import Biclique
 from cdcmip.formulate import Constraint, LinearFormulation, Variable
-from helpers import padded_tree_cover, parse_lp, rows_match_up_to_scaling
+from helpers import counted_verify_cover, padded_tree_cover, parse_lp, rows_match_up_to_scaling
 
 SOS2_3 = [[1, 2], [2, 3]]
 
@@ -91,6 +91,61 @@ def test_build_ib_rejects_bad_cover(sos2_5, path3):
     assert len(f.binary_names()) == 2
     cover_rows = [c for c in f.constraints if c.name != "mass"]
     assert len(cover_rows) == 4
+
+
+def test_build_ib_verifies_a_tree_cover_once(monkeypatch, sos2_5, path3):
+    from cdcmip import cover, formulate
+
+    # tree_cover's check stands for build_ib_from_cover's on its own result.
+    calls = counted_verify_cover(monkeypatch, cover, formulate)
+    for fam in (sos2_5, path3):
+        calls.clear()
+        built = heuristic_cover(fam)
+        build_ib_from_cover(fam, built)
+        assert calls == [built]
+
+
+def test_build_ib_rejects_a_cover_missing_a_biclique(sos2_5):
+    cover = heuristic_cover(sos2_5)
+    with pytest.raises(InputError):
+        build_ib_from_cover(sos2_5, BicliqueCover(cover.bicliques[1:]))
+    # The stamp names the bicliques tree_cover verified, not these.
+    cover.bicliques = cover.bicliques[1:]
+    with pytest.raises(InputError):
+        build_ib_from_cover(sos2_5, cover)
+
+
+def test_build_ib_rejects_a_stamped_cover_of_another_family(sos2_5, path3):
+    with pytest.raises(InputError):
+        build_ib_from_cover(sos2_5, heuristic_cover(path3))
+
+
+def test_build_ib_verifies_every_cover_the_stamp_does_not_name(monkeypatch, sos2_5):
+    import copy
+    import pickle
+
+    from cdcmip import cover, formulate
+
+    stamped = heuristic_cover(sos2_5)
+    calls = counted_verify_cover(monkeypatch, cover, formulate)
+    # An equal family whose sets are another object, and covers equal to
+    # the stamped one that are not it: each is verified again.
+    equal = IndexSetFamily([sorted(s) for s in sos2_5.sets])
+    assert equal == sos2_5 and equal.sets is not sos2_5.sets
+    build_ib_from_cover(equal, stamped)
+    assert calls == [stamped]
+    others = [
+        copy.copy(stamped),
+        copy.deepcopy(stamped),
+        pickle.loads(pickle.dumps(stamped)),
+        BicliqueCover.from_json(stamped.to_json()),
+        BicliqueCover(stamped),
+    ]
+    for other in others:
+        assert other == stamped
+        calls.clear()
+        build_ib_from_cover(sos2_5, other)
+        assert calls == [other]
 
 
 def test_build_sosk_counts():

@@ -6,6 +6,7 @@ from cdcmip import (
     CandidateTree,
     IndexSetFamily,
     InputError,
+    InvariantError,
     admits_junction_tree,
     failing_index,
     is_junction_tree,
@@ -53,6 +54,18 @@ def test_candidate_tree_validation(path3):
 def test_candidate_tree_refuses_edges_that_are_no_integer_pair(path3, edge):
     with pytest.raises(InputError, match="not a valid ordinal pair"):
         CandidateTree(path3, [edge, (1, 2)])
+
+
+def test_middles_are_computed_on_first_read(path3):
+    tree = maximum_spanning_tree_of(path3)
+    assert tree._mids is None
+    mids = tree.mids
+    assert mids == {(0, 1): {3}, (1, 2): {5}} and tree.mids is mids
+
+
+def test_a_forest_short_of_spanning_is_an_invariant_error(path3):
+    with pytest.raises(InvariantError, match="kept 1 edges"):
+        CandidateTree._of_forest(path3, [(0, 1)])
 
 
 def test_tree_json(path3):

@@ -163,9 +163,17 @@ def test_verify_cover_matches_pair_set_on_heuristic_covers(seed, data):
     assert verify_cover(g, cover) == pairset_verify_cover(edges, ground, cover)
 
 
+one_size_families = st.integers(1, 4).flatmap(
+    lambda size: st.lists(
+        st.frozensets(labels, min_size=size, max_size=size), min_size=1, max_size=6, unique=True
+    )
+).map(quiet_family)
+
+
 @PROPERTY
-@given(families)
+@given(st.one_of(families, one_size_families))
 def test_redundancy_scan_matches_pair_scan(fam):
+    # A family of one member size answers without the scan.
     sets = [sorted(s) for s in fam.sets]
     want = pairwise_has_containment(sets)
     with warnings.catch_warnings(record=True) as caught:
@@ -523,6 +531,19 @@ def spanning_trees(draw, fam):
 def test_sparse_tree_matches_kruskal_over_all_pairs(fam):
     tree = maximum_spanning_tree_of(fam)
     assert tree.edges == dense_maximum_spanning_tree(fam)
+
+
+@PROPERTY
+@given(st.one_of(families, split_families(), junction_families))
+def test_maximum_spanning_tree_is_the_tree_validation_gives(fam):
+    # The Kruskal forest goes to the tree unvalidated; the validating
+    # constructor must take the same edges and give the same tree.
+    tree = maximum_spanning_tree_of(fam)
+    checked = CandidateTree(fam, tree.edges)
+    assert tree == checked and tree.edges == checked.edges and type(tree.edges) is tuple
+    assert tree.mids == checked.mids
+    assert tree.weight == checked.weight
+    assert tree.to_json() == checked.to_json()
 
 
 @PROPERTY
