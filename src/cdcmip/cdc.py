@@ -43,14 +43,6 @@ def _check_indices(items: Iterable) -> None:
             raise InputError(f"indices must be non-negative integers, got {v!r}")
 
 
-def _check_members(rows: Iterable[tuple]) -> None:
-    """Raise the first ``InputError`` of the member sets' own checks, in member order."""
-    for items in rows:
-        _check_indices(items)
-        if not items:
-            raise InputError("member sets must be nonempty")
-
-
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -74,15 +66,13 @@ def _exact_coordinate(value) -> Fraction:
         x = Fraction(value)
     elif isinstance(value, str):
         num, slash, den = value.partition("/")
-        whole, dot, frac = num.partition(".")
         try:
-            # A short plain integer, a/b or decimal of ASCII digits: int()
-            # reads it without Fraction's regex, and it holds no exponent.
-            short = len(value) < 20 and value.isascii() and whole.removeprefix("-").isdigit()
-            if short and not dot and (den.isdigit() or not slash):
+            if len(value) < 20 and value.isascii() and num.removeprefix("-").isdigit() and (
+                den.isdigit() or not slash
+            ):
+                # A short plain integer or a/b of ASCII digits: int() reads it
+                # without Fraction's regex, and it holds no exponent.
                 x = Fraction(int(num), int(den or 1))
-            elif short and not slash and frac.isdigit():
-                x = Fraction(int(whole + frac), 10 ** len(frac))
             else:
                 # Fraction would expand 10**exponent, which a huge exponent never
                 # finishes; the cap holds even with no digit limit (a limit of 0).
@@ -130,21 +120,19 @@ class IndexSetFamily:
     __slots__ = ("sets", "holders")
 
     def __init__(self, sets: Iterable[Iterable[int]]):
-        rows: list[tuple] = []
-        try:
-            rows.extend(map(tuple, sets))
-        except TypeError:  # a member that is no iterable: earlier members' errors come first
-            _check_members(rows)
-            raise
+        rows = list(map(tuple, sets))
         # Checked before hashing, which a list entry would fail: one C-level
-        # type and sign test over every index, and the member-by-member check
-        # only when it fails, to raise the same error as that check alone.
+        # type and sign test over every index, and member by member only when
+        # it fails, to raise the first error in member and index order.
         if not (
             all(rows)
             and {*map(type, chain.from_iterable(rows))} <= {int}
             and min(map(min, rows), default=0) >= 0
         ):
-            _check_members(rows)
+            for items in rows:
+                _check_indices(items)
+                if not items:
+                    raise InputError("member sets must be nonempty")
         members = list(map(frozenset, rows))
         if not members:
             raise InputError("a family needs at least one member set")

@@ -45,9 +45,9 @@ class Biclique:
 class BicliqueCover:
     """An ordered collection of bicliques meant to cover a conflict graph.
 
-    ``_verified`` is set by ``tree_cover`` alone: the family's ``sets`` tuple
-    and the ``bicliques`` tuple it verified, held as objects and compared by
-    identity.  A copy, a pickle or a cover read back from JSON is unstamped.
+    ``_verified`` is set by ``tree_cover`` and read by ``_covers``, alone:
+    the family's ``sets`` tuple and the ``bicliques`` tuple it verified,
+    held as objects and compared by identity.  A copy, a pickle or a cover read back from JSON is unstamped.
     """
 
     __slots__ = ("bicliques", "_verified")
@@ -235,6 +235,20 @@ def tree_cover(family: IndexSetFamily, tree: CandidateTree) -> BicliqueCover:
         raise InvariantError("tree cover exceeded the tree-edge bound")
     cover._verified = (family.sets, cover.bicliques)
     return cover
+
+
+def _covers(family: IndexSetFamily, cover: BicliqueCover) -> bool:
+    """True iff ``cover`` covers the family's conflict graph.
+
+    Trusted without a check only when ``tree_cover`` stamped it for this
+    very family: the stamp holds the same ``sets`` object and the cover's
+    own ``bicliques`` object, compared by identity.  Any other cover is
+    verified.
+    """
+    stamp = cover._verified
+    if stamp is not None and stamp[0] is family.sets and stamp[1] is cover.bicliques:
+        return True
+    return verify_cover(conflict_graph(family), cover)
 
 
 def heuristic_cover(family: IndexSetFamily) -> BicliqueCover:

@@ -25,8 +25,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .cdc import IndexSetFamily, _exact_coordinate, _exact_point, conflict_graph, ground_set
-from .cover import BicliqueCover, tree_cover, verify_cover
+from .cdc import IndexSetFamily, _exact_coordinate, _exact_point, ground_set
+from .cover import BicliqueCover, _covers, tree_cover
 from .errors import InputError, InvariantError
 from .sosk import sosk_cover, sosk_family
 from .transform import build_equivalent_family
@@ -321,13 +321,9 @@ def build_ib_from_cover(family: IndexSetFamily, cover: BicliqueCover) -> LinearF
     """One binary per cover biclique: each side's mass is forbidden on one branch.
 
     The cover is verified against the family's conflict graph unless
-    ``tree_cover`` built it for this very family: its stamp holds the same
-    ``sets`` object and the cover's own ``bicliques`` object, which never
-    change once built.
+    ``tree_cover`` built it for this very family.
     """
-    stamp = getattr(cover, "_verified", None)
-    trusted = stamp is not None and stamp[0] is family.sets and stamp[1] is cover.bicliques
-    if not trusted and not verify_cover(conflict_graph(family), cover):
+    if not _covers(family, cover):
         raise InputError("cover does not verify against the family's conflict graph")
     return _cover_model("ib_cover", family, cover)
 

@@ -208,9 +208,9 @@ def test_formulate_lp(tmp_path, capsys):
 
 
 def test_formulate_ib_verifies_its_cover_once(tmp_path, capsys, monkeypatch):
-    from cdcmip import cover, formulate
+    from cdcmip import cover
 
-    calls = counted_verify_cover(monkeypatch, cover, formulate, cli)
+    calls = counted_verify_cover(monkeypatch, cover, cli)
     code, out, _ = run(capsys, "formulate", family_file(tmp_path, SOS2_5), "--formulation", "ib")
     assert code == 0 and "Subject To" in out
     assert len(calls) == 1

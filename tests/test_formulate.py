@@ -94,10 +94,10 @@ def test_build_ib_rejects_bad_cover(sos2_5, path3):
 
 
 def test_build_ib_verifies_a_tree_cover_once(monkeypatch, sos2_5, path3):
-    from cdcmip import cover, formulate
+    from cdcmip import cover
 
     # tree_cover's check stands for build_ib_from_cover's on its own result.
-    calls = counted_verify_cover(monkeypatch, cover, formulate)
+    calls = counted_verify_cover(monkeypatch, cover)
     for fam in (sos2_5, path3):
         calls.clear()
         built = heuristic_cover(fam)
@@ -124,10 +124,10 @@ def test_build_ib_verifies_every_cover_the_stamp_does_not_name(monkeypatch, sos2
     import copy
     import pickle
 
-    from cdcmip import cover, formulate
+    from cdcmip import cover
 
     stamped = heuristic_cover(sos2_5)
-    calls = counted_verify_cover(monkeypatch, cover, formulate)
+    calls = counted_verify_cover(monkeypatch, cover)
     # An equal family whose sets are another object, and covers equal to
     # the stamped one that are not it: each is verified again.
     equal = IndexSetFamily([sorted(s) for s in sos2_5.sets])
