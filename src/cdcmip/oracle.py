@@ -54,48 +54,6 @@ def _compile(f: LinearFormulation) -> tuple[list[list[int]], list[list[int]]]:
     return eqs, ineqs
 
 
-def _reduce(basis, row: list[int]) -> list[int]:
-    """The row with every basis pivot column eliminated, in integers."""
-    for p, b in basis:
-        if row[p]:
-            row = _combine(b[p], row, -row[p], b)
-    return row
-
-
-def _insert(basis, row: list[int], p: int):
-    """A new basis with the reduced ``row`` pivoting on column ``p``, kept fully reduced.
-
-    Every pivot entry is made positive, so reducing a row by the basis
-    scales it by a positive factor and never flips an inequality.
-    """
-    if row[p] < 0:
-        row = [-a for a in row]
-    out = [(q, _combine(row[p], b, -b[p], row)) if b[p] else (q, b) for q, b in basis]
-    out.append((p, row))
-    return out
-
-
-def _echelon(rows, m: int):
-    """Eliminate the rows in order on pivots among columns ``0..m-1``.
-
-    Returns the fully reduced basis of (pivot, row) pairs and the reduced
-    rows left with no pivot there but some other coefficient, or ``None``
-    when a row reduces to 0 = b with b nonzero.
-    """
-    basis: list[tuple[int, list[int]]] = []
-    residual: list[list[int]] = []
-    for row in rows:
-        row = _reduce(basis, row)
-        p = next((k for k in range(m) if row[k]), None)
-        if p is not None:
-            basis = _insert(basis, row, p)
-        elif any(row[:-1]):
-            residual.append(row)
-        elif row[-1]:
-            return None
-    return basis, residual
-
-
 def _combine(s: int, x: list[int], t: int, y: list[int]) -> list[int]:
     """s·x + t·y, divided by the gcd of its entries."""
     return _primitive([s * a + t * b for a, b in zip(x, y)])
@@ -107,37 +65,65 @@ def _primitive(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
-def _fourier_motzkin(rows: list[list[int]], m: int, max_rows: int) -> Optional[list[tuple]]:
-    """Eliminate columns ``0..m-1`` from primitive integer rows ``a.x <= b``.
+def _fourier_motzkin(eqs: list[list[int]], ineqs: list[list[int]], m: int, max_rows: int):
+    """Eliminate columns ``0..m-1`` from primitive integer rows a.x = b and a.x <= b.
 
-    Exact Fourier-Motzkin elimination: the returned rows hold at a point of
-    the other columns iff some values of the eliminated ones complete it;
-    ``None`` when a row with no variables left is violated.  Each round
-    eliminates the column held by the fewest rows, the first on a tie.  Its
-    distinct rows are counted as they are made, and past ``max_rows`` it
-    raises at once, even if a violated constant row later in the round
-    would have proved the system infeasible.
+    Exact elimination: the returned (equalities, inequalities) hold at a
+    point of the other columns iff some values of the eliminated ones
+    complete it; ``None`` when a row with no variables left is violated.
+    Each equality in turn, reduced by the pivots before it, pivots on its
+    first column below m, negated if that entry is negative so that no
+    inequality flips, and is substituted into every later row; an equality
+    with no such column is kept.  Fourier-Motzkin rounds then eliminate
+    the column held by the fewest inequalities, the first on a tie.  Each
+    inequality carries the mask of the inequalities it sums (the one of
+    fewer bits when a row is made twice), and after r rounds a pair whose
+    masks join more than r + 1 bits is skipped before it is combined: the
+    row it would give is implied by others (Chernikov's rule).  Each
+    round's distinct rows are counted as they are made, and past
+    ``max_rows`` it raises at once, even if a violated constant row later
+    in the round would have proved the system infeasible.
     """
+    kept_eqs = []
+    while eqs:
+        row, *eqs = eqs
+        p = next((k for k in range(m) if row[k]), None)
+        if p is None:
+            if any(row[:-1]):
+                kept_eqs.append(row)
+            elif row[-1]:
+                return None
+            continue
+        if row[p] < 0:
+            row = [-a for a in row]
+        eqs, ineqs = ([_combine(row[p], q, -q[p], row) if q[p] else q for q in rows]
+                      for rows in (eqs, ineqs))
+    rows = ((row, 1 << i) for i, row in enumerate(ineqs))
+    rounds = 0
     while True:
-        kept: dict[tuple[int, ...], None] = {}
-        for row in rows:
+        kept: dict[tuple[int, ...], int] = {}  # row -> mask of the inequalities it sums
+        for row, mask in rows:
             if not any(row[:-1]):
                 if row[-1] < 0:
                     return None
-            elif (key := tuple(row)) not in kept:
-                if len(kept) == max_rows:
-                    raise SizeGuardError(
-                        f"support_validity: eliminating the auxiliary variables reached "
-                        f"{max_rows + 1} rows, over the budget of {max_rows}")
-                kept[key] = None
+            elif (key := tuple(row)) in kept:
+                kept[key] = min(kept[key], mask, key=int.bit_count)
+            elif len(kept) == max_rows:
+                raise SizeGuardError(
+                    f"support_validity: eliminating the auxiliary variables reached "
+                    f"{max_rows + 1} rows, over the budget of {max_rows}")
+            else:
+                kept[key] = mask
         counts = [sum(1 for row in kept if row[k]) for k in range(m)]
         live = [k for k in range(m) if counts[k]]
         if not live:
-            return list(kept)
+            return kept_eqs, list(kept)
         k = min(live, key=lambda k: (counts[k], k))
-        negative = [q for q in kept if q[k] < 0]
-        rows = chain((r for r in kept if not r[k]),
-                     (_combine(-q[k], p, p[k], q) for p in kept if p[k] > 0 for q in negative))
+        rounds += 1
+        negative = [(q, b) for q, b in kept.items() if q[k] < 0]
+        rows = chain(((r, a) for r, a in kept.items() if not r[k]),
+                     ((_combine(-q[k], p, p[k], q), a | b) for p, a in kept.items() if p[k] > 0
+                      for q, b in negative if (a | b).bit_count() <= rounds + 1))
 
 
 def _projected_rows(f: LinearFormulation, position: dict[str, int], max_rows: int = 50_000):
@@ -158,15 +144,14 @@ def _projected_rows(f: LinearFormulation, position: dict[str, int], max_rows: in
     cols = [index[v] for v in aux + binaries + primary] + [-1]
     m, b = len(aux), len(binaries)
     eqs, ineqs = ([_primitive([row[c] for c in cols]) for row in rows] for rows in _compile(f))
-    echelon = _echelon(eqs, m)  # None when the equalities alone are inconsistent
-    rows = echelon and _fourier_motzkin([_reduce(echelon[0], row) for row in ineqs], m, max_rows)
-    if rows is None:
+    projected = _fourier_motzkin(eqs, ineqs, m, max_rows)
+    if projected is None:
         return None
     bits = [position[v] for v in primary]
     return [
         ([(k, a) for k, a in enumerate(row[m:m + b]) if a],
          tuple((bit, a) for bit, a in zip(bits, row[m + b:-1]) if a), row[-1], is_eq)
-        for is_eq, group in ((True, echelon[1]), (False, rows)) for row in group
+        for is_eq, group in zip((True, False), projected) for row in group
     ]
 
 

@@ -931,3 +931,56 @@ def reference_lp_vertices(f, max_vars=12):
             continue
         vertices.add(tuple(point))
     return sorted(vertices)
+
+
+def linprog_support_validity(f, family) -> bool:
+    """``support_validity`` by one floating-point HiGHS LP per (support, assignment) pair.
+
+    Uniform mass on the support fixes the primary variables and the
+    assignment fixes the binaries; a fixed value outside its variable's
+    bounds fails at once, and otherwise the LP asks only whether the
+    auxiliaries complete them.  Needs scipy.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    names = f.variable_names()
+    index = {name: i for i, name in enumerate(names)}
+    rows = {"=": ([], []), "<=": ([], [])}
+    for c in f.constraints:
+        vec = np.zeros(len(names))
+        for var, coef in c.terms:
+            vec[index[var]] += float(coef)
+        sign = -1 if c.sense == ">=" else 1
+        a, b = rows["=" if c.sense == "=" else "<="]
+        a.append(sign * vec)
+        b.append(sign * float(c.rhs))
+    (a_eq, b_eq), (a_ub, b_ub) = ((np.array(a) if a else None, np.array(b) if b else None)
+                                  for a, b in rows.values())
+    declared = [(v.lower, v.upper) for v in f.variables]
+
+    def completable(fixed: dict[int, Fraction]) -> bool:
+        bounds = [(None if lo is None else float(lo), None if hi is None else float(hi))
+                  for lo, hi in declared]
+        for k, x in fixed.items():
+            lo, hi = declared[k]
+            if lo is not None and x < lo or hi is not None and x > hi:
+                return False
+            bounds[k] = (float(x), float(x))
+        res = linprog(np.zeros(len(names)), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs")
+        if res.status not in (0, 2):
+            raise InvariantError(f"HiGHS gave status {res.status}: {res.message}")
+        return res.status == 0
+
+    lam = f.lambda_names()
+    j = sorted(ground_set(family))
+    binaries = [index[z] for z in f.binary_names()]
+    for r in range(1, len(j) + 1):
+        for support in combinations(j, r):
+            mass = {index[lam[v]]: Fraction(int(v in support), r) for v in j}
+            realized = any(completable({**mass, **dict(zip(binaries, assignment))})
+                           for assignment in product((0, 1), repeat=len(binaries)))
+            if realized != brute_feasible(family.sets, support):
+                return False
+    return True

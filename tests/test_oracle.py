@@ -34,7 +34,13 @@ from cdcmip import jtree, oracle
 from cdcmip.cli import main
 from cdcmip.errors import InputError, InvariantError
 from cdcmip.formulate import LinearFormulation
-from helpers import breadth_first_walk, random_family, random_junction_family
+from helpers import (
+    breadth_first_walk,
+    linprog_support_validity,
+    quiet_family,
+    random_family,
+    random_junction_family,
+)
 
 
 def test_all_spanning_trees_match_the_acyclic_edge_subsets():
@@ -224,11 +230,18 @@ def test_brute_admits_roots_no_tree(monkeypatch, path3, triangle):
 
 
 # Eight sets over nine indices.  Projecting their log model (33 variables,
-# 3 binaries) reaches a round of about 34,450 rows, under the 50,000-row
-# budget, whose eliminated column pairs 21,062 rows with 8,011: about 168.7
-# million combinations.
+# 3 binaries) with no pair skipped reaches a round of about 34,450 rows,
+# under the 50,000-row budget, whose eliminated column pairs 21,062 rows
+# with 8,011: about 168.7 million combinations.  Chernikov's rule keeps
+# every round small.
 WIDE_ROUND = {"sets": [[1], [1, 2, 8, 9], [1, 3, 9], [3, 6, 8], [3, 6, 8, 9], [4, 8],
                        [5, 6, 8, 9], [9]]}
+
+# Seventeen sets over ten indices whose log model passes the row budget
+# even with the rule.
+STILL_WIDE = {"sets": [[1], [1, 2, 7], [1, 3, 6, 9], [1, 4, 6, 8, 9], [1, 4, 7, 8], [1, 5, 7, 9],
+                       [1, 7], [2, 4, 5, 8, 9], [2, 4, 6], [2, 5], [4, 7, 9], [4, 8, 10], [5],
+                       [5, 7, 8], [7], [8], [9]]}
 
 
 def run_capped(code: str, *args: str):
@@ -241,16 +254,28 @@ def run_capped(code: str, *args: str):
 
 
 def test_elimination_budget_holds_inside_a_round():
+    # One free auxiliary w between 3,000 rows w >= c.lam and 3,000 rows
+    # w <= d.lam + 1.  Its one round pairs every lower row with every upper
+    # row, two inputs each, so the rule prunes none: 9 million rows, which
+    # would not fit under the cap were the budget checked only after the round.
     res = run_capped(
-        "import json, sys, warnings\n"
-        "from cdcmip import IndexSetFamily, SizeGuardError, build_log_embedding, support_validity\n"
+        "import random, warnings\n"
+        "from cdcmip import IndexSetFamily, SizeGuardError, support_validity\n"
+        "from cdcmip.formulate import LinearFormulation\n"
         "warnings.simplefilter('ignore')\n"
-        "fam = IndexSetFamily(json.loads(sys.argv[1])['sets'])\n"
+        "rng = random.Random(3)\n"
+        "lam = [f'lam_{i}' for i in range(1, 13)]\n"
+        "f = LinearFormulation(metadata={'lambda_vars': dict(enumerate(lam, 1))})\n"
+        "f.add_variables(lam, lower=0)\n"
+        "f.add_variable('w')\n"
+        "for r in range(3000):\n"
+        "    for name, sense, rhs in (('lo', '>=', 0), ('hi', '<=', 1)):\n"
+        "        terms = [('w', 1)] + [(v, -rng.randint(0, 9)) for v in lam]\n"
+        "        f.add_constraint(f'{name}_{r}', terms, sense, rhs)\n"
         "try:\n"
-        "    support_validity(build_log_embedding(fam), fam)\n"
+        "    support_validity(f, IndexSetFamily([list(range(1, 13))]))\n"
         "except SizeGuardError as e:\n"
         "    print(e)\n",
-        json.dumps(WIDE_ROUND),
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == (
@@ -261,7 +286,7 @@ def test_elimination_budget_holds_inside_a_round():
 
 def test_cli_verify_exits_3_on_a_wide_round(tmp_path):
     path = tmp_path / "family.json"
-    path.write_text(json.dumps(WIDE_ROUND))
+    path.write_text(json.dumps(STILL_WIDE))
     res = run_capped(
         "import sys, warnings\n"
         "from cdcmip.cli import main\n"
@@ -271,6 +296,30 @@ def test_cli_verify_exits_3_on_a_wide_round(tmp_path):
     )
     assert res.returncode == 3, res.stderr
     assert "over the budget of 50000" in res.stderr
+
+
+@pytest.mark.filterwarnings("ignore::cdcmip.RedundantFamilyWarning")
+def test_cli_verify_passes_the_formerly_wide_round(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(WIDE_ROUND))
+    assert main(["verify", str(path), "--formulation", "log"]) == 0
+    assert capsys.readouterr().out == "support_validity: pass\nideal: skipped (size)\n"
+
+
+@pytest.mark.parametrize("build, sets, dropped, verdict", [
+    (build_log_embedding, WIDE_ROUND["sets"], None, True),
+    (build_extended_disjoint,
+     [[1, 2, 4, 5, 6, 7], [1, 3, 4, 5], [1, 3, 5, 6, 7], [1, 4], [1, 4, 5, 6, 7], [1, 5],
+      [2, 3, 4, 5, 7]], "b_2", False),
+])
+def test_support_validity_matches_highs_past_the_old_budget(build, sets, dropped, verdict):
+    # Both models reach the 50,000-row budget when no pair is skipped.
+    pytest.importorskip("scipy.optimize")
+    fam = quiet_family(sets)
+    f = build(fam)
+    f.constraints = [c for c in f.constraints if c.name != dropped]
+    assert support_validity(f, fam) is verdict
+    assert linprog_support_validity(f, fam) is verdict
 
 
 def test_lp_vertices_simplex():
