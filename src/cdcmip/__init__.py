@@ -33,6 +33,7 @@ from .formulate import (
     LinearFormulation,
     build_extended_disjoint,
     build_extended_jtree,
+    build_ib,
     build_ib_from_cover,
     build_jeroslow_lowe,
     build_log_embedding,

@@ -44,7 +44,7 @@ from .errors import (
 from .formulate import (
     build_extended_disjoint,
     build_extended_jtree,
-    build_ib_from_cover,
+    build_ib,
     build_jeroslow_lowe,
     build_log_embedding,
     build_naive,
@@ -74,7 +74,7 @@ BUILDERS = {
     "naive": lambda family: build_naive(family),
     "jl": lambda family: build_jeroslow_lowe(family),
     "log": lambda family: build_log_embedding(family),
-    "ib": lambda family: build_ib_from_cover(family, heuristic_cover(family)),
+    "ib": lambda family: build_ib(family),
     "ext-jtree": lambda family: build_extended_jtree(family),
     "ext-disjoint": lambda family: build_extended_disjoint(family),
 }

@@ -43,21 +43,12 @@ class Biclique:
 
 
 class BicliqueCover:
-    """An ordered collection of bicliques meant to cover a conflict graph.
+    """An ordered collection of bicliques meant to cover a conflict graph."""
 
-    ``_verified`` is set by ``tree_cover`` and read by ``_covers``, alone:
-    the family's ``sets`` tuple and the ``bicliques`` tuple it verified,
-    held as objects and compared by identity.  A copy, a pickle or a cover read back from JSON is unstamped.
-    """
-
-    __slots__ = ("bicliques", "_verified")
+    __slots__ = ("bicliques",)
 
     def __init__(self, bicliques: Iterable[Biclique] = ()):
         self.bicliques: tuple[Biclique, ...] = tuple(bicliques)
-        self._verified: tuple[tuple, tuple] | None = None
-
-    def __reduce__(self):
-        return type(self), (self.bicliques,)
 
     def __len__(self) -> int:
         return len(self.bicliques)
@@ -224,31 +215,14 @@ def tree_cover(family: IndexSetFamily, tree: CandidateTree) -> BicliqueCover:
 
     Raises :class:`NoJunctionTreeError` when ``tree`` is not a junction
     tree of the family.  The result always verifies against the conflict
-    graph and never exceeds one biclique per tree edge.  It is stamped with
-    the family's ``sets`` and its own ``bicliques``, so that
-    ``build_ib_from_cover`` need not verify it again for the same family.
+    graph and never exceeds one biclique per tree edge.
     """
     cover = merge_cover(separation(family, tree), family)
     if not verify_cover(conflict_graph(family), cover):
         raise InvariantError("tree cover produced a non-covering result")
     if len(cover) > max(len(family) - 1, 0):
         raise InvariantError("tree cover exceeded the tree-edge bound")
-    cover._verified = (family.sets, cover.bicliques)
     return cover
-
-
-def _covers(family: IndexSetFamily, cover: BicliqueCover) -> bool:
-    """True iff ``cover`` covers the family's conflict graph.
-
-    Trusted without a check only when ``tree_cover`` stamped it for this
-    very family: the stamp holds the same ``sets`` object and the cover's
-    own ``bicliques`` object, compared by identity.  Any other cover is
-    verified.
-    """
-    stamp = cover._verified
-    if stamp is not None and stamp[0] is family.sets and stamp[1] is cover.bicliques:
-        return True
-    return verify_cover(conflict_graph(family), cover)
 
 
 def heuristic_cover(family: IndexSetFamily) -> BicliqueCover:

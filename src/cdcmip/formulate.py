@@ -25,8 +25,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .cdc import IndexSetFamily, _exact_coordinate, _exact_point, ground_set
-from .cover import BicliqueCover, _covers, tree_cover
+from .cdc import IndexSetFamily, _exact_coordinate, _exact_point, conflict_graph, ground_set
+from .cover import BicliqueCover, heuristic_cover, tree_cover, verify_cover
 from .errors import InputError, InvariantError
 from .sosk import sosk_cover, sosk_family
 from .transform import build_equivalent_family
@@ -317,24 +317,35 @@ def _cover_model(builder, family, cover, rewrite=None, prefix="lamp") -> LinearF
     return f
 
 
+def build_ib(family: IndexSetFamily) -> LinearFormulation:
+    """The model of ``heuristic_cover(family)``, which ``tree_cover`` has already verified."""
+    return _cover_model("ib_cover", family, heuristic_cover(family))
+
+
 def build_ib_from_cover(family: IndexSetFamily, cover: BicliqueCover) -> LinearFormulation:
     """One binary per cover biclique: each side's mass is forbidden on one branch.
 
-    The cover is verified against the family's conflict graph unless
-    ``tree_cover`` built it for this very family.
+    The cover is verified against the family's conflict graph.
     """
-    if not _covers(family, cover):
+    if not verify_cover(conflict_graph(family), cover):
         raise InputError("cover does not verify against the family's conflict graph")
     return _cover_model("ib_cover", family, cover)
+
+
+def _sosk_model(builder: str, n: int, k: int) -> LinearFormulation:
+    """The model of the closed-form windowed cover, verified as the package's own result."""
+    family = sosk_family(n, k)
+    cover = sosk_cover(n, k) if n > k else BicliqueCover()
+    if not verify_cover(conflict_graph(family), cover):
+        raise InvariantError("closed-form windowed cover does not verify against its family")
+    return _cover_model(builder, family, cover)
 
 
 def build_sosk(n: int, k: int) -> LinearFormulation:
     """Windowed constraint via the merged dyadic cover; logarithmic binary count."""
     if not 2 <= k < n:
         raise InputError("need n > k >= 2")
-    f = build_ib_from_cover(sosk_family(n, k), sosk_cover(n, k))
-    f.metadata["builder"] = "sosk"
-    return f
+    return _sosk_model("sosk", n, k)
 
 
 def build_sosk_kis(n: int, k: int) -> LinearFormulation:
@@ -393,8 +404,7 @@ def build_pwl(breakpoints) -> LinearFormulation:
     if any(a >= b for (a, _), (b, _) in zip(pts, pts[1:])):
         raise InputError("breakpoint x values must be strictly increasing")
     n = len(pts)
-    f = build_ib_from_cover(sosk_family(n, 2), sosk_cover(n, 2) if n > 2 else BicliqueCover())
-    f.metadata["builder"] = "piecewise_linear"
+    f = _sosk_model("piecewise_linear", n, 2)
     lam = f.lambda_names()
     for axis, name in enumerate("xy"):
         f.add_variable(name, CONTINUOUS)

@@ -14,6 +14,7 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,6 +32,7 @@ from cdcmip import (
     SizeGuardError,
     tree_cover,
 )
+from cdcmip import cover as cover_module
 from cdcmip import jtree, oracle
 from cdcmip.cdc import ground_set
 from cdcmip.formulate import BINARY
@@ -412,17 +414,18 @@ def padded_tree_cover(family, tree):
     return BicliqueCover(members + members[:1])
 
 
-def counted_verify_cover(monkeypatch, *modules) -> list:
-    """The covers ``verify_cover`` is called on, recorded at each module's binding of it."""
+def counted_verify_cover(monkeypatch) -> list:
+    """The covers ``verify_cover`` is called on, recorded at every ``cdcmip`` binding of it."""
     calls = []
-    real = modules[0].verify_cover
+    real = cover_module.verify_cover
 
     def counted(g, cover):
         calls.append(cover)
         return real(g, cover)
 
-    for module in modules:
-        monkeypatch.setattr(module, "verify_cover", counted)
+    for name, module in list(sys.modules.items()):
+        if (name == "cdcmip" or name.startswith("cdcmip.")) and getattr(module, "verify_cover", None) is real:
+            monkeypatch.setattr(module, "verify_cover", counted)
     return calls
 
 

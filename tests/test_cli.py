@@ -207,13 +207,23 @@ def test_formulate_lp(tmp_path, capsys):
     assert "Binaries" in text and text.count("\n z_") == 2
 
 
-def test_formulate_ib_verifies_its_cover_once(tmp_path, capsys, monkeypatch):
-    from cdcmip import cover
-
-    calls = counted_verify_cover(monkeypatch, cover, cli)
+def _ib_formulate_checks(tmp_path, capsys, monkeypatch) -> int:
+    """How many times ``formulate --formulation ib`` calls ``verify_cover``, at any binding."""
+    calls = counted_verify_cover(monkeypatch)
     code, out, _ = run(capsys, "formulate", family_file(tmp_path, SOS2_5), "--formulation", "ib")
     assert code == 0 and "Subject To" in out
-    assert len(calls) == 1
+    return len(calls)
+
+
+def test_formulate_ib_verifies_its_cover_once(tmp_path, capsys, monkeypatch):
+    assert _ib_formulate_checks(tmp_path, capsys, monkeypatch) == 1
+
+
+def test_formulate_ib_count_sees_a_second_check_inside_formulate(tmp_path, capsys, monkeypatch):
+    # Composing the two public calls checks once more, through formulate's
+    # own binding of verify_cover: the once-test above would fail on it.
+    monkeypatch.setattr(cli, "build_ib", lambda fam: cdcmip.build_ib_from_cover(fam, cdcmip.heuristic_cover(fam)))
+    assert _ib_formulate_checks(tmp_path, capsys, monkeypatch) == 2
 
 
 def test_formulate_json_format(tmp_path, capsys):

@@ -168,6 +168,18 @@ def test_merge_never_grows_and_preserves_covering():
         assert verify_cover(g, merged)
 
 
+def test_covers_copy_and_pickle_to_an_equal_cover(sos2_5):
+    import copy
+    import pickle
+
+    cover = heuristic_cover(sos2_5)
+    copies = [copy.copy(cover), copy.deepcopy(cover)]
+    copies += [pickle.loads(pickle.dumps(cover, protocol)) for protocol in (2, None)]
+    for other in copies:
+        assert type(other) is BicliqueCover and other == cover
+        assert other.bicliques == cover.bicliques
+
+
 def test_verify_cover(sos2_5):
     g = conflict_graph(sos2_5)
     full = BicliqueCover([bc([1, 2], [4, 5]), bc([1, 5], [3])])

@@ -11,6 +11,7 @@ from cdcmip import (
     InvariantError,
     build_extended_disjoint,
     build_extended_jtree,
+    build_ib,
     build_ib_from_cover,
     build_jeroslow_lowe,
     build_log_embedding,
@@ -93,59 +94,89 @@ def test_build_ib_rejects_bad_cover(sos2_5, path3):
     assert len(cover_rows) == 4
 
 
-def test_build_ib_verifies_a_tree_cover_once(monkeypatch, sos2_5, path3):
-    from cdcmip import cover
+def test_build_ib_verifies_its_tree_cover_once(monkeypatch, sos2_5, path3):
+    # tree_cover's check is the only one: build_ib assembles the cover it returns.
+    calls = counted_verify_cover(monkeypatch)
+    for fam in (sos2_5, path3):
+        calls.clear()
+        build_ib(fam)
+        assert len(calls) == 1
 
-    # tree_cover's check stands for build_ib_from_cover's on its own result.
-    calls = counted_verify_cover(monkeypatch, cover)
+
+def test_build_ib_from_cover_verifies_a_heuristic_cover_again(monkeypatch, sos2_5, path3):
+    calls = counted_verify_cover(monkeypatch)
     for fam in (sos2_5, path3):
         calls.clear()
         built = heuristic_cover(fam)
         build_ib_from_cover(fam, built)
-        assert calls == [built]
+        assert len(calls) == 2 and calls[1] is built
 
 
 def test_build_ib_rejects_a_cover_missing_a_biclique(sos2_5):
     cover = heuristic_cover(sos2_5)
     with pytest.raises(InputError):
         build_ib_from_cover(sos2_5, BicliqueCover(cover.bicliques[1:]))
-    # The stamp names the bicliques tree_cover verified, not these.
     cover.bicliques = cover.bicliques[1:]
     with pytest.raises(InputError):
         build_ib_from_cover(sos2_5, cover)
 
 
-def test_build_ib_rejects_a_stamped_cover_of_another_family(sos2_5, path3):
+def test_build_ib_rejects_a_tree_cover_of_another_family(sos2_5, path3):
     with pytest.raises(InputError):
         build_ib_from_cover(sos2_5, heuristic_cover(path3))
 
 
-def test_build_ib_verifies_every_cover_the_stamp_does_not_name(monkeypatch, sos2_5):
+def test_build_ib_from_cover_verifies_every_cover_it_is_given(monkeypatch, sos2_5, path3):
     import copy
     import pickle
 
-    from cdcmip import cover
-
-    stamped = heuristic_cover(sos2_5)
-    calls = counted_verify_cover(monkeypatch, cover)
-    # An equal family whose sets are another object, and covers equal to
-    # the stamped one that are not it: each is verified again.
+    built = heuristic_cover(sos2_5)
+    reassigned = heuristic_cover(sos2_5)
+    reassigned.bicliques = reassigned.bicliques[::-1]
     equal = IndexSetFamily([sorted(s) for s in sos2_5.sets])
     assert equal == sos2_5 and equal.sets is not sos2_5.sets
-    build_ib_from_cover(equal, stamped)
-    assert calls == [stamped]
-    others = [
-        copy.copy(stamped),
-        copy.deepcopy(stamped),
-        pickle.loads(pickle.dumps(stamped)),
-        BicliqueCover.from_json(stamped.to_json()),
-        BicliqueCover(stamped),
+    calls = counted_verify_cover(monkeypatch)
+    given = [
+        (sos2_5, built),
+        (sos2_5, copy.copy(built)),
+        (sos2_5, copy.deepcopy(built)),
+        (sos2_5, pickle.loads(pickle.dumps(built))),
+        (sos2_5, BicliqueCover.from_json(built.to_json())),
+        (sos2_5, BicliqueCover(built)),
+        (sos2_5, reassigned),
+        (equal, built),
     ]
-    for other in others:
-        assert other == stamped
+    for fam, cover in given:
         calls.clear()
-        build_ib_from_cover(sos2_5, other)
-        assert calls == [other]
+        build_ib_from_cover(fam, cover)
+        assert len(calls) == 1 and calls[0] is cover
+    calls.clear()
+    with pytest.raises(InputError):
+        build_ib_from_cover(path3, built)
+    assert calls == [built]
+
+
+def _drop_first_closed_form_biclique(monkeypatch):
+    from cdcmip import formulate
+
+    real = formulate.sosk_cover
+    monkeypatch.setattr(formulate, "sosk_cover", lambda n, k: BicliqueCover(real(n, k).bicliques[1:]))
+
+
+def test_a_faulty_closed_form_sosk_cover_exits_4(monkeypatch, capsys):
+    from cdcmip.cli import main
+
+    _drop_first_closed_form_biclique(monkeypatch)
+    with pytest.raises(InvariantError):
+        build_sosk(12, 3)
+    assert main(["sosk", "--n", "12", "--k", "3"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: closed-form windowed cover")
+
+
+def test_a_faulty_closed_form_pwl_cover_is_an_internal_error(monkeypatch):
+    _drop_first_closed_form_biclique(monkeypatch)
+    with pytest.raises(InvariantError, match="closed-form windowed cover"):
+        build_pwl([(0, 0), (1, 2), (2, 1), (3, 3), (4, 0)])
 
 
 def test_build_sosk_counts():

@@ -19,6 +19,7 @@ from cdcmip import (
     build_equivalent_family,
     build_extended_disjoint,
     build_extended_jtree,
+    build_ib,
     build_ib_from_cover,
     build_jeroslow_lowe,
     build_log_embedding,
@@ -151,6 +152,12 @@ def test_output_digest(cases, name):
 @pytest.mark.parametrize("name", list(EXTRA_DIGESTS))
 def test_extra_output_digest(extra_cases, name):
     assert _digest(*extra_cases[name]) == EXTRA_DIGESTS[name]
+
+
+def test_build_ib_emits_what_the_composed_ib_route_emits(cases, extra_cases):
+    for corpus, digests in ((cases, DIGESTS), (extra_cases, EXTRA_DIGESTS)):
+        _, fams, render = corpus["ib"]
+        assert _digest(build_ib, fams, render) == digests["ib"]
 
 
 def _rewrite(disjoint: bool):
