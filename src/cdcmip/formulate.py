@@ -3,7 +3,7 @@
 The IR is plain ``Variable`` and ``Constraint`` named tuples, which
 ``LinearFormulation`` checks, and holds only ``int`` (integral values) and
 ``Fraction``: other values, such as ``"1/3"``, enter through ``cdc``'s
-exact-number parser in ``add_variables`` and ``add_constraint``, and the
+exact-number parser in ``add_variables`` and ``add_constraints``, and the
 constructor refuses them.
 Builders share one naming scheme (``lam_<v>`` for the primary simplex
 variables, ``lamp_``/``lampp_`` for copy-index variables, ``gam_<set>_<v>``
@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -59,13 +60,13 @@ class LinearFormulation:
     _names: set[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Refuses what ``add_variables`` and ``add_constraint`` refuse, values unparsed.
+        """Refuses what ``add_variables`` and ``add_constraints`` refuse, values unparsed.
 
         That is names that are not ``str``, duplicate names, unknown kinds,
         binaries not on [0, 1], rows naming unknown variables, unknown senses
         and inexact values.  Values
         must be ``int`` (not ``bool``) or ``Fraction``, or ``None`` for a
-        missing bound, and are stored as given: unlike ``add_constraint``, the
+        missing bound, and are stored as given: unlike ``add_constraints``, the
         constructor neither parses strings nor turns ``Fraction(1)`` into ``1``.
         """
         _check_names("variable", [v.name for v in self.variables])
@@ -128,21 +129,41 @@ class LinearFormulation:
             return names
         lower, upper = [b if b is None else _exact(b) for b in (lower, upper)]
         _check_kind(kind, lower, upper)
-        self.variables += [Variable(name, kind, lower, upper) for name in names]
+        self.variables += map(Variable._make, zip(names, repeat(kind), repeat(lower), repeat(upper)))
         self._names |= fresh
         return names
 
     def add_constraint(self, name, terms, sense, rhs) -> None:
-        """Adds a row from ``(variable, value)`` tuples, dropping the zero terms."""
-        _check_name("row", name)
-        terms = tuple(terms)
-        coefs = tuple(map(_COEF, terms))
-        if not ({*map(type, coefs)} <= _INT and 0 not in coefs):
-            terms = tuple((var, x) for var, c in terms if (x := c if type(c) is int else _exact(c)))
-        self._check_known(name, terms)
-        rhs = _exact(rhs)
-        _check_sense(sense)
-        self.constraints.append(Constraint(name, terms, sense, rhs))
+        self.add_constraints([(name, terms, sense, rhs)])
+
+    def add_constraints(self, rows) -> None:
+        """Adds ``(name, terms, sense, rhs)`` rows, ``terms`` as ``(variable, value)`` pairs.
+
+        One test admits a batch of ``str`` names, ``tuple`` terms, nonzero
+        ``int`` values, known senses and declared variables as given; any
+        other goes row by row, parsing values and dropping zero terms, so a
+        refusal keeps the rows before the one refused.
+        """
+        rows = [*rows]
+        if {*map(type, map(_TERMS, rows))} <= _TUPLE:
+            terms = [*chain.from_iterable(map(_TERMS, rows))]
+            coefs = [*map(_COEF, terms)]
+            if (
+                {*map(type, map(_NAME, rows))} <= _STR
+                and {*map(type, coefs), *map(type, map(_RHS, rows))} <= _INT
+                and 0 not in coefs
+                and all(map(_SENSES.__contains__, map(_SENSE, rows)))
+                and self._names.issuperset(map(_VAR, terms))
+            ):
+                self.constraints += map(Constraint._make, rows)
+                return
+        for name, terms, sense, rhs in rows:
+            _check_name("row", name)
+            terms = tuple((var, x) for var, c in terms if (x := _exact(c)))
+            self._check_known(name, terms)
+            rhs = _exact(rhs)
+            _check_sense(sense)
+            self.constraints.append(Constraint(name, terms, sense, rhs))
 
     def _check_known(self, row, terms) -> None:
         if not self._names.issuperset(map(_VAR, terms)):
@@ -170,8 +191,10 @@ class LinearFormulation:
 
 
 _VAR, _COEF = itemgetter(0), itemgetter(1)
+_NAME, _TERMS, _SENSE, _RHS = map(itemgetter, range(4))
 _INT = {int}
 _STR = {str}
+_TUPLE = {tuple}
 _STORED = {int, Fraction}
 
 
@@ -229,41 +252,53 @@ def _add_binaries(f: LinearFormulation, count: int) -> list[str]:
     return f.add_variables([f"z_{i + 1}" for i in range(count)], BINARY, 0, 1)
 
 
+def _terms(names, coef=1) -> tuple:
+    """``(name, coef)`` for each name, paired by ``zip`` rather than one by one."""
+    return tuple(zip(names, repeat(coef)))
+
+
+def _less(name, others) -> tuple:
+    """The terms of ``name`` minus the sum of ``others``."""
+    return ((name, 1), *zip(others, repeat(-1)))
+
+
 def _per_set_weights(f, family, lam, binaries: int):
     """Weights ``gam_<set>_<v>``, then ``binaries`` binaries, then ``link_<v>`` rows.
 
     Each link row equates ``lam_<v>`` with the sum of the weights on ``v``.
-    Returns the weights keyed by (set ordinal, index) and the binaries.
+    Returns each member set's weights, in index order, and the binaries.
     """
     keys = [(i, v) for i, s in enumerate(family.sets) for v in sorted(s)]
-    gam = dict(zip(keys, f.add_variables([f"gam_{i + 1}_{v}" for i, v in keys], lower=0)))
+    names = f.add_variables([f"gam_{i + 1}_{v}" for i, v in keys], lower=0)
+    gam = dict(zip(keys, names))
     z = _add_binaries(f, binaries)
-    for v, name in lam.items():
-        terms = [(name, 1)] + [(gam[(i, v)], -1) for i in family.holders[v]]
-        f.add_constraint(f"link_{v}", terms, "=", 0)
-    return gam, z
+    f.add_constraints(
+        (f"link_{v}", _less(name, map(gam.__getitem__, zip(family.holders[v], repeat(v)))), "=", 0)
+        for v, name in lam.items()
+    )
+    return [names[a:b] for a, b in pairwise(accumulate(map(len, family.sets), initial=0))], z
 
 
 def build_naive(family: IndexSetFamily) -> LinearFormulation:
     """One binary per member set; each index is capped by the sets that hold it."""
     f, lam = _new("naive", family)
     z = _add_binaries(f, len(family))
-    for v, name in lam.items():
-        terms = [(name, 1)] + [(z[i], -1) for i in family.holders[v]]
-        f.add_constraint(f"cap_{v}", terms, "<=", 0)
-    f.add_constraint("select", [(name, 1) for name in z], "=", 1)
-    f.add_constraint("mass", [(name, 1) for name in lam.values()], "=", 1)
+    f.add_constraints([
+        *((f"cap_{v}", _less(name, map(z.__getitem__, family.holders[v])), "<=", 0) for v, name in lam.items()),
+        ("select", _terms(z), "=", 1),
+        ("mass", _terms(lam.values()), "=", 1),
+    ])
     return f
 
 
 def build_jeroslow_lowe(family: IndexSetFamily) -> LinearFormulation:
     """One weight vector per member set, tied to a selection binary."""
     f, lam = _new("jeroslow_lowe", family)
-    gam, z = _per_set_weights(f, family, lam, len(family))
-    for i, s in enumerate(family.sets):
-        terms = [(z[i], 1)] + [(gam[(i, v)], -1) for v in sorted(s)]
-        f.add_constraint(f"weight_{i + 1}", terms, "=", 0)
-    f.add_constraint("select", [(name, 1) for name in z], "=", 1)
+    weights, z = _per_set_weights(f, family, lam, len(family))
+    f.add_constraints([
+        *((f"weight_{i + 1}", _less(z[i], block), "=", 0) for i, block in enumerate(weights)),
+        ("select", _terms(z), "=", 1),
+    ])
     return f
 
 
@@ -275,11 +310,12 @@ def build_log_embedding(family: IndexSetFamily) -> LinearFormulation:
     """
     f, lam = _new("log_embedding", family)
     r = (len(family) - 1).bit_length()
-    gam, z = _per_set_weights(f, family, lam, r)
-    f.add_constraint("mass", [(name, 1) for name in gam.values()], "=", 1)
+    weights, z = _per_set_weights(f, family, lam, r)
+    rows = [("mass", _terms(chain.from_iterable(weights)), "=", 1)]
     for bit in range(r):
-        terms = [(name, 1) for (i, _), name in gam.items() if i >> bit & 1]
-        f.add_constraint(f"code_{bit + 1}", terms + [(z[bit], -1)], "=", 0)
+        held = chain.from_iterable(compress(weights, (i >> bit & 1 for i in range(len(weights)))))
+        rows.append((f"code_{bit + 1}", (*_terms(held), (z[bit], -1)), "=", 0))
+    f.add_constraints(rows)
     f.metadata["codes"] = [
         "".join(str(i >> bit & 1) for bit in range(r)) for i in range(len(family))
     ]
@@ -298,21 +334,22 @@ def _cover_model(builder, family, cover, rewrite=None, prefix="lamp") -> LinearF
     its binary is 0, side B when it is 1.
     """
     f, lam = _new(builder, family)
-    var_of = lam
+    var_of, rows = lam, []
     if rewrite is not None:
         var_of = _add_lambda_vars(f, ground_set(rewrite.family_prime), prefix)
         fibers = rewrite.mapping.fibers()
-        for v, name in lam.items():
-            terms = [(name, 1)] + [(var_of[u], -1) for u in fibers.get(v, [])]
-            f.add_constraint(f"fiber_{v}", terms, "=", 0)
+        rows += (
+            (f"fiber_{v}", _less(name, map(var_of.__getitem__, fibers.get(v, ()))), "=", 0)
+            for v, name in lam.items()
+        )
         f.metadata["aux_continuous"] = rewrite.extra_continuous
     z = _add_binaries(f, len(cover))
-    f.add_constraint("mass", [(name, 1) for name in var_of.values()], "=", 1)
+    rows.append(("mass", _terms(var_of.values()), "=", 1))
+    pick = var_of.__getitem__
     for idx, bc in enumerate(cover):
-        terms = [(var_of[v], 1) for v in sorted(bc.side_a)]
-        f.add_constraint(f"a_{idx + 1}", terms + [(z[idx], -1)], "<=", 0)
-        terms = [(var_of[v], 1) for v in sorted(bc.side_b)]
-        f.add_constraint(f"b_{idx + 1}", terms + [(z[idx], 1)], "<=", 1)
+        rows.append((f"a_{idx + 1}", (*_terms(map(pick, sorted(bc.side_a))), (z[idx], -1)), "<=", 0))
+        rows.append((f"b_{idx + 1}", (*_terms(map(pick, sorted(bc.side_b))), (z[idx], 1)), "<=", 1))
+    f.add_constraints(rows)
     f.metadata["cover_size"] = len(cover)
     return f
 
@@ -355,11 +392,12 @@ def build_sosk_kis(n: int, k: int) -> LinearFormulation:
     f, lam = _new("sosk_kis", sosk_family(n, k))
     nwin = n - k + 1
     z = _add_binaries(f, nwin)
-    for j in range(1, n + 1):
-        windows = range(max(j - k + 1, 1), min(j, nwin) + 1)
-        f.add_constraint(f"win_{j}", [(lam[j], 1)] + [(z[i - 1], -1) for i in windows], "<=", 0)
-    f.add_constraint("mass", [(name, 1) for name in lam.values()], "=", 1)
-    f.add_constraint("select", [(name, 1) for name in z], "=", 1)
+    f.add_constraints([
+        # Index j lies in the windows that start at max(j - k + 1, 1) through min(j, nwin).
+        *((f"win_{j}", _less(lam[j], z[max(j - k, 0):min(j, nwin)]), "<=", 0) for j in range(1, n + 1)),
+        ("mass", _terms(lam.values()), "=", 1),
+        ("select", _terms(z), "=", 1),
+    ])
     return f
 
 
@@ -406,10 +444,11 @@ def build_pwl(breakpoints) -> LinearFormulation:
     n = len(pts)
     f = _sosk_model("piecewise_linear", n, 2)
     lam = f.lambda_names()
-    for axis, name in enumerate("xy"):
-        f.add_variable(name, CONTINUOUS)
-        terms = [(name, 1)] + [(lam[v], -pts[v - 1][axis]) for v in range(1, n + 1)]
-        f.add_constraint(f"def_{name}", terms, "=", 0)
+    f.add_variables("xy")
+    f.add_constraints(
+        (f"def_{name}", [(name, 1)] + [(lam[v], -pts[v - 1][axis]) for v in range(1, n + 1)], "=", 0)
+        for axis, name in enumerate("xy")
+    )
     return f
 
 
@@ -449,12 +488,12 @@ def _render_row(values: list[int | Fraction]) -> Optional[list[str]]:
     return None if None in out else out
 
 
-def _fraction_row(c: Constraint) -> tuple[list[str], str]:
+def _fraction_row(terms, rhs) -> tuple[list[str], str]:
     """Terms and right-hand side of a row holding a ``Fraction``: decimals, else scaled."""
-    values = [coef for _, coef in c.terms] + [c.rhs]
+    values = [*map(_COEF, terms), rhs]
     *coefs, rhs = _render_row(values) or map(str, _integral(values))
     parts = []
-    for (var, _), coef in zip(c.terms, coefs):
+    for (var, _), coef in zip(terms, coefs):
         if coef == "1":
             parts.append("+ " + var)
         elif coef == "-1":
@@ -472,12 +511,27 @@ def _first_repeat(items, seen=()):
     return next(x for x in items if x in seen or seen.add(x))
 
 
+def _bound_shape(name, lower, upper) -> tuple[str, str]:
+    """The text either side of the name in a bound line of ``lower`` and ``upper``."""
+    try:
+        bounds = [b for b in (lower, upper) if b is not None]
+        bounds = list(map(str, bounds)) if {*map(type, bounds)} <= _INT else _render_row(bounds)
+    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+        raise InputError(f"a bound of variable {name!r} cannot be written: {exc}") from exc
+    if bounds is None:
+        raise InputError(f"a bound of variable {name!r} is not a terminating decimal")
+    if lower is None:
+        return (" ", " free") if upper is None else (" -inf <= ", f" <= {bounds[0]}")
+    return (" ", f" >= {bounds[0]}") if upper is None else (f" {bounds[0]} <= ", f" <= {bounds[1]}")
+
+
 def write_lp(f: LinearFormulation) -> str:
     """Render the formulation in LP format, deterministically.
 
     Every variable and row name is printed as declared, so each must be an
     ASCII identifier (letters, digits and ``_``, not starting with a digit);
-    the first one that is not is an input error.  Rows keep declaration
+    the first one that is not is an input error, as is a ``metadata["builder"]``
+    (the comment line) that is not printable ASCII.  Rows keep declaration
     order, and their names must be unique and differ from the objective's
     ``obj``.  A row of integers is printed straight from its values; a row
     holding a fraction prints exact decimals, or is scaled by the common
@@ -485,64 +539,49 @@ def write_lp(f: LinearFormulation) -> str:
     bound cannot be scaled, so one that does not terminate is an input
     error, as is a row or bound whose digits pass
     ``sys.get_int_max_str_digits()``.  A bound with no lower end is written
-    ``-inf <= x``, as LP readers take a missing lower bound for 0.
+    ``-inf <= x``, as LP readers take a missing lower bound for 0.  Value
+    types are tested once per model and each distinct bound pair rendered once.
     """
-    names = [v.name for v in f.variables]
-    rows = [c.name for c in f.constraints]
-    for what, given in (("variable", names), ("row", rows)):
+    builder = f.metadata.get("builder", "formulation")
+    if not (isinstance(builder, str) and builder.isascii() and builder.isprintable()):
+        raise InputError(f"metadata 'builder' {builder!r} is not printable ASCII text")
+    names, rows = [v.name for v in f.variables], f.constraints
+    row_names = [*map(_NAME, rows)]
+    for what, given in (("variable", names), ("row", row_names)):
         if not (all(map(str.isidentifier, given)) and all(map(str.isascii, given))):
             bad = next(name for name in given if not (name.isascii() and name.isidentifier()))
             raise InputError(f"{what} name {bad!r} is not an LP name: an ASCII identifier is required")
-    if len({*rows, "obj"}) != len(rows) + 1:
-        raise InputError(f"row name {_first_repeat(rows, ('obj',))!r} is repeated or is the objective's obj")
-    plus = {name: "+ " + name for name in names}
-    minus = {name: "- " + name for name in names}
+    if len({*row_names, "obj"}) != len(row_names) + 1:
+        raise InputError(f"row name {_first_repeat(row_names, ('obj',))!r} is repeated or is the objective's obj")
+    coefs = map(_COEF, chain.from_iterable(map(_TERMS, rows)))
+    integral = {*map(type, coefs), *map(type, map(_RHS, rows))} <= _INT
 
-    lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
-    for c in f.constraints:
-        if not (c.terms or names):
-            raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
-        rhs = c.rhs
+    lines = ["\\ " + builder, "Minimize", " obj:", "Subject To"]
+    for name, terms, sense, rhs in rows:
+        if not (terms or names):
+            raise InputError(f"row {name!r} has no terms and there is no variable to write it with")
         try:
-            if type(rhs) is int and {*map(type, map(_COEF, c.terms))} <= _INT:
+            if integral or type(rhs) is int and {*map(type, map(_COEF, terms))} <= _INT:
                 parts = [
-                    plus[var] if a == 1
-                    else minus[var] if a == -1
+                    "+ " + var if a == 1
+                    else "- " + var if a == -1
                     else f"- {-a} {var}" if a < 0
                     else f"+ {a} {var}"
-                    for var, a in c.terms
+                    for var, a in terms
                 ]
             else:
-                parts, rhs = _fraction_row(c)
+                parts, rhs = _fraction_row(terms, rhs)
             body = " ".join(parts) or "0 " + names[0]
-            lines.append(f" {c.name}: {body.removeprefix('+ ')} {c.sense} {rhs}")
+            lines.append(f" {name}: {body.removeprefix('+ ')} {sense} {rhs}")
         except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
-            raise InputError(f"row {c.name!r} cannot be written: {exc}") from exc
+            raise InputError(f"row {name!r} cannot be written: {exc}") from exc
     lines.append("Bounds")
-    for v in f.variables:
-        name, lower, upper = v.name, v.lower, v.upper
-        try:
-            if type(lower) is int and upper is None:
-                lines.append(f" {name} >= {lower}")
-                continue
-            bounds = [b for b in (lower, upper) if b is not None]
-            bounds = list(map(str, bounds)) if {*map(type, bounds)} <= _INT else _render_row(bounds)
-        except ValueError as exc:
-            raise InputError(f"a bound of variable {v.name!r} cannot be written: {exc}") from exc
-        if bounds is None:
-            raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
-        if lower is None and upper is None:
-            lines.append(f" {name} free")
-        elif upper is None:
-            lines.append(f" {name} >= {bounds[0]}")
-        elif lower is None:
-            lines.append(f" -inf <= {name} <= {bounds[0]}")
-        else:
-            lines.append(f" {bounds[0]} <= {name} <= {bounds[1]}")
-    binaries = [v.name for v in f.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
-    lines.append("End")
+    shapes = {}
+    for name, _, lower, upper in f.variables:
+        key = (type(lower), lower, type(upper), upper)
+        if (shape := shapes.get(key)) is None:
+            shape = shapes[key] = _bound_shape(name, lower, upper)
+        lines.append(name.join(shape))
+    binaries = [" " + v.name for v in f.variables if v.kind == BINARY]
+    lines += ["Binaries", *binaries, "End"] if binaries else ["End"]
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ from cdcmip import (
 from cdcmip import cover as cover_module
 from cdcmip import jtree, oracle
 from cdcmip.cdc import ground_set
-from cdcmip.formulate import BINARY
+from cdcmip.formulate import BINARY, _first_repeat, _integral, _render_row
 from cdcmip.geom import PlanarPartition
 
 
@@ -570,8 +570,12 @@ def rows_match_up_to_scaling(parsed_rows, formulation) -> bool:
 
 # ---------------------------------------------------------------- writers
 #
-# The LP and JSON text with every value first made a Fraction, the route
-# the writers took before integral values were stored as ints.
+# ``reference_fraction_write_lp`` and ``reference_to_json`` give the LP and
+# JSON text with every value first made a Fraction, the route the writers
+# took before integral values were stored as ints.  ``reference_write_lp``
+# is the LP writer as it was before it tested value types once per model and
+# rendered each bound pair once: it tests and renders row by row and
+# variable by variable.
 
 
 def _reference_name(name: str) -> str:
@@ -595,7 +599,7 @@ def _reference_decimal(x: Fraction):
         return format(Decimal(x.numerator) / Decimal(x.denominator), "f")
 
 
-def reference_write_lp(f) -> str:
+def reference_fraction_write_lp(f) -> str:
     for v in f.variables:
         _reference_name(v.name)
     rows = [_reference_name(c.name) for c in f.constraints]
@@ -637,6 +641,84 @@ def reference_write_lp(f) -> str:
     if binaries:
         lines += ["Binaries", *(f" {name}" for name in binaries)]
     return "\n".join(lines + ["End"]) + "\n"
+
+
+def _reference_fraction_row(c):
+    values = [coef for _, coef in c.terms] + [c.rhs]
+    *coefs, rhs = _render_row(values) or map(str, _integral(values))
+    parts = []
+    for (var, _), coef in zip(c.terms, coefs):
+        if coef == "1":
+            parts.append("+ " + var)
+        elif coef == "-1":
+            parts.append("- " + var)
+        elif coef[0] == "-":
+            parts.append(f"- {coef[1:]} {var}")
+        else:
+            parts.append(f"+ {coef} {var}")
+    return parts, rhs
+
+
+def reference_write_lp(f) -> str:
+    names = [v.name for v in f.variables]
+    rows = [c.name for c in f.constraints]
+    for what, given in (("variable", names), ("row", rows)):
+        if not (all(map(str.isidentifier, given)) and all(map(str.isascii, given))):
+            bad = next(name for name in given if not (name.isascii() and name.isidentifier()))
+            raise InputError(f"{what} name {bad!r} is not an LP name: an ASCII identifier is required")
+    if len({*rows, "obj"}) != len(rows) + 1:
+        raise InputError(f"row name {_first_repeat(rows, ('obj',))!r} is repeated or is the objective's obj")
+    plus = {name: "+ " + name for name in names}
+    minus = {name: "- " + name for name in names}
+
+    lines = ["\\ " + f.metadata.get("builder", "formulation"), "Minimize", " obj:", "Subject To"]
+    for c in f.constraints:
+        if not (c.terms or names):
+            raise InputError(f"row {c.name!r} has no terms and there is no variable to write it with")
+        rhs = c.rhs
+        try:
+            if type(rhs) is int and {type(a) for _, a in c.terms} <= {int}:
+                parts = [
+                    plus[var] if a == 1
+                    else minus[var] if a == -1
+                    else f"- {-a} {var}" if a < 0
+                    else f"+ {a} {var}"
+                    for var, a in c.terms
+                ]
+            else:
+                parts, rhs = _reference_fraction_row(c)
+            body = " ".join(parts) or "0 " + names[0]
+            lines.append(f" {c.name}: {body.removeprefix('+ ')} {c.sense} {rhs}")
+        except ValueError as exc:
+            raise InputError(f"row {c.name!r} cannot be written: {exc}") from exc
+    lines.append("Bounds")
+    for v in f.variables:
+        name, lower, upper = v.name, v.lower, v.upper
+        try:
+            if type(lower) is int and upper is None:
+                lines.append(f" {name} >= {lower}")
+                continue
+            bounds = [b for b in (lower, upper) if b is not None]
+            bounds = list(map(str, bounds)) if {*map(type, bounds)} <= {int} else _render_row(bounds)
+        except ValueError as exc:
+            raise InputError(f"a bound of variable {v.name!r} cannot be written: {exc}") from exc
+        if bounds is None:
+            raise InputError(f"a bound of variable {v.name!r} is not a terminating decimal")
+        if lower is None and upper is None:
+            lines.append(f" {name} free")
+        elif upper is None:
+            lines.append(f" {name} >= {bounds[0]}")
+        elif lower is None:
+            lines.append(f" -inf <= {name} <= {bounds[0]}")
+        else:
+            lines.append(f" {bounds[0]} <= {name} <= {bounds[1]}")
+    binaries = [v.name for v in f.variables if v.kind == BINARY]
+    if binaries:
+        lines.append("Binaries")
+        for name in binaries:
+            lines.append(f" {name}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 def reference_to_json(f) -> str:

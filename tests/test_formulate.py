@@ -384,6 +384,18 @@ def test_write_lp_empty_formulation():
     assert text.splitlines() == ["\\ formulation", "Minimize", " obj:", "Subject To", "Bounds", "End"]
 
 
+@pytest.mark.parametrize("builder", ["mine\nEnd", "tab\there", "café", 5, None])
+def test_write_lp_refuses_a_builder_that_is_no_printable_ascii_text(builder):
+    # The builder is printed in the file's comment line: a line break there
+    # would end the model before ``Subject To`` for any LP reader.
+    f = build_sosk(3, 2)
+    f.metadata["builder"] = builder
+    with pytest.raises(InputError, match=f"metadata 'builder' {re.escape(repr(builder))}"):
+        write_lp(f)
+    f.metadata["builder"] = "mine, with spaces (1/2)"
+    assert write_lp(f).startswith("\\ mine, with spaces (1/2)\nMinimize\n")
+
+
 @pytest.mark.parametrize("bad", ["a b", "1st", "y-1", "a.b", "\u03bc", ""])
 @pytest.mark.parametrize("where", ["variable", "row"])
 def test_write_lp_refuses_a_name_that_is_no_lp_name(bad, where):
@@ -665,6 +677,68 @@ def test_batch_declaration_matches_one_by_one():
     batch.add_variable("y")
     with pytest.raises(InputError, match="duplicate variable name 'y'"):
         batch.add_variable("y")
+
+
+@pytest.mark.parametrize("pack", [tuple, list])  # tuple terms reach the one-test route
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("r2", [("x", 1), ("w", 1)], "<=", 1), "constraint 'r2' references unknown variable 'w'"),
+        (("r2", [("x", 0.5)], "<=", 1), "float"),
+        (("r2", [("x", True)], "<=", 1), "bool"),
+        ((2, [("x", 1)], "<=", 1), "row name 2 is not a str"),
+        ((2, 5, "<=", 1), "row name 2 is not a str"),  # the name is checked before the terms
+        (("r2", [("x", 1)], "==", 1), "unknown sense '=='"),
+        (("r2", [("x", 1)], "<=", 0.5), "float"),
+    ],
+    ids=["unknown-variable", "float", "bool", "name", "name-first", "sense", "float-rhs"],
+)
+def test_batch_rows_refuse_as_one_by_one(bad, message, pack):
+    one, batch = LinearFormulation(), LinearFormulation()
+    for f in (one, batch):
+        f.add_variables(["x", "y"])
+    rows = [("r1", [("x", 1), ("y", -1)], "<=", 0), bad, ("r3", [("y", 1)], ">=", 0)]
+    rows = [(name, pack(terms) if type(terms) is list else terms, sense, rhs) for name, terms, sense, rhs in rows]
+
+    def one_by_one():
+        for row in rows:
+            one.add_constraint(*row)
+
+    refusal = _refusal(one_by_one)
+    assert message in refusal and refusal == _refusal(lambda: batch.add_constraints(rows))
+    # The rows before the refused one are kept, as one call per row keeps them.
+    assert batch.constraints == one.constraints == [Constraint("r1", (("x", 1), ("y", -1)), "<=", 0)]
+
+
+@pytest.mark.parametrize("pack", [tuple, list])
+def test_batch_rows_match_one_by_one(pack):
+    clean = [
+        ("r1", pack([("x", 1), ("y", 0)]), "<=", 1),  # the zero term is dropped
+        ("r2", pack([("x", 2), ("y", -3)]), "<=", 5),
+        ("r3", pack([]), "<=", 0),
+    ]
+    mixed = [
+        ("r4", [("x", "1/2"), ("y", Fraction(2))], "=", "3/4"),
+        ("r5", (t for t in [("x", -1)]), ">=", Fraction(-2)),
+        ("r6", (("x", 1),), "<=", 1),
+    ]
+    one, batch = LinearFormulation(), LinearFormulation()
+    for f in (one, batch):
+        f.add_variables(["x", "y"])
+    batch.add_constraints(clean)
+    batch.add_constraints(mixed)
+    mixed[1] = ("r5", [("x", -1)], ">=", Fraction(-2))  # the generator above is spent
+    for row in clean + mixed:
+        one.add_constraint(*row)
+    assert batch.constraints == one.constraints
+    assert batch.constraints[0] == Constraint("r1", (("x", 1),), "<=", 1)
+    assert batch.constraints[3:5] == [
+        Constraint("r4", (("x", Fraction(1, 2)), ("y", 2)), "=", Fraction(3, 4)),
+        Constraint("r5", (("x", -1),), ">=", -2),
+    ]
+    assert [type(a) for c in batch.constraints for _, a in c.terms] == [int, int, int, Fraction, int, int, int]
+    batch.add_constraints([])
+    assert len(batch.constraints) == 6
 
 
 @pytest.mark.parametrize("build", [build_naive, build_jeroslow_lowe, build_log_embedding, build_extended_jtree])

@@ -77,6 +77,7 @@ from helpers import (
     random_junction_family,
     reference_brute_admits_junction_tree,
     reference_cut_recursion,
+    reference_fraction_write_lp,
     reference_level_cover,
     reference_lp_vertices,
     reference_merge_cover,
@@ -984,9 +985,73 @@ def test_integral_values_are_ints_and_outputs_match_the_fraction_route(f):
     values += [x for c in f.constraints for x in (*(a for _, a in c.terms), c.rhs)]
     assert all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
     seed = as_fractions(f)
-    assert outcome(write_lp, f) == outcome(write_lp, seed) == outcome(reference_write_lp, f)
+    assert outcome(write_lp, f) == outcome(write_lp, seed) == outcome(reference_fraction_write_lp, f)
     assert f.to_json() == seed.to_json() == reference_to_json(f)
     # The oracles' integer rows do not depend on the value types either.
     rows = oracle._compile(f)
     assert rows == oracle._compile(seed)
     assert all(type(x) is int for group in rows for row in group for x in row)
+
+
+# ------------------------------------------------- the LP writer, row by row
+#
+# The writer tests value types once per model and renders each distinct
+# bound pair once per call; the reference tests and renders every row and
+# every variable alone.  Models are built through the constructor, which
+# keeps values as given, so ``Fraction(1)`` and ``1`` meet as equal bounds.
+
+def rarely(draw, common, rare):
+    """A draw from ``common``, or from ``rare`` about one time in eight."""
+    return draw(rare if draw(st.integers(0, 7)) == 7 else common)
+
+
+terminating = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 4, 5, 8, 20]))
+recurring = st.builds(Fraction, st.integers(-40, 40).filter(lambda a: a % 3), st.sampled_from([3, 6, 7, 12]))
+# Past sys.get_int_max_str_digits(), so the writers refuse it by name.
+too_long = st.sampled_from([10**4400, Fraction(10**4400)])
+unit = st.sampled_from([1, -1, Fraction(1), Fraction(-1)])
+
+
+@st.composite
+def writer_models(draw):
+    """A formulation of int and Fraction values, built through the constructor."""
+    pool, least = ["x", "lam_1", "z_2", "gam_1_2", "_"], rarely(draw, st.just(1), st.just(0))
+    names = draw(st.lists(st.sampled_from(pool), min_size=least, max_size=5, unique=True))
+    names += rarely(draw, st.just([]), st.just(["y-1"]))  # no LP name
+    bound = st.one_of(st.none(), st.sampled_from([0, Fraction(0), 1, Fraction(1)]), st.integers(-9, 9), terminating)
+    variables = []
+    for name in names:
+        if draw(st.integers(0, 3)) == 0:
+            zero, one = draw(st.sampled_from([(0, 1), (Fraction(0), Fraction(1)), (0, Fraction(1))]))
+            variables.append(Variable(name, "binary", zero, one))
+        else:
+            variables.append(Variable(name, "continuous", *(rarely(draw, bound, recurring | too_long) for _ in "lu")))
+    row_names = draw(st.lists(st.sampled_from(["r", "cap_1", "a_1", "b_1", "mass"]), max_size=5, unique=True))
+    row_names += rarely(draw, st.just([]), st.sampled_from([["obj"], ["2nd"], ["r", "r"]]))
+    # All-int models, and models whose values are any mix.
+    value = st.one_of(unit, st.integers(-9, 9), terminating, recurring)
+    if draw(st.booleans()):
+        value = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9))
+    constraints = [
+        Constraint(
+            row,
+            tuple(draw(st.lists(st.tuples(st.sampled_from(names), value), max_size=4))) if names else (),
+            draw(st.sampled_from(["<=", "=", ">="])),
+            rarely(draw, value, too_long),
+        )
+        for row in row_names
+    ]
+    return LinearFormulation(variables, constraints, {"builder": "mixed"} if draw(st.booleans()) else {})
+
+
+def text_or_message(write, f):
+    try:
+        return write(f)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@PROPERTY
+@given(writer_models())
+def test_write_lp_matches_the_row_by_row_writer(f):
+    assert text_or_message(write_lp, f) == text_or_message(reference_write_lp, f)
